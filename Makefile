@@ -11,9 +11,9 @@
 #   make cache-smoke   cache identity + SIGKILL/resume smoke
 #   make serve-smoke   service daemon boot/dedup/drain smoke
 #   make serve-chaos   SIGKILL/restart durability smoke (--state-dir)
-#   make tune-smoke    cost-model fit + auto-tuned pipeline smoke
 #   make coverage      pytest-cov gate (falls back to the stdlib tool)
-#   make ci            everything the PR gate runs
+#   make ci            everything the PR gate runs (all of the above
+#                      except the advisory format-check)
 #
 # The repo is used uninstalled via PYTHONPATH=src, matching ROADMAP.md.
 
@@ -21,8 +21,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint format-check fault-smoke chaos-smoke bench-smoke \
-	scale-smoke cache-smoke serve-smoke serve-chaos tune-smoke \
-	coverage ci clean
+	scale-smoke cache-smoke serve-smoke serve-chaos coverage ci clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -58,9 +57,6 @@ serve-smoke:
 serve-chaos:
 	$(PYTHON) tools/serve_smoke.py --chaos --deadline 90
 
-tune-smoke:
-	$(PYTHON) tools/tune_smoke.py
-
 coverage:
 	@if $(PYTHON) -c "import pytest_cov" 2>/dev/null; then \
 		$(PYTHON) -m pytest -q --cov=repro --cov-report=term; \
@@ -70,7 +66,7 @@ coverage:
 	fi
 
 ci: lint test fault-smoke chaos-smoke bench-smoke scale-smoke cache-smoke \
-	serve-smoke serve-chaos tune-smoke
+	serve-smoke serve-chaos coverage
 
 clean:
 	rm -rf .pytest_cache .ruff_cache coverage.xml .coverage \

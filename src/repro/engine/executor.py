@@ -143,10 +143,6 @@ class ExecutionResult:
     executions: list[StageExecution] = field(default_factory=list)
     warnings: tuple[PipelineWarning, ...] = ()
     scratch: dict[str, Any] = field(default_factory=dict)
-    #: Manifest-ready ``tuning`` section (the serialized
-    #: :class:`~repro.tune.planner.PlanDecision`) when the run was
-    #: auto-tuned; ``None`` for untuned runs.
-    tuning: dict[str, Any] | None = None
 
     def seconds(self, stage: str) -> float:
         """Total wall time of every execution of ``stage``."""
@@ -213,17 +209,6 @@ class Executor:
         stages it records as complete are served from the artifact
         cache without re-running, counted in
         ``resume_stages_skipped``.
-    tuning:
-        ``None`` (default) runs the hand-set configuration.
-        ``"auto"`` loads the persisted cost model
-        (``tuning/model.json``, see :mod:`repro.tune`) and lets the
-        planner choose backend / block size / ``n_jobs`` / storage /
-        cache sizing for this run. A
-        :class:`~repro.tune.planner.Planner` or a pre-made
-        :class:`~repro.tune.planner.PlanDecision` pins the behavior
-        explicitly. Tuned knobs are execution strategy, not output
-        identity: they never enter stage fingerprints or artifact
-        keys.
     """
 
     def __init__(
@@ -235,17 +220,11 @@ class Executor:
         retry: RetryPolicy | None = None,
         journal: RunJournal | None = None,
         resume_from: JournalReplay | None = None,
-        tuning: Any = None,
     ) -> None:
         if mode not in EXECUTION_MODES:
             raise PipelineError(
                 f"unknown execution mode {mode!r}; "
                 f"expected one of {EXECUTION_MODES}"
-            )
-        if isinstance(tuning, str) and tuning != "auto":
-            raise PipelineError(
-                f"unknown tuning setting {tuning!r}; expected None, "
-                "'auto', a Planner or a PlanDecision"
             )
         self.mode = mode
         self._cache = cache
@@ -254,7 +233,6 @@ class Executor:
         self.retry = retry
         self._journal = journal
         self.resume_from = resume_from
-        self.tuning = tuning
 
     @property
     def cache(self) -> ArtifactCache | None:
@@ -301,21 +279,6 @@ class Executor:
         cache = self.cache
         journal = self.journal
         ctx = StageContext(mode=self.mode)
-        tuning_section: dict[str, Any] | None = None
-        if self.tuning is not None:
-            with capture_stage_warnings("tuning", records):
-                decision = self._tuning_decision(plan, values)
-            if decision is not None:
-                ctx.scratch["tuning"] = decision
-                tuning_section = decision.as_dict()
-                if cache is None and decision.cache_max_bytes:
-                    # No cache anywhere: install a run-local memory
-                    # tier sized by the planner (the memory tier
-                    # stores object refs, so puts are near-free).
-                    cache = ArtifactCache(
-                        max_bytes=decision.cache_max_bytes
-                    )
-                    tuning_section["cache_installed"] = True
         plan_wall = 0.0
         with strictness(self.mode == "strict"):
             for index, stage in enumerate(plan.stages):
@@ -346,42 +309,7 @@ class Executor:
             executions=executions,
             warnings=tuple(records),
             scratch=ctx.scratch,
-            tuning=tuning_section,
         )
-
-    def _tuning_decision(
-        self, plan: Plan, values: dict[str, Any]
-    ) -> Any:
-        """Resolve ``self.tuning`` into a PlanDecision (or None)."""
-        from repro.tune.planner import PlanDecision, Planner
-
-        tuning = self.tuning
-        if isinstance(tuning, PlanDecision):
-            return tuning
-        if isinstance(tuning, Planner):
-            planner = tuning
-        elif tuning == "auto":
-            planner = Planner(mode=self.mode)
-        else:
-            raise PipelineError(
-                f"unknown tuning setting {tuning!r}; expected None, "
-                "'auto', a Planner or a PlanDecision"
-            )
-        graph = None
-        for name in plan.initial:
-            value = values.get(name)
-            if isinstance(value, (DirectedGraph, UndirectedGraph)):
-                graph = value
-                break
-        if graph is None:
-            return None
-        threshold = 0.0
-        for stage in plan.stages:
-            t = getattr(stage, "threshold", None)
-            if isinstance(t, (int, float)) and not isinstance(t, bool):
-                threshold = float(t)
-                break
-        return planner.decide(graph, threshold)
 
     def _dataset_sha(
         self, plan: Plan, values: dict[str, Any]

@@ -107,39 +107,9 @@ class SymmetrizeStage(Stage):
             "threshold": self.threshold,
         }
 
-    def _tuned_supported(self) -> bool:
-        """Whether the pruned fast path can serve a tuned run.
-
-        ``apply_pruned`` is edge-for-edge identical to
-        ``apply(threshold=)`` (the PR 1 differential), but only exists
-        for numeric-discount degree-discounted symmetrizations at a
-        positive threshold — everything else keeps the default path
-        regardless of the tuning decision.
-        """
-        sym = self.symmetrization
-        return (
-            self.threshold > 0
-            and callable(getattr(sym, "apply_pruned", None))
-            and isinstance(getattr(sym, "alpha", None), (int, float))
-            and not isinstance(getattr(sym, "alpha", None), bool)
-            and isinstance(getattr(sym, "beta", None), (int, float))
-            and not isinstance(getattr(sym, "beta", None), bool)
-        )
-
     def run(
         self, ctx: StageContext, values: dict[str, Any]
     ) -> dict[str, Any]:
-        decision = ctx.scratch.get("tuning")
-        if decision is not None and self._tuned_supported():
-            return {
-                "symmetrized": self.symmetrization.apply_pruned(
-                    values["graph"],
-                    self.threshold,
-                    backend=decision.backend,
-                    block_size=decision.block_size,
-                    n_jobs=decision.n_jobs,
-                )
-            }
         return {
             "symmetrized": self.symmetrization.apply(
                 values["graph"], threshold=self.threshold

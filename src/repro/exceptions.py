@@ -27,7 +27,6 @@ __all__ = [
     "DatasetError",
     "StorageError",
     "PipelineError",
-    "TuningError",
     "TransientError",
     "WorkerCrashError",
     "FaultInjected",
@@ -95,14 +94,6 @@ class StorageError(ReproError):
 class PipelineError(ReproError):
     """The symmetrize-cluster pipeline was misconfigured or could not
     recover from a degenerate input, even in lenient mode."""
-
-
-class TuningError(ReproError):
-    """The autotuning subsystem (:mod:`repro.tune`) was misconfigured
-    or a persisted cost model (``tuning/model.json``) is corrupt or of
-    an unsupported schema. Raised on the strict path; the lenient path
-    degrades to a :class:`RepairWarning` with code
-    ``"tuning_model_invalid"`` and falls back to the default plan."""
 
 
 class TransientError(ReproError):

@@ -14,7 +14,7 @@
 """
 
 from repro.linalg.allpairs import thresholded_gram_matrix
-from repro.linalg.mmcsr import MmapCSR, MmapCSRBuilder, choose_storage
+from repro.linalg.mmcsr import MmapCSR, MmapCSRBuilder
 from repro.linalg.pagerank import (
     pagerank,
     stationary_distribution,
@@ -31,7 +31,6 @@ __all__ = [
     "thresholded_gram_matrix",
     "MmapCSR",
     "MmapCSRBuilder",
-    "choose_storage",
     "pagerank",
     "stationary_distribution",
     "transition_matrix",

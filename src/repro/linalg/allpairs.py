@@ -379,7 +379,7 @@ def _suffix_column_counts(suffix: sp.csr_array) -> np.ndarray:
 def _row_spans(
     block: sp.csr_array,
     colcount: np.ndarray,
-    cap: int = _MAX_BLOCK_CANDIDATES,
+    cap: int,
 ) -> list[tuple[int, int]]:
     """Split a row block into spans of bounded candidate estimate.
 
@@ -424,7 +424,7 @@ def _candidate_pairs(
     ceiling, not the hub structure of the matrix.
     """
     suffix_t = suffix_window.T
-    for a, b in _row_spans(block, colcount):
+    for a, b in _row_spans(block, colcount, _MAX_BLOCK_CANDIDATES):
         cand = (block[a:b] @ suffix_t).tocoo()
         left = cand.row.astype(np.int64) + start + a
         right = cand.col.astype(np.int64)

@@ -48,19 +48,20 @@ __all__ = [
 #: changes to the JSON shape (tests/data/manifest_golden.json pins it).
 #: v2 added the ``cache`` section (artifact-cache provenance); v3 the
 #: ``fault_tolerance`` section (journal / retry / resume provenance);
-#: v4 the ``tuning`` section (autotuning chosen-vs-default plan
-#: provenance, see :mod:`repro.tune`).
-MANIFEST_SCHEMA = "repro-run-manifest/v4"
+#: v4 a ``tuning`` section (cost-model autotuner provenance), which v5
+#: dropped again with the autotuner.
+MANIFEST_SCHEMA = "repro-run-manifest/v5"
 
 #: Schemas :meth:`RunManifest.from_dict` can still read. v1 manifests
 #: (pre-artifact-cache) load with an empty ``cache`` section; v1/v2
 #: (pre-fault-tolerance) with an empty ``fault_tolerance`` section;
-#: v1–v3 (pre-autotuning) with an empty ``tuning`` section.
+#: a v4 ``tuning`` section is ignored.
 SUPPORTED_SCHEMAS = (
     "repro-run-manifest/v1",
     "repro-run-manifest/v2",
     "repro-run-manifest/v3",
     "repro-run-manifest/v4",
+    "repro-run-manifest/v5",
 )
 
 
@@ -158,13 +159,6 @@ class RunManifest:
         ``stages_resumed``, ``resumed`` — whether the run replayed a
         prior journal); empty for unjournaled runs and for v1/v2
         manifests, which predate the runtime.
-    tuning:
-        Autotuning provenance (``enabled``, decision ``source``,
-        ``chosen`` vs ``default`` plan knobs, predicted stage
-        seconds, the graph features the planner saw) when the run
-        executed with ``tuning="auto"``; ``{"enabled": False}`` for
-        untuned pipeline runs and empty for v1–v3 manifests, which
-        predate the autotuner (:mod:`repro.tune`).
     timings:
         Headline stage durations in seconds.
     job:
@@ -189,7 +183,6 @@ class RunManifest:
     metrics: dict[str, Any] = field(default_factory=dict)
     cache: dict[str, Any] = field(default_factory=dict)
     fault_tolerance: dict[str, Any] = field(default_factory=dict)
-    tuning: dict[str, Any] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
     job: dict[str, Any] = field(default_factory=dict)
 
@@ -209,7 +202,6 @@ class RunManifest:
             "metrics": self.metrics,
             "cache": self.cache,
             "fault_tolerance": self.fault_tolerance,
-            "tuning": self.tuning,
             "timings": self.timings,
         }
         if self.job:
@@ -245,7 +237,6 @@ class RunManifest:
             fault_tolerance=dict(
                 payload.get("fault_tolerance", {})
             ),
-            tuning=dict(payload.get("tuning", {})),
             timings=dict(payload.get("timings", {})),
             job=dict(payload.get("job", {})),
         )
@@ -367,7 +358,6 @@ def diff_manifests(
         "fault_tolerance": _dict_changes(
             a.fault_tolerance, b.fault_tolerance
         ),
-        "tuning": _dict_changes(a.tuning, b.tuning),
         "metrics": metric_deltas,
         "timings": timing_deltas,
         "warnings": {
@@ -386,7 +376,6 @@ def format_diff(diff: dict[str, Any]) -> str:
         "environment",
         "cache",
         "fault_tolerance",
-        "tuning",
     ):
         changes = diff.get(section)
         if not changes:

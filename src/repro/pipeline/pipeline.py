@@ -146,12 +146,6 @@ class PipelineResult:
         the run was journaled, whether it resumed a prior journal,
         and the ``stage_retries`` / ``stages_resumed`` totals from
         :meth:`~repro.engine.ExecutionResult.fault_summary`.
-    tuning:
-        Autotuning provenance: ``{"enabled": False}`` for untuned
-        runs; for ``tuning="auto"`` runs the serialized
-        :class:`~repro.tune.planner.PlanDecision` — decision source,
-        chosen vs. default plan knobs, predicted stage seconds and
-        the graph features the planner conditioned on.
     """
 
     clustering: Clustering
@@ -170,7 +164,6 @@ class PipelineResult:
     fault_tolerance: dict[str, Any] | None = field(
         default=None, compare=False
     )
-    tuning: dict[str, Any] | None = field(default=None, compare=False)
 
     @property
     def total_seconds(self) -> float:
@@ -210,15 +203,6 @@ class SymmetrizeClusterPipeline:
         ambient :func:`repro.engine.artifact_cache` block (if any)
         applies; otherwise caching is off and behavior is identical
         to the pre-engine pipeline.
-    tuning:
-        ``None`` (default) keeps the hand-set configuration.
-        ``"auto"`` lets the fitted cost model (:mod:`repro.tune`,
-        ``tuning/model.json``) choose the all-pairs backend, block
-        size, ``n_jobs``, storage and cache sizing per run; the
-        decision is recorded on :attr:`PipelineResult.tuning` and in
-        the manifest's v4 ``tuning`` section. A
-        :class:`~repro.tune.Planner` / :class:`~repro.tune.
-        PlanDecision` pins the behavior explicitly.
 
     Examples
     --------
@@ -238,7 +222,6 @@ class SymmetrizeClusterPipeline:
         threshold: float = 0.0,
         mode: str = "strict",
         cache: ArtifactCache | None = None,
-        tuning: Any = None,
     ) -> None:
         if isinstance(symmetrization, str):
             symmetrization = get_symmetrization(symmetrization)
@@ -257,17 +240,11 @@ class SymmetrizeClusterPipeline:
                 f"unknown pipeline mode {mode!r}; "
                 f"expected one of {PIPELINE_MODES}"
             )
-        if isinstance(tuning, str) and tuning != "auto":
-            raise PipelineError(
-                f"unknown tuning setting {tuning!r}; expected None, "
-                "'auto', a Planner or a PlanDecision"
-            )
         self.symmetrization = symmetrization
         self.clusterer = clusterer
         self.threshold = float(threshold)
         self.mode = mode
         self.cache = cache
-        self.tuning = tuning
 
     def symmetrize(self, graph: DirectedGraph) -> UndirectedGraph:
         """Run stage 1 only."""
@@ -394,7 +371,6 @@ class SymmetrizeClusterPipeline:
             retry=retry,
             journal=journal,
             resume_from=resume,
-            tuning=self.tuning,
         )
         with contextlib.ExitStack() as stack:
             if own_tracer is not None:
@@ -416,14 +392,8 @@ class SymmetrizeClusterPipeline:
             execution = executor.execute(plan, values)
         t_sym = execution.seconds("symmetrize")
         t_cluster = execution.seconds("cluster")
-        tuning_section = (
-            execution.tuning
-            if execution.tuning is not None
-            else {"enabled": False}
-        )
         cache_section = {
-            "enabled": cache_enabled
-            or bool(tuning_section.get("cache_installed")),
+            "enabled": cache_enabled,
             **execution.cache_summary(),
         }
         active_journal = executor.journal
@@ -459,7 +429,6 @@ class SymmetrizeClusterPipeline:
                 t_cluster,
                 cache_section,
                 fault_section,
-                tuning_section,
             )
             if manifest_path is not None:
                 append_manifest(manifest, manifest_path)
@@ -481,7 +450,6 @@ class SymmetrizeClusterPipeline:
             manifest=manifest,
             cache=cache_section,
             fault_tolerance=fault_section,
-            tuning=tuning_section,
         )
 
     def _build_manifest(
@@ -495,7 +463,6 @@ class SymmetrizeClusterPipeline:
         t_cluster: float,
         cache_section: dict[str, Any],
         fault_section: dict[str, Any],
-        tuning_section: dict[str, Any],
     ) -> RunManifest:
         """Assemble the provenance record for one traced run."""
         # average_f is already in the metrics snapshot (set as a
@@ -526,7 +493,6 @@ class SymmetrizeClusterPipeline:
             timings=timings,
             cache=cache_section,
             fault_tolerance=fault_section,
-            tuning=tuning_section,
         )
 
     def __repr__(self) -> str:

@@ -193,7 +193,6 @@ def _run_point(
     plan_budget: Budget | None,
     journal: RunJournal | None,
     resume: JournalReplay | None,
-    tuning: Any = None,
 ) -> ExecutionResult:
     """Execute one grid point's plan against the sweep cache."""
     values: dict[str, object] = {"graph": graph}
@@ -207,7 +206,6 @@ def _run_point(
         retry=retry,
         journal=journal,
         resume_from=resume,
-        tuning=tuning,
     )
     return executor.execute(plan, values, dataset_sha=dataset_sha)
 
@@ -306,7 +304,6 @@ def _sweep(
     journal: RunJournal | None = None,
     resume: JournalReplay | None = None,
     n_jobs: int | None = None,
-    tuning: Any = None,
 ) -> list[SweepPoint]:
     """Shared sweep driver: one engine plan per grid point.
 
@@ -336,7 +333,7 @@ def _sweep(
         points = _sweep_points(
             graph, parameters, make_stages, ground_truth, active,
             name, mode, retry, budgets, plan_budget, journal, resume,
-            dataset_sha, tuning,
+            dataset_sha,
         )
     return points
 
@@ -355,7 +352,6 @@ def _sweep_points(
     journal: RunJournal | None,
     resume: JournalReplay | None,
     dataset_sha: str,
-    tuning: Any = None,
 ) -> list[SweepPoint]:
     points = []
     for parameter in parameters:
@@ -387,7 +383,6 @@ def _sweep_points(
             execution = _run_point(
                 plan, graph, ground_truth, active, dataset_sha,
                 mode, retry, budgets, plan_budget, journal, resume,
-                tuning,
             )
         except ReproError as exc:
             if mode != "lenient":
@@ -432,7 +427,6 @@ def sweep_n_clusters(
     journal: RunJournal | None = None,
     resume: JournalReplay | None = None,
     n_jobs: int | None = None,
-    tuning: Any = None,
 ) -> list[SweepPoint]:
     """Avg-F / time vs requested cluster count (Figures 5, 7, 8, 9).
 
@@ -466,7 +460,6 @@ def sweep_n_clusters(
         journal=journal,
         resume=resume,
         n_jobs=n_jobs,
-        tuning=tuning,
     )
 
 
@@ -485,7 +478,6 @@ def sweep_threshold(
     journal: RunJournal | None = None,
     resume: JournalReplay | None = None,
     n_jobs: int | None = None,
-    tuning: Any = None,
 ) -> list[SweepPoint]:
     """The Table-3 study: prune threshold vs edges / Avg-F / time.
 
@@ -521,7 +513,6 @@ def sweep_threshold(
         journal=journal,
         resume=resume,
         n_jobs=n_jobs,
-        tuning=tuning,
     )
 
 
@@ -541,7 +532,6 @@ def sweep_alpha_beta(
     journal: RunJournal | None = None,
     resume: JournalReplay | None = None,
     n_jobs: int | None = None,
-    tuning: Any = None,
 ) -> list[SweepPoint]:
     """The Table-4 study: Avg-F per (α, β) configuration.
 
@@ -588,5 +578,4 @@ def sweep_alpha_beta(
         journal=journal,
         resume=resume,
         n_jobs=n_jobs,
-        tuning=tuning,
     )

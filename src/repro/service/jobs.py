@@ -48,6 +48,7 @@ import concurrent.futures
 import contextlib
 import contextvars
 import hashlib
+import math
 import threading
 import time
 import warnings as _warnings
@@ -167,7 +168,6 @@ class JobSpec:
     n_clusters: int | None = None
     counts: tuple[int, ...] | None = None
     mode: str = "strict"
-    tuning: str | None = None
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "JobSpec":
@@ -196,11 +196,12 @@ class JobSpec:
                     "sweep jobs need 'counts': a list of cluster "
                     "counts"
                 )
-            counts = tuple(int(k) for k in counts)
         elif counts is not None:
             raise ServiceError(
                 f"'counts' is only valid for sweep jobs, not {kind!r}"
             )
+        # "auto" named the cost-model autotuner, since removed; such
+        # requests still validate and run as the untuned job.
         tuning = payload.get("tuning")
         if tuning not in (None, "auto"):
             raise ServiceError(
@@ -208,7 +209,7 @@ class JobSpec:
             )
         n_clusters = payload.get("n_clusters")
         try:
-            return cls(
+            spec = cls(
                 kind=kind,
                 graph=graph,
                 method=str(payload.get("method", "degree_discounted")),
@@ -217,12 +218,22 @@ class JobSpec:
                 n_clusters=(
                     int(n_clusters) if n_clusters is not None else None
                 ),
-                counts=counts,
+                counts=(
+                    tuple(int(k) for k in counts) if counts else None
+                ),
                 mode=mode,
-                tuning=tuning,
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ServiceError(f"malformed job request: {exc}") from exc
+        if not math.isfinite(spec.threshold) or spec.threshold < 0:
+            raise ServiceError(
+                f"'threshold' must be finite and >= 0, not "
+                f"{spec.threshold!r}"
+            )
+        requested = (spec.n_clusters, *(spec.counts or ()))
+        if any(k is not None and k < 1 for k in requested):
+            raise ServiceError("cluster counts must be >= 1")
+        return spec
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -234,7 +245,6 @@ class JobSpec:
             "n_clusters": self.n_clusters,
             "counts": list(self.counts) if self.counts else None,
             "mode": self.mode,
-            "tuning": self.tuning,
         }
 
 
@@ -377,7 +387,6 @@ def _execute_cluster(
         spec.clusterer,
         threshold=spec.threshold,
         mode=spec.mode,
-        tuning=spec.tuning,
     )
     result = pipe.run(
         graph,
@@ -841,8 +850,13 @@ class JobManager:
             stage.fingerprint()
             for stage in self._lineage_stages(spec)
         ]
+        # The spec hashes with the ``"tuning": null`` it carried while
+        # the autotuner existed, so results recorded then still dedup.
         return point_key(
-            registered.sha, lineage, spec.as_dict(), spec.mode
+            registered.sha,
+            lineage,
+            {**spec.as_dict(), "tuning": None},
+            spec.mode,
         )
 
     # ------------------------------------------------------------------

@@ -41,6 +41,8 @@ from repro.obs.trace import _NULL_SPAN
 from repro.pipeline.pipeline import SymmetrizeClusterPipeline
 
 GOLDEN = Path(__file__).parent / "data" / "manifest_golden.json"
+#: The golden of the previous schema, which still has to load.
+GOLDEN_V4 = Path(__file__).parent / "data" / "manifest_v4.json"
 
 
 class TestSpanTree:
@@ -326,32 +328,6 @@ def _synthetic_manifest(**overrides) -> RunManifest:
             "stage_retries": 1,
             "stages_resumed": 0,
         },
-        tuning={
-            "enabled": True,
-            "source": "model",
-            "chosen": {
-                "backend": "vectorized",
-                "block_size": 512,
-                "n_jobs": None,
-                "storage": "in_core",
-                "cache_max_bytes": 67108864,
-            },
-            "default": {
-                "backend": "vectorized",
-                "block_size": 512,
-                "n_jobs": None,
-                "storage": "in_core",
-                "cache_max_bytes": None,
-            },
-            "predicted_seconds": {"vectorized": 0.25, "python": 2.5},
-            "predicted_peak_bytes": None,
-            "features": {
-                "n_nodes": 400,
-                "nnz": 2000,
-                "threshold": 0.05,
-                "degree_skew": 1.0,
-            },
-        },
         timings={"symmetrize_seconds": 0.5, "cluster_seconds": 1.0},
     )
     base.update(overrides)
@@ -367,6 +343,13 @@ class TestRunManifest:
         golden = json.loads(GOLDEN.read_text())
         assert manifest.as_dict() == golden
         assert golden["schema"] == MANIFEST_SCHEMA
+
+    def test_reads_v4_manifest(self):
+        # v4 carried an autotuner ``tuning`` section; loading drops it.
+        payload = json.loads(GOLDEN_V4.read_text())
+        assert payload["schema"] == "repro-run-manifest/v4"
+        assert "tuning" in payload
+        assert RunManifest.from_dict(payload) == _synthetic_manifest()
 
     def test_from_dict_roundtrip(self):
         manifest = _synthetic_manifest()

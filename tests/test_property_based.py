@@ -10,12 +10,15 @@ invariants — on randomly generated directed graphs.
 from __future__ import annotations
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import repro.linalg.allpairs as allpairs
 from repro.cluster.coarsen import build_hierarchy, contract, heavy_edge_matching
 from repro.cluster.common import Clustering
 from repro.eval.fmeasure import average_f_score
@@ -23,6 +26,7 @@ from repro.eval.groundtruth import GroundTruth
 from repro.eval.significance import sign_test
 from repro.graph import DirectedGraph, UndirectedGraph
 from repro.graph.generators import power_law_digraph
+from repro.linalg import thresholded_gram_matrix
 from repro.linalg.sparse_utils import prune_matrix
 from repro.symmetrize import get_symmetrization
 from repro.validate import lenient
@@ -78,6 +82,37 @@ def power_law_digraphs(draw, min_nodes=10, max_nodes=40):
     n = draw(st.integers(min_nodes, max_nodes))
     seed = draw(st.integers(0, 2**32 - 1))
     return power_law_digraph(n, np.random.default_rng(seed))
+
+
+@st.composite
+def tied_gram_inputs(draw):
+    """A sparse non-negative ``(n, d)`` matrix, a threshold equal to
+    some pair's similarity, and that pair.
+
+    Either every value is a multiple of 1/8, so every dot product is
+    exact in any summation order and many pairs tie, or the values are
+    arbitrary floats and the tied pair shares exactly one feature, so
+    its similarity is a single product every engine rounds alike.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 30))
+    rows = sp.random_array(
+        (n, d), density=draw(st.floats(0.05, 0.5)), rng=rng, format="csr"
+    )
+    dyadic = draw(st.booleans())
+    if dyadic:
+        rows.data = np.ceil(rows.data * 8) / 8
+    else:
+        rows.data = rows.data + 0.01
+    dense = rows.toarray()
+    present = (dense > 0).astype(np.int64)
+    shared = present @ present.T
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    pairs = np.argwhere(upper & (shared > 0 if dyadic else shared == 1))
+    assume(len(pairs))
+    i, j = pairs[draw(st.integers(0, len(pairs) - 1))]
+    return rows, float((dense @ dense.T)[i, j]), int(i), int(j)
 
 
 SYM_NAMES = ["naive", "bibliometric", "degree_discounted"]
@@ -136,6 +171,38 @@ def test_degree_discounted_pruned_matches_exact(graph, threshold):
     if exact.nnz:
         np.testing.assert_allclose(
             fast.data, exact.data, rtol=1e-12, atol=0.0
+        )
+
+
+@given(
+    tied_gram_inputs(),
+    st.integers(1, 64),
+    st.integers(1, 256),
+    st.sampled_from([None, 2]),
+)
+@settings(max_examples=100, deadline=None)
+def test_allpairs_knobs_exact_at_ties(inputs, block_size, cap, n_jobs):
+    """Block size, the per-span candidate cap and sharding only change
+    how the vectorized kernel runs: it keeps exactly the oracle's
+    pairs, ties at the threshold included, and its bytes match a run
+    at default settings."""
+    rows, threshold, i, j = inputs
+    oracle = thresholded_gram_matrix(rows, threshold, backend="python")
+    default = thresholded_gram_matrix(rows, threshold)
+    with mock.patch.object(allpairs, "_MAX_BLOCK_CANDIDATES", cap):
+        varied = thresholded_gram_matrix(
+            rows, threshold, block_size=block_size, n_jobs=n_jobs
+        )
+    assert varied[i, j] == threshold
+    assert varied.indptr.tolist() == oracle.indptr.tolist()
+    assert varied.indices.tolist() == oracle.indices.tolist()
+    np.testing.assert_allclose(
+        varied.data, oracle.data, rtol=1e-12, atol=0.0
+    )
+    for part in ("indptr", "indices", "data"):
+        assert (
+            getattr(varied, part).tobytes()
+            == getattr(default, part).tobytes()
         )
 
 

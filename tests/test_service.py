@@ -639,3 +639,94 @@ class TestServiceIntegration:
             assert len(job["result"]["points"]) == 2
             listed = client.jobs()
             assert [j["job_id"] for j in listed] == [sub["job_id"]]
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"threshold": float("nan")},
+            {"threshold": "inf"},
+            {"threshold": -1.0},
+            {"n_clusters": 0},
+            {"kind": "sweep", "counts": [0]},
+            {"tuning": "fast"},
+        ],
+        ids=[
+            "nan-threshold",
+            "inf-threshold",
+            "negative-threshold",
+            "zero-clusters",
+            "zero-count",
+            "unknown-tuning",
+        ],
+    )
+    def test_out_of_range_spec_is_rejected(
+        self, tmp_path, small_graph, fields
+    ) -> None:
+        with live_server(tmp_path, max_workers=1) as server:
+            client = ServiceClient("127.0.0.1", server.port)
+            client.register_graph("cora", small_graph)
+            status, _, body = client._once(
+                "POST",
+                "/jobs",
+                {
+                    "kind": "cluster",
+                    "graph": "cora",
+                    "n_clusters": 4,
+                    **fields,
+                },
+            )
+            assert status == 400, body
+            assert body["code"] == "invalid_request"
+            assert client.jobs() == []
+
+
+# ----------------------------------------------------------------------
+# Content addresses: results already in a --state-dir must keep deduping
+# ----------------------------------------------------------------------
+#: ``job_key`` of untuned specs on ``small_graph`` registered as "g",
+#: as computed while jobs still carried a ``tuning`` field.
+PINNED_JOB_KEYS = {
+    "cluster": (
+        {"kind": "cluster", "graph": "g", "n_clusters": 4,
+         "threshold": 0.1},
+        "93799b4406718295a81a86187221b7ef",
+    ),
+    "symmetrize": (
+        {"kind": "symmetrize", "graph": "g"},
+        "08105cfb4fb6e7c565b020748590a466",
+    ),
+    "sweep": (
+        {"kind": "sweep", "graph": "g", "counts": [2, 4]},
+        "b47ab06253a5278e4e68544b0bd729b3",
+    ),
+}
+
+
+class TestContentAddressPin:
+    @pytest.mark.parametrize("kind", sorted(PINNED_JOB_KEYS))
+    def test_untuned_job_key_is_pinned(
+        self, tmp_path, small_graph, kind
+    ) -> None:
+        body, key = PINNED_JOB_KEYS[kind]
+        manager = JobManager(tmp_path, max_workers=1)
+        try:
+            manager.register_graph("g", small_graph)
+            assert manager.job_key(JobSpec.from_dict(body)) == key
+        finally:
+            manager.close()
+
+    def test_auto_tuning_runs_as_the_untuned_job(
+        self, tmp_path, small_graph
+    ) -> None:
+        body, key = PINNED_JOB_KEYS["cluster"]
+        with live_server(tmp_path, max_workers=1) as server:
+            client = ServiceClient("127.0.0.1", server.port)
+            client.register_graph("g", small_graph)
+            untuned = client.submit(**body)
+            auto = client.submit(**body, tuning="auto")
+            assert untuned["key"] == auto["key"] == key
+            assert auto["job_id"] == untuned["job_id"]
+            assert auto["deduped"] is True
+            client.result(untuned["job_id"], timeout=60)
+            counters = client.stats()["metrics"]["counters"]
+            assert counters["service_job_executions_total"] == 1
