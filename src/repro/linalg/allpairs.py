@@ -9,31 +9,41 @@ row matrix ``R``, compute exactly the entries of ``R Rᵀ`` that are at
 least ``threshold`` — *without* materializing the full product.
 
 Both backends share the same prefix-filter pruning guarantee: a row's
-*prefix* is the longest leading run of features whose maximum possible
-contribution ``sum(prefix values * column max)`` stays below the
-threshold, and only the complementary *suffix* is indexed. Any pair
-reaching the threshold must then share at least one indexed suffix
-feature of its earlier row, so probing the index yields a complete
-candidate set; candidates are verified with exact dot products.
+*prefix* is a set of features whose maximum possible contribution
+``sum(prefix values * column max)`` stays below the threshold, and
+only the complementary *suffix* is indexed. Any pair reaching the
+threshold must then share at least one indexed suffix feature of its
+earlier row, so probing the index yields a complete candidate set;
+candidates are verified with exact dot products.
 
 ``backend="python"`` is the reference oracle: a row-at-a-time loop
 over a ``dict[int, list[tuple]]`` inverted index with per-pair merge
-joins, kept verbatim for differential testing.
+joins, kept verbatim for differential testing. Its prefix is each
+row's leading features in column-id order.
 
 ``backend="vectorized"`` (default) is the production engine. It
-exploits that the prefix boundaries depend only on the global column
-maxima — not on processing order — so the whole suffix index ``I``
-can be built upfront as flat NumPy arrays (one segmented-cumsum pass,
-no Python loop). Rows are then processed in *blocks*:
+exploits that the prefix boundaries depend only on global column
+statistics — not on processing order — so the whole suffix index
+``I`` can be built upfront as flat NumPy arrays (one sort and one
+segmented-cumsum pass, no Python loop). Each row's prefix is taken in
+decreasing column-frequency order (the AllPairs order), so the
+most-shared features stay unindexed and the posting lists that make
+candidates stay short. Rows are then processed in *blocks*:
 
 1. **Candidate generation**: one sparse product
    ``block @ I[:end].T`` per block; its nonzero pattern, masked to
    strictly-earlier partners, is exactly the candidate set the
    sequential algorithm would probe.
-2. **Batched verification**: candidate pairs are verified in batches
+2. **Partial-score bound**: each product entry is the candidate's
+   score over the partner's indexed suffix. Adding a bound on what
+   the partner's unindexed prefix can still contribute —
+   ``min(prefix column-max bound, ‖probe‖₂·‖prefix‖₂)`` (L2AP,
+   Anastasiu & Karypis, ICDE 2014) — drops candidates that provably
+   stay below the threshold without scoring them.
+3. **Batched verification**: surviving pairs are verified in batches
    with gathered sparse row selections and one elementwise
    multiply-and-row-sum per batch — no per-pair Python work.
-3. Accepted triplets accumulate in growable NumPy buffers
+4. Accepted triplets accumulate in growable NumPy buffers
    (:class:`_TripletBuffer`), doubled geometrically like a C++
    vector.
 
@@ -41,9 +51,10 @@ Blocks are independent, so an opt-in ``n_jobs`` fans them out over
 worker processes (SciPy's sparse kernels hold the GIL, so threads
 cannot overlap them) and merges the per-block triplets exactly;
 environments that cannot fork fall back to the serial path. The
-fan-out is *out-of-core*: the matrix and its suffix index are spilled
-once to :class:`~repro.linalg.mmcsr.MmapCSR` stores and workers
-receive only shard descriptors (store paths plus a chunk index — a
+fan-out is *out-of-core*: the matrix, its suffix index and the
+per-row prefix bounds are spilled once to disk
+(:class:`~repro.linalg.mmcsr.MmapCSR` stores plus one ``.npy``) and
+workers receive only shard descriptors (paths plus a chunk index — a
 few hundred bytes), mapping the rows they need instead of unpickling
 whole matrices; accepted triplets are spilled back as per-shard
 artifacts the parent concatenates. With an ambient disk
@@ -54,9 +65,9 @@ resume. Workers come from the ambient
 sweep shares one pool across points), or a private pool otherwise.
 
 :meth:`repro.symmetrize.DegreeDiscountedSymmetrization` exposes this
-through ``apply_pruned`` using the factorizations
-``B_d = Y Yᵀ`` with ``Y = Do^-α A Di^-β/2`` and
-``C_d = Z Zᵀ`` with ``Z = Di^-β Aᵀ Do^-α/2``.
+through ``apply_pruned``, which searches the stacked factor
+``W = [Y | Z]`` once: ``U_d = B_d + C_d = W Wᵀ`` with
+``Y = Do^-α A Di^-β/2`` and ``Z = Di^-β Aᵀ Do^-α/2``.
 """
 
 from __future__ import annotations
@@ -112,17 +123,24 @@ _VERIFY_BATCH = 1 << 16
 #: split changes batching only.
 _MAX_BLOCK_CANDIDATES = 4 << 20
 
-#: Relative safety margin on the prefix boundary: the segmented cumsum
-#: differs from the oracle's per-row accumulation in the last ULP, so
-#: the vectorized backend indexes marginally *more* (never fewer)
-#: features than the exact bound requires. Extra candidates are
-#: harmless — verification is exact — while a missed index entry could
-#: drop a qualifying pair.
+#: Relative safety margin on the vectorized backend's two bounds — the
+#: prefix boundary and the partial-score drop: both compare a
+#: floating-point sum against ``threshold * (1 - _BOUNDARY_SLACK)``,
+#: so a pair whose exact score rounds a few ULPs either side of the
+#: threshold is still indexed and still verified. Extra candidates
+#: are harmless — verification is exact — while a missed index entry
+#: or a wrongly dropped candidate could lose a qualifying pair.
 _BOUNDARY_SLACK = 1e-9
+
+#: Layout tag hashed into every shard scratch key. Bump it whenever
+#: what a shard dir holds changes meaning (index order, bound arrays,
+#: the counts a shard result carries), so a dir written by an older
+#: layout under a persistent cache is never adopted.
+_SHARD_LAYOUT = b"allpairs-shards/v2: frequency-ordered prefix, bounds"
 
 
 # ---------------------------------------------------------------------------
-# Shared validation
+# Shared helpers
 
 
 def _validated_csr(rows: sp.csr_array, threshold: float) -> sp.csr_array:
@@ -139,10 +157,35 @@ def _validated_csr(rows: sp.csr_array, threshold: float) -> sp.csr_array:
 
 def _column_maxima(csr: sp.csr_array) -> np.ndarray:
     col_max = np.zeros(csr.shape[1])
-    if csr.nnz:
-        coo = csr.tocoo()
-        np.maximum.at(col_max, coo.col, coo.data)
+    np.maximum.at(col_max, csr.indices, csr.data)
     return col_max
+
+
+def _count_pairs(
+    stage: str,
+    *,
+    rows: int,
+    nnz_in: int,
+    candidates: int,
+    verified: int,
+    kept: int,
+    **extra: int,
+) -> None:
+    """Record an engine's pair funnel: generated by the candidate
+    product ≥ scored exactly ≥ kept."""
+    add_counters(
+        stage,
+        rows=rows,
+        nnz_in=nnz_in,
+        **extra,
+        candidate_pairs=candidates,
+        verified_pairs=verified,
+        kept_pairs=kept,
+        pruned_pairs=candidates - kept,
+    )
+    metric_inc("allpairs_candidate_pairs_total", candidates)
+    metric_inc("allpairs_pairs_verified_total", verified)
+    metric_inc("allpairs_pairs_pruned_total", candidates - kept)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +217,9 @@ def _exact_dot(
 
 def _python_engine(
     csr: sp.csr_array, threshold: float, include_diagonal: bool
-) -> sp.csr_array:
-    """The WWW'07 inverted-index scheme, one row at a time."""
+) -> tuple[sp.csr_array, int]:
+    """The WWW'07 inverted-index scheme, one row at a time; returns
+    the result and the number of pairs scored exactly."""
     n = csr.shape[0]
     col_max = _column_maxima(csr)
 
@@ -238,22 +282,19 @@ def _python_engine(
                 (i, float(vals_i[pos]))
             )
 
-    add_counters(
+    # The oracle scores every candidate: verified == generated.
+    _count_pairs(
         "allpairs:python",
         rows=n,
         nnz_in=csr.nnz,
-        candidate_pairs=n_candidates,
-        kept_pairs=len(out_vals),
-        pruned_pairs=n_candidates - len(out_vals),
-    )
-    metric_inc("allpairs_candidate_pairs_total", n_candidates)
-    metric_inc(
-        "allpairs_pairs_pruned_total", n_candidates - len(out_vals)
+        candidates=n_candidates,
+        verified=n_candidates,
+        kept=len(out_vals),
     )
     result = sp.coo_array(
         (out_vals, (out_rows, out_cols)), shape=(n, n)
     ).tocsr()
-    return (result + result.T).tocsr()
+    return (result + result.T).tocsr(), n_candidates
 
 
 # ---------------------------------------------------------------------------
@@ -315,38 +356,85 @@ class _TripletBuffer:
 
 def _suffix_index(
     csr: sp.csr_array, col_max: np.ndarray, threshold: float
-) -> sp.csr_array:
-    """The prefix-filtered inverted index as a sparse matrix.
+) -> tuple[sp.csr_array, np.ndarray]:
+    """The prefix-filtered inverted index, and the per-row bounds on
+    what each row's unindexed prefix can still contribute.
 
-    Row ``i`` of the result holds exactly the suffix features row
-    ``i`` of ``csr`` would post to the inverted index: feature ``p``
-    is indexed iff the running bound ``sum_{q<=p} value_q * col_max``
-    has reached the threshold at ``p``. The bound is order-independent
-    (it only needs the global column maxima), which is what lets the
-    whole index be built upfront and the blocks processed in any
-    order or in parallel.
+    Each row's features are walked in decreasing column frequency
+    (ties by column id), and feature ``p`` is indexed iff the running
+    bound ``sum_{q up to p} value_q * col_max`` has reached the
+    threshold at ``p`` — so the unindexed prefix holds the row's most
+    shared features. The suffix matrix keeps the original column ids
+    and order. The bound only needs global column statistics, not
+    processing order, which is what lets the whole index be built
+    upfront and the blocks processed in any order or in parallel.
+
+    The second result is a ``(3, n)`` array: per row, an upper bound
+    on the prefix's column-max bound ``sum(prefix values * col_max)``,
+    the prefix's ℓ2 norm, and the whole row's ℓ2 norm (see
+    :func:`_candidate_pairs`).
     """
     n, d = csr.shape
+    bounds = np.zeros((3, n))
     if csr.nnz == 0:
-        return sp.csr_array((n, d))
-    contrib = csr.data * col_max[csr.indices]
-    running = np.cumsum(contrib)
-    starts = csr.indptr[:-1]
+        return sp.csr_array((n, d)), bounds
     counts = np.diff(csr.indptr)
+    starts = csr.indptr[:-1]
+    nonempty = np.flatnonzero(counts)
+    by_freq = np.argsort(
+        -np.bincount(csr.indices, minlength=d), kind="stable"
+    ).astype(csr.indices.dtype)
+    rank = np.empty(d, dtype=csr.indices.dtype)
+    rank[by_freq] = np.arange(d)
+    # Relabel columns by frequency rank and let SciPy sort each row in
+    # place: the entries then sit in prefix order, with no global
+    # permutation array.
+    ranked = sp.csr_array(
+        (csr.data.copy(), rank[csr.indices], csr.indptr.copy()),
+        shape=(n, d),
+    )
+    ranked.sort_indices()
     # Per-row cumulative bound: global cumsum minus the total before
     # each row's first element.
-    before = np.where(starts > 0, running[np.maximum(starts, 1) - 1], 0.0)
-    row_bound = running - np.repeat(before, counts)
-    keep = row_bound >= threshold * (1.0 - _BOUNDARY_SLACK)
-    kept_per_row = np.bincount(
-        np.repeat(np.arange(n), counts)[keep], minlength=n
+    bound = col_max[by_freq][ranked.indices]
+    bound *= ranked.data
+    np.cumsum(bound, out=bound)
+    # That cumsum rounds relative to the global total, so each per-row
+    # bound is off by at most (longest row + 2)·ε·total. Adding it
+    # leaves a feature unindexed only when its exact bound is certainly
+    # below the threshold.
+    slack = (counts.max() + 2) * np.finfo(np.float64).eps * bound[-1]
+    before = np.where(starts > 0, bound[np.maximum(starts, 1) - 1], 0.0)
+    bound -= np.repeat(before, counts)
+    bound += slack
+    indexed = bound >= threshold * (1.0 - _BOUNDARY_SLACK)
+    # The running bound never decreases along a row, so each row's
+    # unindexed prefix is a leading run, and its last (error-padded)
+    # bound bounds the prefix's total.
+    prefix_len = np.zeros(n, dtype=np.int64)
+    prefix_len[nonempty] = np.add.reduceat(
+        ~indexed, starts[nonempty], dtype=np.int64
     )
-    indptr = np.concatenate(([0], np.cumsum(kept_per_row)))
-    # The kept entries stay in row-major, column-sorted order, so the
-    # CSR can be assembled directly without a COO sort.
-    return sp.csr_array(
-        (csr.data[keep], csr.indices[keep], indptr), shape=(n, d)
+    has_prefix = np.flatnonzero(prefix_len)
+    last = starts[has_prefix] + prefix_len[has_prefix] - 1
+    bounds[0, has_prefix] = bound[last]
+    del bound
+    squares = ranked.data * ranked.data
+    bounds[2, nonempty] = np.sqrt(np.add.reduceat(squares, starts[nonempty]))
+    squares[indexed] = 0.0
+    bounds[1, nonempty] = np.sqrt(np.add.reduceat(squares, starts[nonempty]))
+    del squares
+    # Back to original column ids and order for the index itself.
+    suffix = sp.csr_array(
+        (
+            ranked.data[indexed],
+            by_freq[ranked.indices[indexed]],
+            np.concatenate(([0], np.cumsum(counts - prefix_len))),
+        ),
+        shape=(n, d),
     )
+    suffix.sort_indices()
+    return suffix, bounds
 
 
 def _verify_pairs(
@@ -413,8 +501,11 @@ def _candidate_pairs(
     suffix_window: sp.csr_array,
     start: int,
     colcount: np.ndarray,
+    bounds: np.ndarray,
+    threshold: float,
 ):
-    """Yield ``(left, right)`` candidate-pair arrays for one block.
+    """Yield ``(generated, left, right)`` for one block: the number of
+    candidate pairs the product generated and the pairs left to verify.
 
     The nonzeros of ``block @ suffix_windowᵀ`` are the pairs sharing
     an indexed feature; partners are restricted to strictly-earlier
@@ -422,31 +513,46 @@ def _candidate_pairs(
     product is materialized one bounded row span at a time (see
     :data:`_MAX_BLOCK_CANDIDATES`), so peak memory tracks the span
     ceiling, not the hub structure of the matrix.
+
+    Each product entry is the pair's *partial score*: the probe row
+    dotted with the partner's indexed suffix. The partner's unindexed
+    prefix adds at most ``min(prefix column-max bound, ‖probe‖₂ ·
+    ‖prefix‖₂)`` (``bounds``, from :func:`_suffix_index`), so a pair
+    whose partial score plus that bound stays below the threshold is
+    dropped unscored.
     """
     suffix_t = suffix_window.T
+    prefix_bound, prefix_norm, row_norm = bounds
+    floor = threshold * (1.0 - _BOUNDARY_SLACK)
     for a, b in _row_spans(block, colcount, _MAX_BLOCK_CANDIDATES):
         cand = (block[a:b] @ suffix_t).tocoo()
         left = cand.row.astype(np.int64) + start + a
         right = cand.col.astype(np.int64)
         earlier = right < left
-        yield left[earlier], right[earlier]
+        left, right = left[earlier], right[earlier]
+        reach = cand.data[earlier] + np.minimum(
+            prefix_bound[right], row_norm[left] * prefix_norm[right]
+        )
+        keep = reach >= floor
+        yield left.size, left[keep], right[keep]
 
 
 def _process_blocks(
     csr: sp.csr_array,
     suffix: sp.csr_array,
+    bounds: np.ndarray,
     threshold: float,
     block_starts: list[int],
     block_size: int,
-) -> tuple[_TripletBuffer, int]:
+) -> tuple[_TripletBuffer, int, int]:
     """Run candidate generation + verification for a run of blocks.
 
-    Returns the accepted triplets and the number of candidate pairs
-    generated (for the perf counters). Safe to call concurrently: it
-    only reads ``csr``/``suffix``.
+    Returns the accepted triplets, the number of candidate pairs
+    generated and the number verified (for the perf counters). Safe
+    to call concurrently: it only reads its inputs.
     """
     out = _TripletBuffer()
-    n_candidates = 0
+    n_candidates = n_verified = 0
     colcount = _suffix_column_counts(suffix)
     for start in block_starts:
         end = min(start + block_size, csr.shape[0])
@@ -454,21 +560,24 @@ def _process_blocks(
         if block.nnz == 0:
             continue
         with span(f"gram_block[{start}]") as sp_:
-            block_candidates = 0
+            generated = verified = 0
             kept_before = len(out)
-            for left, right in _candidate_pairs(
-                block, suffix[:end], start, colcount
+            for n_pairs, left, right in _candidate_pairs(
+                block, suffix[:end], start, colcount, bounds, threshold
             ):
-                block_candidates += left.size
+                generated += n_pairs
+                verified += left.size
                 _verify_pairs(csr, left, right, threshold, out)
-            n_candidates += block_candidates
+            n_candidates += generated
+            n_verified += verified
             sp_.set(
                 rows=end - start,
-                candidate_pairs=block_candidates,
+                candidate_pairs=generated,
+                verified_pairs=verified,
                 kept_pairs=len(out) - kept_before,
             )
-            metric_observe("gram_block_candidates", block_candidates)
-    return out, n_candidates
+            metric_observe("gram_block_candidates", generated)
+    return out, n_candidates, n_verified
 
 
 def _chunk_starts(
@@ -492,9 +601,10 @@ def _content_key(
 
     ``n_chunks`` is part of the key because shard artifacts are per
     chunk of a specific partition — a run with a different worker
-    count must not adopt another partition's shards.
+    count must not adopt another partition's shards; the
+    :data:`_SHARD_LAYOUT` tag keeps dirs of an older layout out.
     """
-    digest = hashlib.sha256()
+    digest = hashlib.sha256(_SHARD_LAYOUT)
     digest.update(np.asarray(csr.shape, dtype=np.int64).tobytes())
     digest.update(np.float64(threshold).tobytes())
     digest.update(np.int64(block_size).tobytes())
@@ -533,16 +643,21 @@ def _spill_store(csr: sp.csr_array, directory: Path) -> MmapCSR:
     return MmapCSR.from_scipy(csr, directory)
 
 
+def _spill_bounds(bounds: np.ndarray, path: Path) -> None:
+    """Write the per-row prefix bounds atomically (tmp + rename), so
+    workers never map a half-written file."""
+    tmp = path.with_name(path.name + f".tmp-{os.getpid()}.npy")
+    np.save(tmp, bounds)
+    os.replace(tmp, path)
+
+
 def _save_shard(
-    path: Path,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    n_candidates: int,
+    path: Path, out: _TripletBuffer, n_candidates: int, n_verified: int
 ) -> None:
     """Write one shard artifact atomically (tmp + rename), so a shard
     file either exists complete or not at all — resumed runs can trust
     any artifact they find."""
+    rows, cols, vals = out.arrays()
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
     np.savez(
         tmp,
@@ -550,6 +665,7 @@ def _save_shard(
         cols=cols,
         vals=vals,
         n_candidates=np.int64(n_candidates),
+        n_verified=np.int64(n_verified),
     )
     # np.savez appends .npz to paths without it.
     os.replace(str(tmp) + ".npz", path)
@@ -574,6 +690,7 @@ def _shard_worker(spec: dict) -> str:
         os._exit(1)
     csr_store = MmapCSR.open(spec["csr_path"])
     suffix_store = MmapCSR.open(spec["suffix_path"])
+    bounds = np.load(spec["bounds_path"], mmap_mode="r")
     threshold = spec["threshold"]
     block_size = spec["block_size"]
     n_rows = csr_store.shape[0]
@@ -585,45 +702,51 @@ def _shard_worker(spec: dict) -> str:
     csr = csr_store.to_scipy()
     colcount = _suffix_column_counts(suffix_store.to_scipy())
     out = _TripletBuffer()
-    n_candidates = 0
+    n_candidates = n_verified = 0
     for start in starts:
         end = min(start + block_size, n_rows)
         block = csr_store.to_scipy(rows=(start, end))
         if block.nnz == 0:
             continue
-        # Same candidate rule (and the same bounded row spans) as
+        # Same candidate rule, bound and bounded row spans as
         # _process_blocks. The suffix window is a zero-copy view of
         # the store, so slicing costs O(rows), not O(nnz).
-        for left, right in _candidate_pairs(
-            block, suffix_store.to_scipy(rows=(0, end)), start, colcount
+        for n_pairs, left, right in _candidate_pairs(
+            block,
+            suffix_store.to_scipy(rows=(0, end)),
+            start,
+            colcount,
+            bounds,
+            threshold,
         ):
-            n_candidates += left.size
+            n_candidates += n_pairs
+            n_verified += left.size
             _verify_pairs(csr, left, right, threshold, out)
-    rows, cols, vals = out.arrays()
     out_path = Path(spec["out_path"])
-    _save_shard(out_path, rows, cols, vals, n_candidates)
+    _save_shard(out_path, out, n_candidates, n_verified)
     return str(out_path)
 
 
 def _fan_out_shards(
     csr: sp.csr_array,
     suffix: sp.csr_array,
+    bounds: np.ndarray,
     threshold: float,
     block_starts: list[int],
     block_size: int,
     n_jobs: int,
-) -> tuple[_TripletBuffer, int] | None:
+) -> tuple[_TripletBuffer, int, int] | None:
     """Run blocks across a process pool via memory-mapped shard
     descriptors; ``None`` if pooling is unavailable (serial fallback).
 
     The matrix and its suffix index are spilled once to
     :class:`MmapCSR` stores (reused when a prior call already spilled
-    identical content under the ambient cache); each worker receives
-    only a descriptor — store paths plus ``(chunk_index, n_chunks)``
-    — and spills its accepted triplets to a per-shard ``.npz``
-    artifact the parent concatenates. Shard artifacts are atomic and
-    content-addressed, so an interrupted run resumes by re-opening
-    finished shards.
+    identical content under the ambient cache) and the prefix bounds
+    to one ``.npy``; each worker receives only a descriptor — paths
+    plus ``(chunk_index, n_chunks)`` — and spills its accepted
+    triplets to a per-shard ``.npz`` artifact the parent
+    concatenates. Shard artifacts are atomic and content-addressed,
+    so an interrupted run resumes by re-opening finished shards.
 
     Crash isolation is the worker pool's: a worker that dies
     mid-chunk (OOM killer, segfault, injected ``kill_worker`` fault)
@@ -646,6 +769,8 @@ def _fan_out_shards(
     try:
         csr_store = _spill_store(csr, scratch / "rows")
         suffix_store = _spill_store(suffix, scratch / "suffix")
+        bounds_path = scratch / "bounds.npy"
+        _spill_bounds(bounds, bounds_path)
         specs = []
         for index in range(workers):
             flag = chaos("allpairs.worker")
@@ -653,6 +778,7 @@ def _fan_out_shards(
                 {
                     "csr_path": str(csr_store.directory),
                     "suffix_path": str(suffix_store.directory),
+                    "bounds_path": str(bounds_path),
                     "threshold": float(threshold),
                     "block_size": int(block_size),
                     "chunk_index": index,
@@ -668,13 +794,10 @@ def _fan_out_shards(
             starts = _chunk_starts(
                 n_rows, block_size, spec["chunk_index"], spec["n_chunks"]
             )
-            out, candidates = _process_blocks(
-                csr, suffix, threshold, starts, block_size
+            out, candidates, verified = _process_blocks(
+                csr, suffix, bounds, threshold, starts, block_size
             )
-            rows, cols, vals = out.arrays()
-            _save_shard(
-                Path(spec["out_path"]), rows, cols, vals, candidates
-            )
+            _save_shard(Path(spec["out_path"]), out, candidates, verified)
             return spec["out_path"]
 
         todo = [
@@ -693,7 +816,7 @@ def _fan_out_shards(
             if results is None:
                 return None
         merged = _TripletBuffer()
-        n_candidates = 0
+        n_candidates = n_verified = 0
         bytes_spilled = 0
         for spec in specs:
             path = Path(spec["out_path"])
@@ -703,10 +826,11 @@ def _fan_out_shards(
                     shard["rows"], shard["cols"], shard["vals"]
                 )
                 n_candidates += int(shard["n_candidates"])
+                n_verified += int(shard["n_verified"])
         metric_set("shard_count", len(specs))
         metric_inc("shard_bytes_spilled", bytes_spilled)
         metric_set("peak_rss_bytes", peak_rss_bytes())
-        return merged, n_candidates
+        return merged, n_candidates, n_verified
     finally:
         if owned_pool:
             pool.close()
@@ -720,25 +844,26 @@ def _vectorized_engine(
     include_diagonal: bool,
     block_size: int,
     n_jobs: int | None,
-) -> sp.csr_array:
-    """Blocked array-native engine; see the module docstring."""
+) -> tuple[sp.csr_array, int]:
+    """Blocked array-native engine; see the module docstring. Returns
+    the result and the number of pairs scored exactly."""
     n = csr.shape[0]
     with span("suffix_index") as sp_:
         col_max = _column_maxima(csr)
-        suffix = _suffix_index(csr, col_max, threshold)
+        suffix, bounds = _suffix_index(csr, col_max, threshold)
         sp_.set(indexed_nnz=suffix.nnz, nnz_in=csr.nnz)
 
     block_starts = list(range(0, n, block_size))
-    merged: tuple[_TripletBuffer, int] | None = None
+    merged: tuple[_TripletBuffer, int, int] | None = None
     if n_jobs is not None and n_jobs > 1 and len(block_starts) > 1:
         merged = _fan_out_shards(
-            csr, suffix, threshold, block_starts, block_size, n_jobs
+            csr, suffix, bounds, threshold, block_starts, block_size, n_jobs
         )
     if merged is None:
         merged = _process_blocks(
-            csr, suffix, threshold, block_starts, block_size
+            csr, suffix, bounds, threshold, block_starts, block_size
         )
-    buffer, n_candidates = merged
+    buffer, n_candidates, n_verified = merged
     out_rows, out_cols, out_vals = buffer.arrays()
 
     if include_diagonal and csr.nnz:
@@ -756,23 +881,19 @@ def _vectorized_engine(
         out_cols = np.concatenate((out_cols, keep))
         out_vals = np.concatenate((out_vals, self_scores[keep] / 2.0))
 
-    add_counters(
+    _count_pairs(
         "allpairs:vectorized",
         rows=n,
         nnz_in=csr.nnz,
+        candidates=n_candidates,
+        verified=n_verified,
+        kept=len(buffer),
         indexed_nnz=suffix.nnz,
-        candidate_pairs=n_candidates,
-        kept_pairs=len(buffer),
-        pruned_pairs=n_candidates - len(buffer),
-    )
-    metric_inc("allpairs_candidate_pairs_total", n_candidates)
-    metric_inc(
-        "allpairs_pairs_pruned_total", n_candidates - len(buffer)
     )
     result = sp.coo_array(
         (out_vals, (out_rows, out_cols)), shape=(n, n)
     ).tocsr()
-    return (result + result.T).tocsr()
+    return (result + result.T).tocsr(), n_verified
 
 
 # ---------------------------------------------------------------------------
@@ -804,15 +925,15 @@ def thresholded_gram_matrix(
     backend:
         ``"vectorized"`` (default) — the blocked array-native engine;
         ``"python"`` — the row-at-a-time reference oracle. Both apply
-        the same prefix-filter pruning and produce the same result
-        (sparsity patterns may differ only for pairs whose similarity
-        ties the threshold to within floating-point rounding).
+        prefix-filter pruning and produce the same result (sparsity
+        patterns may differ only for pairs whose similarity ties the
+        threshold to within floating-point rounding).
     block_size:
         Rows per block in the vectorized backend.
     n_jobs:
-        Fan blocks out over this many threads (vectorized backend
-        only; ``None``/``1`` runs serially). Results are merged
-        exactly, so the output is independent of ``n_jobs``.
+        Fan blocks out over this many worker processes (vectorized
+        backend only; ``None``/``1`` runs serially). Results are
+        merged exactly, so the output is independent of ``n_jobs``.
 
     Returns
     -------
@@ -822,32 +943,43 @@ def thresholded_gram_matrix(
     -----
     The §3.6 point is the *candidate pruning* (pairs whose similarity
     provably falls below the threshold are never scored), implemented
-    via prefix filtering in both backends. For small thresholds it
-    degrades gracefully toward a sparse matrix product.
+    via prefix filtering in both backends and, in the vectorized one,
+    a partial-score bound before verification. For small thresholds
+    it degrades gracefully toward a sparse matrix product.
     """
+    return _gram_search(
+        rows, threshold, include_diagonal, backend, block_size, n_jobs
+    )[0]
+
+
+def _gram_search(
+    rows: sp.csr_array,
+    threshold: float,
+    include_diagonal: bool,
+    backend: str,
+    block_size: int,
+    n_jobs: int | None,
+) -> tuple[sp.csr_array, int]:
+    """:func:`thresholded_gram_matrix`, plus the number of off-diagonal
+    pairs the engine scored exactly (what its threshold cut is out of)."""
     csr = _validated_csr(rows, threshold)
     if backend == "vectorized":
         if block_size < 1:
             raise SymmetrizationError("block_size must be >= 1")
-        with span("allpairs:vectorized") as sp_:
-            result = _vectorized_engine(
-                csr, threshold, include_diagonal, block_size, n_jobs
-            )
-            sp_.set(
-                rows=csr.shape[0],
-                threshold=threshold,
-                nnz_out=result.nnz,
-            )
-        return result
-    if backend == "python":
-        with span("allpairs:python") as sp_:
-            result = _python_engine(csr, threshold, include_diagonal)
-            sp_.set(
-                rows=csr.shape[0],
-                threshold=threshold,
-                nnz_out=result.nnz,
-            )
-        return result
-    raise SymmetrizationError(
-        f"unknown backend {backend!r}; expected one of {BACKENDS}"
-    )
+        engine = _vectorized_engine
+        args = (csr, threshold, include_diagonal, block_size, n_jobs)
+    elif backend == "python":
+        engine = _python_engine
+        args = (csr, threshold, include_diagonal)
+    else:
+        raise SymmetrizationError(
+            f"unknown backend {backend!r}; expected one of {BACKENDS}"
+        )
+    with span(f"allpairs:{backend}") as sp_:
+        result, n_scored = engine(*args)
+        sp_.set(
+            rows=csr.shape[0],
+            threshold=threshold,
+            nnz_out=result.nnz,
+        )
+    return result, n_scored

@@ -18,12 +18,18 @@ with one timing point per size:
 - the shard fan-out's own gauges (``shard_count``,
   ``shard_bytes_spilled``, ``peak_rss_bytes``) captured from a
   per-point metrics registry;
+- the all-pairs kernel's pair funnel (``allpairs_candidate_pairs_total``
+  generated, ``allpairs_pairs_verified_total`` scored) per point;
+- an **exactness certificate** per point: seeded sample rows of the
+  pruned output checked against a plain SciPy product of the
+  :meth:`~repro.symmetrize.DegreeDiscountedSymmetrization
+  .pruning_factors` — no all-pairs code — for missed and extra pairs;
 - a **shard-vs-monolithic differential** at the smallest benched
   size: the sharded (``n_jobs > 1``) and serial paths must produce
   byte-identical pruned adjacencies;
 - a **regression block** asserting peak RSS stays under the 2 GB
-  floor and the differential held, so scale regressions fail CI the
-  same way perf regressions do.
+  floor, every certificate is clean and the differential held, so
+  scale regressions fail CI the same way perf regressions do.
 
 ``smoke=True`` shrinks the run to one ~50k-node graph so the harness
 finishes in CI time; that mode is exercised by
@@ -56,14 +62,17 @@ __all__ = [
     "DEFAULT_SCALE_D_MAX",
     "MAX_PEAK_RSS_BYTES",
     "REQUIRED_POINT_KEYS",
+    "CERTIFICATE_ROWS",
+    "exactness_certificate",
     "scale_smoke_enabled",
     "run_scale_bench",
     "scale_manifest",
     "format_scale_summary",
 ]
 
-#: Schema identifier embedded in ``BENCH_scale.json``.
-SCALE_SCHEMA = "repro-bench-scale/v1"
+#: Schema identifier embedded in ``BENCH_scale.json``. v2 added the
+#: per-point exactness ``"certificate"``.
+SCALE_SCHEMA = "repro-bench-scale/v2"
 
 #: Environment gate for the minutes-long scale smoke (see
 #: ``docs/performance.md``): tests and CI jobs marked ``scale_smoke``
@@ -107,6 +116,11 @@ DEFAULT_SCALE_THRESHOLD = 0.5
 #: expected in-degree exceeds it either.
 DEFAULT_SCALE_D_MAX = 100
 
+#: Rows per draw of the exactness certificate: this many uniformly
+#: from all rows, and as many again from the rows with output edges
+#: (at the scale threshold almost every row is empty).
+CERTIFICATE_ROWS = 200
+
 #: Regression floor: the symmetrize → prune run must keep the resident
 #: high-water mark (parent and any pool worker) under this.
 MAX_PEAK_RSS_BYTES = 2 * 1024**3
@@ -127,6 +141,7 @@ REQUIRED_POINT_KEYS = frozenset(
         "peak_rss_bytes",
         "peak_rss_children_bytes",
         "metrics",
+        "certificate",
     }
 )
 
@@ -178,6 +193,9 @@ def _scale_point(
         )
         symmetrize_seconds = time.perf_counter() - t0
     rss_self, rss_children = _rusage_peak_bytes()
+    certificate = exactness_certificate(
+        graph, pruned.adjacency, threshold, CERTIFICATE_ROWS, seed
+    )
     return {
         "n_nodes": graph.n_nodes,
         "n_edges": graph.n_edges,
@@ -191,6 +209,62 @@ def _scale_point(
         "peak_rss_bytes": rss_self,
         "peak_rss_children_bytes": rss_children,
         "metrics": registry.flat(),
+        "certificate": certificate,
+    }
+
+
+def exactness_certificate(
+    graph: Any,
+    pruned: Any,
+    threshold: float,
+    k: int = CERTIFICATE_ROWS,
+    seed: int = 0,
+) -> dict[str, int]:
+    """Check sampled rows of a pruned ``U_d`` against a plain product.
+
+    Draws ``k`` rows uniformly and up to ``k`` more among the rows
+    with output edges (seeded), computes their exact similarity rows
+    as ``Σ_F F[rows] @ Fᵀ`` over the degree-discounted
+    :meth:`~repro.symmetrize.DegreeDiscountedSymmetrization
+    .pruning_factors` — a plain SciPy product that shares no code with
+    the all-pairs kernel — and compares each with the pruned row off
+    the diagonal. Pairs within ``2 · TIE_RTOL`` of the threshold
+    either way are ties and not judged; above the band a pair must be
+    in the output (else a *miss*), below it must not (else an
+    *extra*). Cost is O(rows · touched nnz), not O(n²).
+    """
+    from repro.linalg.sparse_utils import TIE_RTOL
+    from repro.symmetrize.degree_discounted import (
+        DegreeDiscountedSymmetrization,
+    )
+
+    pruned = pruned.tocsr()
+    n = pruned.shape[0]
+    rng = np.random.default_rng(seed)
+    with_edges = np.flatnonzero(np.diff(pruned.indptr))
+    rows = np.union1d(
+        rng.choice(n, size=min(k, n), replace=False),
+        rng.choice(
+            with_edges, size=min(k, with_edges.size), replace=False
+        ),
+    )
+    factors = DegreeDiscountedSymmetrization().pruning_factors(graph)
+    exact = sum((f[rows] @ f.T).tocsr() for f in factors).tocoo()
+    kept = pruned[rows].tocoo()
+    band = 2.0 * TIE_RTOL * threshold
+    # Pairs as (sampled row, column) keys; the diagonal never counts.
+    off = exact.col != rows[exact.row]
+    exact_key = exact.row[off].astype(np.int64) * n + exact.col[off]
+    exact_val = exact.data[off]
+    kept_key = kept.row.astype(np.int64) * n + kept.col
+    above = exact_key[exact_val > threshold + band]
+    reachable = exact_key[exact_val >= threshold - band]
+    misses = int(np.count_nonzero(~np.isin(above, kept_key)))
+    extras = int(np.count_nonzero(~np.isin(kept_key, reachable)))
+    return {
+        "rows_checked": int(rows.size),
+        "misses": misses,
+        "extras": extras,
     }
 
 
@@ -367,7 +441,8 @@ def _regression_block(
     points: list[dict[str, Any]],
     differential: dict[str, Any] | None,
 ) -> dict[str, Any]:
-    """Pass/fail: RSS under the floor, differential identical."""
+    """Pass/fail: RSS under the floor, every certificate clean,
+    differential identical."""
     observed = max(
         max(p["peak_rss_bytes"], p["peak_rss_children_bytes"])
         for p in points
@@ -379,6 +454,14 @@ def _regression_block(
             f"peak RSS {observed / 1024**3:.2f} GiB at {at} nodes "
             f"exceeds the {MAX_PEAK_RSS_BYTES / 1024**3:.0f} GiB floor"
         )
+    for p in points:
+        cert = p["certificate"]
+        if cert["misses"] or cert["extras"]:
+            failures.append(
+                f"exactness certificate at {p['n_nodes']} nodes: "
+                f"{cert['misses']} missed and {cert['extras']} extra "
+                f"pairs in {cert['rows_checked']} sampled rows"
+            )
     if differential is not None and not differential["identical"]:
         failures.append(
             "sharded output differs from the monolithic path at "
@@ -413,6 +496,8 @@ def scale_manifest(results: dict[str, Any]):
             point["symmetrize_seconds"]
         )
         metrics[f"{tag}.peak_rss_bytes"] = float(point["peak_rss_bytes"])
+        for name, value in point["certificate"].items():
+            metrics[f"{tag}.certificate_{name}"] = float(value)
         for name, value in point.get("metrics", {}).items():
             metrics[f"{tag}.{name}"] = float(value)
     reg = results["regression"]
@@ -460,6 +545,14 @@ def format_scale_summary(results: dict[str, Any]) -> str:
             f"{p['peak_rss_children_bytes'] / 1024**2:>8.0f}M"
         )
         m = p.get("metrics", {})
+        cert = p["certificate"]
+        lines.append(
+            f"{'':>9}   candidates="
+            f"{m.get('allpairs_candidate_pairs_total', 0):.0f} "
+            f"verified={m.get('allpairs_pairs_verified_total', 0):.0f} "
+            f"certificate: {cert['rows_checked']} rows, "
+            f"{cert['misses']} missed, {cert['extras']} extra"
+        )
         if "shard_count" in m:
             lines.append(
                 f"{'':>9}   shards={m['shard_count']:g} "

@@ -132,11 +132,10 @@ class DegreeDiscountedSymmetrization(Symmetrization):
         """The square-root factors of the §3.6 fast path.
 
         Returns ``Y`` with ``B_d = Y Yᵀ`` (when coupling is included)
-        and ``Z`` with ``C_d = Z Zᵀ`` (when co-citation is included),
-        the matrices :func:`~repro.linalg.allpairs
-        .thresholded_gram_matrix` is run on. Exposed so the bench
-        harness can time the all-pairs engine on exactly the rows the
-        pruned symmetrization searches.
+        and ``Z`` with ``C_d = Z Zᵀ`` (when co-citation is included);
+        :meth:`apply_pruned` searches them stacked side by side.
+        Exposed so tests and the scale bench can check the pruned
+        output against a plain sparse product of the same factors.
         """
         if isinstance(self.alpha, str) or isinstance(self.beta, str):
             raise SymmetrizationError(
@@ -180,34 +179,32 @@ class DegreeDiscountedSymmetrization(Symmetrization):
         Uses the §3.6 idea (Bayardo et al.'s threshold-aware all-pairs
         similarity) via the factorizations ``B_d = Y Yᵀ`` with
         ``Y = Do^-α A Di^-β/2`` and ``C_d = Z Zᵀ`` with
-        ``Z = Di^-β Aᵀ Do^-α/2``. Each term is searched at
-        ``threshold / 2`` (a pair can reach ``threshold`` with both
-        halves just below it), summed, and filtered exactly. The
-        surviving candidate pairs are verified in one batched gather
-        per factor (gathered sparse row selections, elementwise
-        multiply, row sums) rather than pair-by-pair.
+        ``Z = Di^-β Aᵀ Do^-α/2``: the stacked factor ``W = [Y | Z]``
+        has ``W Wᵀ = B_d + C_d = U_d``, so one all-pairs search of
+        ``W`` finds every pair reaching the threshold. The search runs
+        ``2 · TIE_RTOL`` below the keep level; its few surviving pairs
+        are then re-scored per factor (gathered rows of ``W``, each
+        factor's column range multiplied elementwise and row-summed,
+        ``Y`` then ``Z``) and filtered exactly.
 
         Requires numeric ``alpha``/``beta`` (the ``"log"`` discount
         has no symmetric square-root factorization) and a positive
         threshold. ``backend``/``block_size``/``n_jobs`` are forwarded
         to :func:`~repro.linalg.allpairs.thresholded_gram_matrix`;
-        with ``n_jobs > 1`` each factor's candidate search runs
-        through the out-of-core row-block shard fan-out (factors are
-        spilled to memory-mapped CSR stores and workers receive shard
-        descriptors, not matrices), so peak RSS stays bounded by the
-        block size rather than the factor size.
+        with ``n_jobs > 1`` the search runs through the out-of-core
+        row-block shard fan-out (``W`` is spilled to memory-mapped CSR
+        stores and workers receive shard descriptors, not matrices),
+        so peak RSS stays bounded by the block size rather than the
+        factor size.
         Output matches ``apply(graph, threshold=threshold)``
-        edge-for-edge: shared entries agree to ~1 ULP, and both the
-        candidate search and the final filter use a relative tolerance
-        of ``1e-12`` so pairs whose similarity ties the threshold
-        exactly land on the *keep* side in both paths instead of
-        falling either way with summation order.
+        edge-for-edge: shared entries agree to ~1 ULP, and the final
+        filter uses a relative tolerance of ``1e-12`` so pairs whose
+        similarity ties the threshold exactly land on the *keep* side
+        in both paths instead of falling either way with summation
+        order.
         """
         from repro.graph.ugraph import UndirectedGraph
-        from repro.linalg.allpairs import (
-            DEFAULT_BLOCK_SIZE,
-            thresholded_gram_matrix,
-        )
+        from repro.linalg.allpairs import DEFAULT_BLOCK_SIZE, _gram_search
         from repro.obs.metrics import (
             metric_inc,
             metric_set,
@@ -230,61 +227,55 @@ class DegreeDiscountedSymmetrization(Symmetrization):
             )
             with span("pruning_factors"):
                 factors = self.pruning_factors(graph)
-            # A pair reaching `threshold` in total has at least one
-            # term >= threshold / n_terms, so searching each factor at
-            # that per-term level yields a complete candidate set;
-            # exact totals are then verified per candidate pair. The
-            # relative slack keeps exact-tie pairs (whose per-term dot
-            # product can round a hair below the bound) in the
-            # candidate set.
-            per_term = threshold / len(factors) * (1.0 - TIE_RTOL)
-            candidates = None
-            for Y in factors:
-                found = thresholded_gram_matrix(
-                    Y,
-                    per_term,
-                    backend=backend,
-                    block_size=block_size or DEFAULT_BLOCK_SIZE,
-                    n_jobs=n_jobs,
-                )
-                found.data[:] = 1.0
-                candidates = (
-                    found if candidates is None else candidates + found
-                )
+                # Column range of each factor inside W; the factors
+                # themselves are dropped so only W stays resident.
+                ends = np.cumsum([0] + [f.shape[1] for f in factors])
+                stacked = sp.hstack(factors, format="csr")
+                del factors
+            # The search's W-products sum in another order than the
+            # per-factor scores below and can differ in the last bits;
+            # searching TIE_RTOL below the keep level's own tolerance
+            # keeps every pair the final filter could keep.
+            found, n_scored = _gram_search(
+                stacked,
+                threshold * (1.0 - 2.0 * TIE_RTOL),
+                include_diagonal=False,
+                backend=backend,
+                block_size=block_size or DEFAULT_BLOCK_SIZE,
+                n_jobs=n_jobs,
+            )
             # Each unordered pair is verified once (strict upper
-            # triangle; the diagonal never enters, so no post-hoc
-            # clearing needed).
+            # triangle; the diagonal never enters).
             with span("verify_candidates") as sp_:
-                pairs = sp.triu(candidates, k=1).tocoo()
+                pairs = sp.triu(found, k=1).tocoo()
                 left = pairs.row.astype(np.int64)
                 right = pairs.col.astype(np.int64)
                 values = np.zeros(left.size)
                 batch = 1 << 18
-                for Y in factors:
-                    for lo in range(0, left.size, batch):
-                        sl = slice(lo, lo + batch)
+                for lo in range(0, left.size, batch):
+                    sl = slice(lo, lo + batch)
+                    rows_l, rows_r = stacked[left[sl]], stacked[right[sl]]
+                    for a, b in zip(ends[:-1], ends[1:]):
                         values[sl] += np.asarray(
-                            Y[left[sl]]
-                            .multiply(Y[right[sl]])
+                            rows_l[:, a:b]
+                            .multiply(rows_r[:, a:b])
                             .sum(axis=1)
                         ).ravel()
                 # Relative tolerance so threshold ties survive in this
                 # path exactly as they do in apply()'s prune_matrix
                 # cut, regardless of floating-point summation order.
                 keep = values >= threshold * (1.0 - TIE_RTOL)
-                sp_.set(
-                    candidate_pairs=int(left.size),
-                    kept_pairs=int(keep.sum()),
-                )
+                n_kept = int(keep.sum())
+                sp_.set(candidate_pairs=int(left.size), kept_pairs=n_kept)
             add_counters(
                 "apply_pruned:degree_discounted",
                 candidate_pairs=left.size,
-                kept_pairs=int(keep.sum()),
-                pruned_pairs=int(left.size - keep.sum()),
+                kept_pairs=n_kept,
+                pruned_pairs=int(left.size - n_kept),
             )
-            metric_inc(
-                "edges_pruned_total", int(left.size - keep.sum())
-            )
+            # Every pair the threshold cut after scoring it: in the
+            # search's verification or in the filter above.
+            metric_inc("edges_pruned_total", int(n_scored - n_kept))
             total = sp.coo_array(
                 (values[keep], (left[keep], right[keep])),
                 shape=(graph.n_nodes, graph.n_nodes),

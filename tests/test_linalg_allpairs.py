@@ -366,6 +366,54 @@ class TestApplyPruned:
         out = DegreeDiscountedSymmetrization().apply_pruned(g, 0.05)
         assert out.adjacency.diagonal().sum() == 0.0
 
+    @pytest.mark.parametrize(
+        "n_nodes,seed,threshold,digests",
+        [
+            (
+                300,
+                14,
+                0.1,
+                (
+                    "88ef42c8ce23daeaf4c9f1f38f4754f7"
+                    "077e846cb4ff4d2f1db53ca5ce388ef3",
+                    "f7913616795c24df689bc1d84d437023"
+                    "0014de818605b52e509aa609bc60335c",
+                    "1acbe98e8d9b4f287b0570f6d0881b7c"
+                    "5ab2b47cf5f8bb1aba4e150b92c6f4d8",
+                ),
+            ),
+            (
+                900,
+                2026,
+                0.2,
+                (
+                    "75817085501231a38188aad45be752db"
+                    "b62b6f3964732928ea2ab178223d3f9a",
+                    "fff0eaef02102eb59dda06b9e121ee2f"
+                    "fbd1be1be5f6de8f53ce425f84a6434e",
+                    "867fa8267325cc8840de4622d668cacf"
+                    "312850b63794c269e4d762df452e8dd6",
+                ),
+            ),
+        ],
+    )
+    def test_output_bytes_pinned(self, n_nodes, seed, threshold, digests):
+        """indptr/indices/data sha256 digests recorded from the earlier
+        search design (``Y`` and ``Z`` searched separately at
+        ``threshold / 2``, candidates unioned): bounds, search order and
+        stacking may change how pairs are found, never an output byte."""
+        import hashlib
+
+        graph = power_law_digraph(n_nodes, np.random.default_rng(seed))
+        out = DegreeDiscountedSymmetrization().apply_pruned(
+            graph, threshold
+        ).adjacency
+        got = tuple(
+            hashlib.sha256(part.tobytes()).hexdigest()
+            for part in (out.indptr, out.indices, out.data)
+        )
+        assert got == digests
+
 
 class TestShardDescriptors:
     """The process fan-out must hand workers shard *descriptors*
@@ -406,3 +454,58 @@ class TestShardDescriptors:
         assert pool.payload_bytes, "fan-out never reached the pool"
         assert max(pool.payload_bytes) < 1024
         _assert_same_pattern(serial, sharded)
+
+    def test_older_layout_shard_dir_is_not_read(self, rng, tmp_path):
+        """A shard dir that an older layout (column-id prefixes, no
+        bound arrays, no verified counts) wrote for the same rows under
+        a persistent cache must not be adopted: its key, recomputed
+        here the way that layout did (no layout tag), differs."""
+        import hashlib
+
+        from repro.engine.cache import ArtifactCache, artifact_cache
+        from repro.engine.pool import worker_pool
+        from repro.obs import metrics_active
+
+        g = power_law_digraph(300, rng)
+        rows = DegreeDiscountedSymmetrization().pruning_factors(g)[0]
+        threshold, block_size, n_jobs = 0.2, 32, 2
+        serial = thresholded_gram_matrix(
+            rows, threshold, block_size=block_size
+        )
+        digest = hashlib.sha256()
+        digest.update(np.asarray(rows.shape, dtype=np.int64).tobytes())
+        digest.update(np.float64(threshold).tobytes())
+        digest.update(np.int64(block_size).tobytes())
+        digest.update(np.int64(n_jobs).tobytes())
+        for arr in (rows.indptr, rows.indices, rows.data):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+        cache_dir = tmp_path / "cache"
+        old = cache_dir / "shards" / digest.hexdigest()[:32]
+        old.mkdir(parents=True)
+        for index in range(n_jobs):
+            np.savez(
+                old / f"shard-{index:04d}.npz",
+                rows=np.array([1]),
+                cols=np.array([0]),
+                vals=np.array([99.0]),
+                n_candidates=np.int64(1),
+            )
+        planted = {p.name: p.read_bytes() for p in old.iterdir()}
+
+        pool = self._CapturingPool()
+        with artifact_cache(ArtifactCache(directory=cache_dir)), (
+            worker_pool(n_jobs, pool=pool)
+        ), metrics_active() as reg:
+            sharded = thresholded_gram_matrix(
+                rows, threshold, block_size=block_size, n_jobs=n_jobs
+            )
+        assert len(pool.payload_bytes) == n_jobs  # every shard ran
+        for part in ("indptr", "indices", "data"):
+            assert (
+                getattr(sharded, part).tobytes()
+                == getattr(serial, part).tobytes()
+            )
+        assert "shard_results_reused_total" not in reg.counters
+        assert "shard_spills_reused_total" not in reg.counters
+        assert {p.name: p.read_bytes() for p in old.iterdir()} == planted
+        assert len(list((cache_dir / "shards").iterdir())) == 2

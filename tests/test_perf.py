@@ -154,11 +154,41 @@ class TestInstrumentationHooks:
             thresholded_gram_matrix(rows, 0.2, backend="vectorized")
         counters = rec.stages["allpairs:vectorized"].counters
         assert counters["rows"] == 30
-        assert counters["candidate_pairs"] >= counters["kept_pairs"]
+        assert (
+            counters["kept_pairs"]
+            <= counters["verified_pairs"]
+            <= counters["candidate_pairs"]
+        )
         assert (
             counters["pruned_pairs"]
             == counters["candidate_pairs"] - counters["kept_pairs"]
         )
+
+        # On the stacked degree-discounted factor of a power-law graph
+        # the partial-score bound drops candidates before verification
+        # and verification drops more: both inequalities are strict.
+        from repro.obs import metrics_active
+        from repro.symmetrize import DegreeDiscountedSymmetrization
+
+        g = power_law_digraph(400, rng)
+        stacked = sp.hstack(
+            DegreeDiscountedSymmetrization().pruning_factors(g),
+            format="csr",
+        )
+        with recording() as rec, metrics_active() as reg:
+            thresholded_gram_matrix(stacked, 0.2, block_size=64)
+        counters = rec.stages["allpairs:vectorized"].counters
+        assert counters["kept_pairs"] > 0
+        assert (
+            counters["kept_pairs"]
+            < counters["verified_pairs"]
+            < counters["candidate_pairs"]
+        )
+        for name, metric in (
+            ("candidate_pairs", "allpairs_candidate_pairs_total"),
+            ("verified_pairs", "allpairs_pairs_verified_total"),
+        ):
+            assert reg.counters[metric] == counters[name]
 
 
 class TestBenchSmoke:

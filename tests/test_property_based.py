@@ -115,6 +115,19 @@ def tied_gram_inputs(draw):
     return rows, float((dense @ dense.T)[i, j]), int(i), int(j)
 
 
+@st.composite
+def tied_pruning_inputs(draw):
+    """A directed graph, a threshold equal to one of its own
+    degree-discounted similarities (so it ties a pair exactly), and
+    that pair."""
+    graph = draw(st.one_of(directed_graphs(min_nodes=3), power_law_digraphs()))
+    exact = get_symmetrization("degree_discounted").apply(graph).adjacency
+    upper = sp.triu(exact, k=1).tocoo()
+    assume(upper.nnz)
+    k = draw(st.integers(0, upper.nnz - 1))
+    return graph, float(upper.data[k]), int(upper.row[k]), int(upper.col[k])
+
+
 SYM_NAMES = ["naive", "bibliometric", "degree_discounted"]
 
 #: All four paper symmetrizations; random_walk runs pagerank so it is
@@ -172,6 +185,21 @@ def test_degree_discounted_pruned_matches_exact(graph, threshold):
         np.testing.assert_allclose(
             fast.data, exact.data, rtol=1e-12, atol=0.0
         )
+
+
+@given(tied_pruning_inputs())
+@settings(max_examples=60, deadline=None)
+def test_degree_discounted_pruned_keeps_exact_ties(inputs):
+    """At a threshold that *is* one of the graph's similarities, the
+    pruned path's search level, prefix bounds and partial-score bound
+    all keep the tied pair, and the kept pattern equals apply()'s."""
+    graph, threshold, i, j = inputs
+    dd = get_symmetrization("degree_discounted")
+    exact = dd.apply(graph, threshold=threshold).adjacency
+    fast = dd.apply_pruned(graph, threshold=threshold).adjacency
+    assert fast[i, j] > 0
+    assert exact.indptr.tolist() == fast.indptr.tolist()
+    assert exact.indices.tolist() == fast.indices.tolist()
 
 
 @given(

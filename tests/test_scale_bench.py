@@ -22,6 +22,7 @@ from repro.perf.scale_bench import (
     MAX_PEAK_RSS_BYTES,
     REQUIRED_POINT_KEYS,
     SCALE_SCHEMA,
+    exactness_certificate,
     format_scale_summary,
     run_scale_bench,
     scale_manifest,
@@ -80,6 +81,17 @@ class TestScaleBenchMini:
         assert reg["passed"] is True
         assert reg["failures"] == []
 
+    def test_certificates_clean(self, mini_results):
+        for point in mini_results["points"]:
+            cert = point["certificate"]
+            assert cert["rows_checked"] > 0
+            assert cert["misses"] == cert["extras"] == 0
+            metrics = point["metrics"]
+            assert (
+                metrics["allpairs_pairs_verified_total"]
+                <= metrics["allpairs_candidate_pairs_total"]
+            )
+
     def test_differential_identical(self, mini_results):
         diff = mini_results["differential"]
         assert diff["n_nodes"] == 1500
@@ -104,6 +116,25 @@ class TestScaleBenchMini:
         assert "regression: PASS" in text
         assert "identical=yes" in text
 
+    def test_summary_row_fails_on_certificate_miss(self, mini_results):
+        import copy
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "bench_summary",
+            Path(__file__).parent.parent / "tools" / "bench_summary.py",
+        )
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        timings, verdict = tool._scale_row(mini_results)
+        assert verdict == "PASS"
+        assert "M candidates, exact on" in timings
+        broken = copy.deepcopy(mini_results)
+        broken["points"][0]["certificate"]["misses"] = 1
+        timings, verdict = tool._scale_row(broken)
+        assert "FAIL" in verdict
+        assert "1 missed" in timings
+
     def test_rejects_empty_sizes(self):
         with pytest.raises(ReproError, match="at least one size"):
             run_scale_bench(sizes=[])
@@ -111,6 +142,55 @@ class TestScaleBenchMini:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ReproError, match="positive threshold"):
             run_scale_bench(sizes=[100], threshold=0.0)
+
+
+class TestExactnessCertificate:
+    """The certificate must see a dropped or an invented pair."""
+
+    @pytest.fixture(scope="class")
+    def pruned(self):
+        import numpy as np
+
+        from repro.graph.generators import power_law_digraph
+        from repro.symmetrize import DegreeDiscountedSymmetrization
+
+        graph = power_law_digraph(500, np.random.default_rng(3))
+        out = DegreeDiscountedSymmetrization().apply_pruned(graph, 0.2)
+        return graph, out.adjacency.tocsr()
+
+    def test_clean_output_passes(self, pruned):
+        graph, adjacency = pruned
+        cert = exactness_certificate(graph, adjacency, 0.2, k=50)
+        assert cert["rows_checked"] >= 50
+        assert cert["misses"] == cert["extras"] == 0
+
+    def test_dropped_pair_is_a_miss(self, pruned):
+        graph, adjacency = pruned
+        dropped = adjacency.tolil()
+        i, j = adjacency.nonzero()[0][0], adjacency.nonzero()[1][0]
+        dropped[i, j] = 0.0
+        dropped[j, i] = 0.0
+        dropped = dropped.tocsr()
+        dropped.eliminate_zeros()
+        cert = exactness_certificate(graph, dropped, 0.2, k=500)
+        assert cert["misses"] == 2
+        assert cert["extras"] == 0
+
+    def test_invented_pair_is_an_extra(self, pruned):
+        graph, adjacency = pruned
+        # A pair the exact output left out: its similarity is below
+        # the threshold, so 0.3 there is an extra.
+        i, j = next(
+            (i, j)
+            for i in range(adjacency.shape[0])
+            for j in range(i + 1, adjacency.shape[0])
+            if adjacency[i, j] == 0
+        )
+        invented = adjacency.tolil()
+        invented[i, j] = 0.3
+        cert = exactness_certificate(graph, invented.tocsr(), 0.2, k=500)
+        assert cert["misses"] == 0
+        assert cert["extras"] == 1
 
 
 class TestScaleBenchCli:
@@ -183,3 +263,6 @@ def test_scale_smoke_under_budget(tmp_path):
     assert loaded["points"][0]["n_nodes"] == 50_000
     assert loaded["regression"]["passed"] is True
     assert loaded["differential"]["identical"] is True
+    cert = loaded["points"][0]["certificate"]
+    assert cert["rows_checked"] > 0
+    assert cert["misses"] == cert["extras"] == 0

@@ -76,13 +76,33 @@ def _allpairs_row(results: dict) -> tuple[str, str]:
 
 
 def _scale_row(results: dict) -> tuple[str, str]:
-    """(key timings, verdict) for a BENCH_scale.json dict."""
+    """(key timings, verdict) for a BENCH_scale.json dict; each point
+    also shows its all-pairs candidate count and exactness
+    certificate, and a missed or extra pair fails the verdict."""
     parts = []
     peak = 0.0
+    certified = True
     for point in results.get("points", []):
+        candidates = point.get("metrics", {}).get(
+            "allpairs_candidate_pairs_total", 0
+        )
+        cert = point.get("certificate")
+        if cert is None:
+            certificate = "no certificate"
+            certified = False
+        else:
+            clean = not (cert["misses"] or cert["extras"])
+            certified = certified and clean
+            certificate = (
+                f"exact on {cert['rows_checked']} rows"
+                if clean
+                else f"**{cert['misses']} missed, "
+                f"{cert['extras']} extra**"
+            )
         parts.append(
             f"{point['n_nodes']}n "
-            f"{point['symmetrize_seconds']:.1f}s"
+            f"{point['symmetrize_seconds']:.1f}s "
+            f"({candidates / 1e6:.2f}M candidates, {certificate})"
         )
         peak = max(
             peak,
@@ -94,8 +114,10 @@ def _scale_row(results: dict) -> tuple[str, str]:
         timings += f", peak {peak / 1024**3:.2f} GiB"
     reg = results.get("regression", {})
     diff = results.get("differential", {})
-    passed = bool(reg.get("passed")) and bool(
-        diff.get("identical", True)
+    passed = (
+        bool(reg.get("passed"))
+        and bool(diff.get("identical", True))
+        and certified
     )
     return timings, _verdict(passed)
 
