@@ -46,6 +46,101 @@ def _as_csr(matrix: object) -> sp.csr_array:
     return csr
 
 
+def _edge_columns(
+    edges: Iterable[tuple[int, int] | tuple[int, int, float]],
+) -> tuple[list[int], list[int], list[float]]:
+    """Split ``(src, dst)`` / ``(src, dst, weight)`` tuples into columns."""
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    for edge in edges:
+        if len(edge) == 2:
+            i, j = edge  # type: ignore[misc]
+            w = 1.0
+        elif len(edge) == 3:
+            i, j, w = edge  # type: ignore[misc]
+        else:
+            raise GraphError(f"edge must have 2 or 3 entries, got {edge!r}")
+        rows.append(int(i))
+        cols.append(int(j))
+        vals.append(float(w))
+    return rows, cols, vals
+
+
+def _edge_arrays(
+    src: object, dst: object, weights: object
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(int64, int64, float64)`` 1-D views or copies of edge columns."""
+    ids = []
+    for column in (src, dst):
+        arr = np.asarray(column)
+        if arr.size and arr.dtype.kind not in "iu":
+            raise GraphError(
+                f"edge endpoints must be integers, got dtype {arr.dtype}"
+            )
+        ids.append(arr.astype(np.int64, copy=False).ravel())
+    vals = np.asarray(weights, dtype=np.float64).ravel()
+    if not ids[0].size == ids[1].size == vals.size:
+        raise GraphError(
+            "edge columns differ in length: "
+            f"{ids[0].size}/{ids[1].size}/{vals.size}"
+        )
+    return ids[0], ids[1], vals
+
+
+def _first_bad_endpoint(
+    rows: np.ndarray, cols: np.ndarray, n_nodes: int
+) -> int:
+    """Index of the first edge with an endpoint outside
+    ``[0, n_nodes)``, or -1 when every edge is in range."""
+    bad = (rows < 0) | (rows >= n_nodes) | (cols < 0) | (cols >= n_nodes)
+    return int(bad.argmax()) if bad.any() else -1
+
+
+def _endpoint_error(src: int, dst: int, n_nodes: int) -> str:
+    """The message for an edge that :func:`_first_bad_endpoint` found."""
+    if src < 0 or dst < 0:
+        return (
+            f"edge endpoints must be non-negative, got ({src}, {dst})"
+        )
+    return (
+        f"edge endpoint out of range for n_nodes={n_nodes}: "
+        f"({src}, {dst})"
+    )
+
+
+def _edges_csr(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    n_nodes: int | None,
+) -> sp.csr_array:
+    """The one edge-arrays -> CSR step every edge-built graph takes.
+
+    Checks every endpoint against ``n_nodes`` (inferred as the largest
+    id + 1 when ``None``) and converts the COO triples, in the order
+    given, with SciPy; duplicate edges are summed in that order, so
+    equal input arrays give equal CSR bytes.
+    """
+    if n_nodes is None:
+        if not rows.size:
+            raise GraphError(
+                "cannot infer n_nodes from an empty edge list; "
+                "pass n_nodes explicitly"
+            )
+        n_nodes = int(max(rows.max(), cols.max())) + 1
+    elif n_nodes < 0:
+        raise GraphError(f"n_nodes must be non-negative, got {n_nodes}")
+    bad = _first_bad_endpoint(rows, cols, n_nodes)
+    if bad >= 0:
+        raise GraphError(
+            _endpoint_error(int(rows[bad]), int(cols[bad]), n_nodes)
+        )
+    return sp.coo_array(
+        (vals, (rows, cols)), shape=(n_nodes, n_nodes)
+    ).tocsr()
+
+
 class DirectedGraph:
     """A weighted directed graph stored as a CSR adjacency matrix.
 
@@ -122,37 +217,30 @@ class DirectedGraph:
         Duplicate edges have their weights summed. ``n_nodes`` defaults
         to ``max(index) + 1``.
         """
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for edge in edges:
-            if len(edge) == 2:
-                i, j = edge  # type: ignore[misc]
-                w = 1.0
-            elif len(edge) == 3:
-                i, j, w = edge  # type: ignore[misc]
-            else:
-                raise GraphError(f"edge must have 2 or 3 entries, got {edge!r}")
-            rows.append(int(i))
-            cols.append(int(j))
-            vals.append(float(w))
-        if n_nodes is None:
-            if not rows:
-                raise GraphError(
-                    "cannot infer n_nodes from an empty edge list; "
-                    "pass n_nodes explicitly"
-                )
-            n_nodes = max(max(rows), max(cols)) + 1
-        if rows and (max(rows) >= n_nodes or max(cols) >= n_nodes):
-            raise GraphError(
-                f"edge endpoint out of range for n_nodes={n_nodes}"
-            )
-        if rows and (min(rows) < 0 or min(cols) < 0):
-            raise GraphError("edge endpoints must be non-negative")
-        adj = sp.coo_array(
-            (vals, (rows, cols)), shape=(n_nodes, n_nodes)
-        ).tocsr()
-        return cls(adj, node_names=node_names)
+        rows, cols, vals = _edge_columns(edges)
+        return cls.from_edge_arrays(
+            rows, cols, vals, n_nodes=n_nodes, node_names=node_names
+        )
+
+    @classmethod
+    def from_edge_arrays(
+        cls,
+        src: object,
+        dst: object,
+        weights: object,
+        n_nodes: int | None = None,
+        node_names: Sequence[object] | None = None,
+    ) -> "DirectedGraph":
+        """Build a graph from equal-length integer ``src``/``dst`` and
+        float ``weights`` columns, one entry per edge.
+
+        The columnar form of :meth:`from_edges`, with the same checks
+        and the same CSR bytes for the same edges in the same order.
+        """
+        rows, cols, vals = _edge_arrays(src, dst, weights)
+        return cls(
+            _edges_csr(rows, cols, vals, n_nodes), node_names=node_names
+        )
 
     @classmethod
     def from_mmcsr(
@@ -168,7 +256,8 @@ class DirectedGraph:
         store's memory-mapped buffers: the normal constructor's
         canonicalizing copy (:func:`_as_csr`) is bypassed, which is
         sound because finalized stores are canonical by construction
-        — rows sorted by column, duplicates summed, float64 data.
+        — rows sorted by column, duplicates summed, no explicit zeros,
+        float64 data.
         Validation (on by default) streams through the mapped data
         once without materializing it.
 

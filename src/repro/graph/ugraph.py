@@ -15,7 +15,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import GraphError
-from repro.graph.digraph import _as_csr
+from repro.graph.digraph import (
+    _as_csr,
+    _edge_arrays,
+    _edge_columns,
+    _edges_csr,
+)
 
 __all__ = ["UndirectedGraph"]
 
@@ -91,36 +96,34 @@ class UndirectedGraph:
     ) -> "UndirectedGraph":
         """Build from ``(i, j[, w])`` tuples; each edge is stored in both
         directions. Duplicates are summed."""
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for edge in edges:
-            if len(edge) == 2:
-                i, j = edge  # type: ignore[misc]
-                w = 1.0
-            elif len(edge) == 3:
-                i, j, w = edge  # type: ignore[misc]
-            else:
-                raise GraphError(f"edge must have 2 or 3 entries, got {edge!r}")
-            i, j, w = int(i), int(j), float(w)
-            rows.append(i)
-            cols.append(j)
-            vals.append(w)
-            if i != j:
-                rows.append(j)
-                cols.append(i)
-                vals.append(w)
-        if n_nodes is None:
-            if not rows:
-                raise GraphError(
-                    "cannot infer n_nodes from an empty edge list; "
-                    "pass n_nodes explicitly"
-                )
-            n_nodes = max(rows) + 1
-        adj = sp.coo_array(
-            (vals, (rows, cols)), shape=(n_nodes, n_nodes)
-        ).tocsr()
-        return cls(adj, node_names=node_names)
+        rows, cols, vals = _edge_columns(edges)
+        return cls.from_edge_arrays(
+            rows, cols, vals, n_nodes=n_nodes, node_names=node_names
+        )
+
+    @classmethod
+    def from_edge_arrays(
+        cls,
+        src: object,
+        dst: object,
+        weights: object,
+        n_nodes: int | None = None,
+        node_names: Sequence[object] | None = None,
+    ) -> "UndirectedGraph":
+        """The columnar form of :meth:`from_edges`: equal-length
+        integer ``src``/``dst`` and float ``weights``, one entry per
+        edge, each stored in both directions."""
+        src, dst, weights = _edge_arrays(src, dst, weights)
+        # Interleave each edge with its mirror (self-loops once), the
+        # COO order that fixes how duplicates are summed.
+        keep = np.ones(2 * src.size, dtype=bool)
+        keep[1::2] = src != dst
+        rows = np.column_stack([src, dst]).ravel()[keep]
+        cols = np.column_stack([dst, src]).ravel()[keep]
+        vals = np.repeat(weights, 2)[keep]
+        return cls(
+            _edges_csr(rows, cols, vals, n_nodes), node_names=node_names
+        )
 
     @classmethod
     def empty(cls, n_nodes: int) -> "UndirectedGraph":

@@ -333,6 +333,8 @@ class MmapCSRBuilder:
        merges duplicate edges (weights summed, as
        :func:`~repro.graph.io.read_edge_list` documents) in place;
        the merged count is reported via :attr:`n_duplicates`.
+       Entries that sum to zero are dropped, as the in-RAM CSR
+       canonicalization drops explicit zeros.
 
     The finished store is published atomically (scratch dir +
     ``os.replace``); aborting — explicitly, via the context manager,
@@ -512,8 +514,10 @@ class MmapCSRBuilder:
             ]
             group_starts = np.flatnonzero(keep)
             summed = np.add.reduceat(slab_vals[order], group_starts)
+            self.n_duplicates += rr.size - group_starts.size
+            nonzero = summed != 0
+            group_starts, summed = group_starts[nonzero], summed[nonzero]
             k = group_starts.size
-            self.n_duplicates += rr.size - k
             indices[wp : wp + k] = cc[group_starts].astype(idx_dtype)
             data[wp : wp + k] = summed
             final_counts[r0:r1] = np.bincount(

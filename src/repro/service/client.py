@@ -37,6 +37,8 @@ import json
 import time
 from typing import Any, Iterator
 
+import numpy as np
+
 from repro.engine.policy import RetryPolicy
 from repro.exceptions import (
     BudgetExceeded,
@@ -251,17 +253,24 @@ class ServiceClient:
         self, name: str, graph: DirectedGraph
     ) -> dict[str, Any]:
         """Upload ``graph`` under ``name`` (idempotent per content)."""
+        adjacency = graph.adjacency
+        src = np.repeat(
+            np.arange(graph.n_nodes), np.diff(adjacency.indptr)
+        )
+        edges = list(
+            map(
+                list,
+                zip(
+                    src.tolist(),
+                    adjacency.indices.tolist(),
+                    adjacency.data.tolist(),
+                ),
+            )
+        )
         return self._request(
             "POST",
             "/graphs",
-            {
-                "name": name,
-                "n_nodes": graph.n_nodes,
-                "edges": [
-                    [src, dst, weight]
-                    for src, dst, weight in graph.edges()
-                ],
-            },
+            {"name": name, "n_nodes": graph.n_nodes, "edges": edges},
         )
 
     def graphs(self) -> list[dict[str, Any]]:

@@ -42,6 +42,8 @@ import time
 from typing import Any
 from urllib.parse import parse_qs, unquote, urlsplit
 
+import numpy as np
+
 from repro.engine import ArtifactCache, Budget, JournalTailer, RetryPolicy
 from repro.engine.chaos import chaos
 from repro.exceptions import (
@@ -100,6 +102,57 @@ def _status_for(exc: Exception) -> int:
     if isinstance(exc, ReproError):
         return 400
     return 500
+
+
+def _uploaded_graph(edges: list[Any], n_nodes: Any) -> DirectedGraph:
+    """The graph a ``POST /graphs`` body describes: ``edges`` rows
+    ``[u, v]`` or ``[u, v, w]``, ids integral. Anything malformed is a
+    :class:`ServiceError` (HTTP 400), never a truncated id."""
+    if n_nodes is not None:
+        if isinstance(n_nodes, float) and n_nodes.is_integer():
+            n_nodes = int(n_nodes)
+        if not isinstance(n_nodes, int) or n_nodes < 0:
+            raise ServiceError(
+                f"'n_nodes' must be a non-negative integer, got {n_nodes!r}"
+            )
+    try:
+        rows = np.asarray(edges, dtype=np.float64)
+    except (TypeError, ValueError):
+        # Mixed 2- and 3-entry rows are legal; anything else is not.
+        if not all(isinstance(e, list) and len(e) in (2, 3) for e in edges):
+            raise ServiceError(
+                "'edges' must be [u, v] or [u, v, w] rows of numbers"
+            ) from None
+        try:
+            rows = np.asarray(
+                [e if len(e) == 3 else [*e, 1.0] for e in edges],
+                dtype=np.float64,
+            )
+        except (TypeError, ValueError) as exc:
+            raise ServiceError(f"'edges' must hold numbers: {exc}") from None
+    if not edges:
+        rows = rows.reshape(0, 3)
+    if rows.ndim != 2 or rows.shape[1] not in (2, 3):
+        raise ServiceError(
+            "'edges' must be [u, v] or [u, v, w] rows of numbers, "
+            f"got an array of shape {rows.shape}"
+        )
+    ids = rows[:, :2]
+    # Below 2**53 every integer is exact in float64.
+    bad = ~((ids == np.trunc(ids)) & (np.abs(ids) < 2**53))
+    if bad.any():
+        row = int(bad.any(axis=1).argmax())
+        raise ServiceError(
+            f"edge {row} needs integer node ids below 2**53, "
+            f"got {edges[row]!r}"
+        )
+    weights = rows[:, 2] if rows.shape[1] == 3 else np.ones(len(rows))
+    return DirectedGraph.from_edge_arrays(
+        ids[:, 0].astype(np.int64),
+        ids[:, 1].astype(np.int64),
+        weights,
+        n_nodes=n_nodes,
+    )
 
 
 class ServiceServer:
@@ -365,14 +418,9 @@ class ServiceServer:
             raise _HttpError(
                 400, "graph upload needs 'name' and 'edges' [[u, v, w], ...]"
             )
-        n_nodes = payload.get("n_nodes")
-        # Build off-loop: parsing a large edge list is CPU-bound.
+        # Build off-loop: converting a large edge list is CPU-bound.
         graph = await asyncio.get_running_loop().run_in_executor(
-            None,
-            lambda: DirectedGraph.from_edges(
-                [tuple(edge) for edge in edges],
-                n_nodes=int(n_nodes) if n_nodes is not None else None,
-            ),
+            None, _uploaded_graph, edges, payload.get("n_nodes")
         )
         registered = self.manager.register_graph(name, graph)
         await self._respond(writer, 201, registered.summary())

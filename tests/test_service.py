@@ -680,6 +680,25 @@ class TestServiceIntegration:
             assert client.jobs() == []
 
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"name": "g", "edges": [["x", 1, 1.0]]},
+            {"name": "g", "edges": [5]},
+            {"name": "g", "n_nodes": "abc", "edges": [[0, 1, 1.0]]},
+            {"name": "g", "edges": [[1.7, 2, 1.0]]},
+        ],
+        ids=["string-id", "bare-entry", "string-n-nodes", "fractional-id"],
+    )
+    def test_malformed_upload_is_rejected(self, tmp_path, body) -> None:
+        with live_server(tmp_path, max_workers=1) as server:
+            client = ServiceClient("127.0.0.1", server.port)
+            status, _, reply = client._once("POST", "/graphs", body)
+            assert status == 400, reply
+            assert reply["code"] == "invalid_request"
+            assert client.graphs() == []
+
+
 # ----------------------------------------------------------------------
 # Content addresses: results already in a --state-dir must keep deduping
 # ----------------------------------------------------------------------
