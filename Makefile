@@ -11,6 +11,8 @@
 #   make cache-smoke   cache identity + SIGKILL/resume smoke
 #   make serve-smoke   service daemon boot/dedup/drain smoke
 #   make serve-chaos   SIGKILL/restart durability smoke (--state-dir)
+#   make paperbench-smoke  paper-path benchmark's output checks, 6 s
+#                      per workload
 #   make coverage      pytest-cov gate (falls back to the stdlib tool)
 #   make ci            everything the PR gate runs (all of the above
 #                      except the advisory format-check)
@@ -21,7 +23,8 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint format-check fault-smoke chaos-smoke bench-smoke \
-	scale-smoke cache-smoke serve-smoke serve-chaos coverage ci clean
+	scale-smoke cache-smoke serve-smoke serve-chaos paperbench-smoke \
+	coverage ci clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -57,6 +60,9 @@ serve-smoke:
 serve-chaos:
 	$(PYTHON) tools/serve_smoke.py --chaos --deadline 90
 
+paperbench-smoke:
+	$(PYTHON) tools/paperbench_smoke.py
+
 coverage:
 	@if $(PYTHON) -c "import pytest_cov" 2>/dev/null; then \
 		$(PYTHON) -m pytest -q --cov=repro --cov-report=term; \
@@ -66,7 +72,7 @@ coverage:
 	fi
 
 ci: lint test fault-smoke chaos-smoke bench-smoke scale-smoke cache-smoke \
-	serve-smoke serve-chaos coverage
+	serve-smoke serve-chaos paperbench-smoke coverage
 
 clean:
 	rm -rf .pytest_cache .ruff_cache coverage.xml .coverage \

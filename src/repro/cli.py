@@ -1198,8 +1198,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.engine import ArtifactCache, Budget
     from repro.service import ServiceServer, ServiceStore
+    from repro.service.jobs import check_bounds
     from repro.service.server import serve
 
+    # Before the state dir is created, so a bad bound leaves nothing.
+    check_bounds(
+        args.workers, args.max_queue, args.max_jobs, args.max_job_age
+    )
     job_budget = None
     if args.job_wall_s is not None or args.job_mem_mb is not None:
         job_budget = Budget(

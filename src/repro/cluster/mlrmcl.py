@@ -134,13 +134,13 @@ def _canonical_flow(
     return _column_normalize(with_loops)
 
 
-def _attractor_labels(matrix: sp.csc_array) -> np.ndarray:
-    """Cluster labels from a converged flow matrix.
+def _attractor_labels(matrix: sp.csc_array) -> tuple[int, np.ndarray]:
+    """Cluster count and labels from a converged flow matrix.
 
     Node ``j`` is attached to its attractor ``argmax_i M[i, j]``; the
     clusters are the weakly connected components of the resulting
     attachment graph (so chains of attractors merge, the standard MCL
-    interpretation).
+    interpretation). Labels run from 0 to count - 1.
     """
     n = matrix.shape[1]
     attractor = np.arange(n, dtype=np.int64)
@@ -161,10 +161,9 @@ def _attractor_labels(matrix: sp.csc_array) -> np.ndarray:
     attach = sp.coo_array(
         (np.ones(n), (np.arange(n), attractor)), shape=(n, n)
     )
-    _, labels = sp.csgraph.connected_components(
+    return sp.csgraph.connected_components(
         attach, directed=True, connection="weak"
     )
-    return labels
 
 
 def _rmcl_iterations(
@@ -200,11 +199,9 @@ def _rmcl_iterations(
         entries_pruned += nnz_pre_prune - flow.nnz
         flow = _column_normalize(flow)
         performed += 1
-        labels = _attractor_labels(flow)
-        if stop_at_k is not None:
-            n_clusters = np.unique(labels).size
-            if n_clusters <= stop_at_k:
-                break
+        n_clusters, labels = _attractor_labels(flow)
+        if stop_at_k is not None and n_clusters <= stop_at_k:
+            break
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             break
         prev_labels = labels
@@ -342,7 +339,7 @@ class MLRMCL(GraphClusterer):
                     stop_at_k=stop,
                 )
                 sp_.set(n_nodes=n_fine, flow_nnz=flow.nnz)
-        return Clustering(_attractor_labels(flow))
+        return Clustering(_attractor_labels(flow)[1])
 
     def __repr__(self) -> str:
         return f"MLRMCL(inflation={self.inflation})"

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.cluster.common import (
     Clustering,
@@ -54,9 +53,11 @@ def spectral_embedding(
         dense = (dense + dense.T) / 2.0
         eigvals, eigvecs = np.linalg.eigh(dense)
         return eigvecs[:, -n_components:]
+    from scipy.sparse.linalg import eigsh
+
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
-    eigvals, eigvecs = spla.eigsh(
+    eigvals, eigvecs = eigsh(
         matrix, k=n_components, which="LA", v0=v0
     )
     order = np.argsort(eigvals)

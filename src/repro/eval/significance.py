@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import EvaluationError
 
@@ -116,6 +115,8 @@ def sign_test(
     n = n_a_only + n_b_only
     if n == 0:
         return SignTestResult(0, 0, 1.0, 0.0, "tie")
+    from scipy import stats
+
     wins = max(n_a_only, n_b_only)
     # One-sided: P[X >= wins], X ~ Binomial(n, 1/2), in log space.
     log_p = stats.binom.logsf(wins - 1, n, 0.5)

@@ -102,6 +102,7 @@ __all__ = [
     "RegisteredGraph",
     "Job",
     "JobManager",
+    "check_bounds",
     "error_code_for",
     "execute_spec",
 ]
@@ -119,6 +120,26 @@ _RETRYABLE_TERMINAL = ("failed", "crashed")
 
 class ServiceError(ReproError):
     """A malformed or unserviceable request (HTTP 400/404/409)."""
+
+
+def check_bounds(
+    max_workers: int,
+    max_queue_depth: int | None,
+    max_jobs: int | None,
+    max_job_age_s: float | None,
+) -> None:
+    """Raise :class:`ServiceError` for a bound :class:`JobManager`
+    cannot honour: fewer than one worker, or a negative (or NaN) queue
+    depth, job count or job age. ``None`` means unbounded."""
+    if max_workers < 1:
+        raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
+    for name, value in (
+        ("max_queue_depth", max_queue_depth),
+        ("max_jobs", max_jobs),
+        ("max_job_age_s", max_job_age_s),
+    ):
+        if value is not None and not value >= 0:
+            raise ServiceError(f"{name} must be >= 0, got {value}")
 
 
 def error_code_for(exc: BaseException) -> str:
@@ -619,6 +640,7 @@ class JobManager:
                 f"unknown worker_mode {worker_mode!r}; expected "
                 "'thread' or 'process'"
             )
+        check_bounds(max_workers, max_queue_depth, max_jobs, max_job_age_s)
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.cache = cache if cache is not None else ArtifactCache()

@@ -4,6 +4,8 @@ Each algorithm must (a) recover planted structure, (b) respect its
 cluster-count contract, (c) behave sensibly on degenerate inputs.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,11 @@ from repro.cluster import (
     MLRMCL,
     SpectralClusterer,
 )
+from repro.datasets import make_wikipedia_like
 from repro.exceptions import ClusteringError
 from repro.graph import UndirectedGraph
+from repro.graph.generators import power_law_digraph
+from repro.symmetrize import DegreeDiscountedSymmetrization
 from tests.conftest import planted_two_cluster_ugraph
 
 
@@ -40,6 +45,12 @@ def _planted_labels_match(labels, n_cliques, clique_size):
             return False
     firsts = [labels[c * clique_size] for c in range(n_cliques)]
     return len(set(firsts)) == n_cliques
+
+
+@pytest.fixture(scope="module")
+def wikipedia_like_symmetrized():
+    ds = make_wikipedia_like(n_nodes=1000, n_categories=16, seed=0)
+    return DegreeDiscountedSymmetrization().apply(ds.graph, threshold=0.05)
 
 
 class TestMetis:
@@ -201,3 +212,51 @@ class TestMLRMCL:
 
     def test_repr(self):
         assert "2.0" in repr(MLRMCL(inflation=2.0))
+
+    def test_labels_pinned_on_power_law_graph(self):
+        """sha256 of the labels on a paper-prune-family graph (2k
+        nodes, both degree tails capped at 100, §3.6 kernel at
+        ``t = 0.2``), recorded before the per-iteration cluster count
+        came from ``connected_components``: a change to how MLR-MCL
+        iterates or stops may not move a label."""
+        graph = power_law_digraph(2000, np.random.default_rng(0), d_max=100)
+        symmetrized = DegreeDiscountedSymmetrization().apply_pruned(
+            graph, 0.2
+        )
+        labels = MLRMCL().cluster(symmetrized, 50).labels
+        assert hashlib.sha256(labels.tobytes()).hexdigest() == (
+            "7cf6c43d9c14d07c98b9451d33a37f9e"
+            "72782877a785a7d474a893e69fdc04ac"
+        )
+
+    @pytest.mark.parametrize(
+        "n_clusters,digest",
+        [
+            (
+                10,
+                "7e52b65c7da26b01c518597cabc5bd5c"
+                "1773002e485eb7445d57c6c8a738d3d5",
+            ),
+            (
+                25,
+                "cd02dc531fbf2bcd0bfc29d95b22fdbc"
+                "90196692601a634ed50dc9a67f3e91bc",
+            ),
+            (
+                None,
+                "b4818b8a7f39e38bf8bfbf2f62aa4989"
+                "3f29912433553862401cdab009a72308",
+            ),
+        ],
+    )
+    def test_labels_pinned_on_wikipedia_like_graph(
+        self, wikipedia_like_symmetrized, n_clusters, digest
+    ):
+        """Same pin on a serve-jobs-family graph (hubs, full ``U_d``
+        pruned at 0.05), curtailed at two targets and run to the
+        plateau."""
+        clustering = MLRMCL().cluster(wikipedia_like_symmetrized, n_clusters)
+        assert hashlib.sha256(clustering.labels.tobytes()).hexdigest() == (
+            digest
+        )
+

@@ -448,6 +448,36 @@ class TestJobManager:
         assert manifest["job"]["clients"] == ["alice"]
         manager.close()
 
+    @pytest.mark.parametrize(
+        "kwargs,flags",
+        [
+            ({"max_workers": 0}, ["--workers", "0"]),
+            ({"max_queue_depth": -1}, ["--max-queue", "-1"]),
+            ({"max_jobs": -1}, ["--max-jobs", "-1"]),
+            ({"max_job_age_s": -1.0}, ["--max-job-age", "-1"]),
+        ],
+    )
+    def test_bad_bounds_rejected_before_disk(
+        self, tmp_path, capsys, kwargs, flags
+    ) -> None:
+        from repro.cli import main
+
+        state = tmp_path / "state"
+        with pytest.raises(ServiceError, match=r"must be >= [01]"):
+            JobManager(state, **kwargs)
+        assert not state.exists()
+        argv = ["serve", "--port", "0", "--state-dir", str(state), *flags]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not state.exists()
+
+    def test_zero_bounds_are_legal(self, tmp_path) -> None:
+        manager = JobManager(
+            tmp_path, max_queue_depth=0, max_jobs=0, max_job_age_s=0.0
+        )
+        manager.close()
+
 
 # ----------------------------------------------------------------------
 # Live-server integration
