@@ -37,12 +37,18 @@ candidates stay short. Rows are then processed in *blocks*:
 2. **Partial-score bound**: each product entry is the candidate's
    score over the partner's indexed suffix. Adding a bound on what
    the partner's unindexed prefix can still contribute —
-   ``min(prefix column-max bound, ‖probe‖₂·‖prefix‖₂)`` (L2AP,
-   Anastasiu & Karypis, ICDE 2014) — drops candidates that provably
-   stay below the threshold without scoring them.
+   ``min(prefix column-max bound, ‖probe on prefix columns‖₂ ·
+   ‖prefix‖₂)`` (L2AP, Anastasiu & Karypis, ICDE 2014) — drops
+   candidates that provably stay below the threshold without scoring
+   them. Prefixes only hold *prefix columns* (columns some row leaves
+   unindexed, the few most shared ones), so by Cauchy–Schwarz the
+   probe's norm over those columns suffices, and it is never larger
+   than the whole row's.
 3. **Batched verification**: surviving pairs are verified in batches
    with gathered sparse row selections and one elementwise
-   multiply-and-row-sum per batch — no per-pair Python work.
+   multiply-and-row-sum per batch — no per-pair Python work. Each
+   batch gathers at most :data:`_GATHER_BUDGET` row entries, so a
+   batch of hub rows stays as small as a batch of short ones.
 4. Accepted triplets accumulate in growable NumPy buffers
    (:class:`_TripletBuffer`), doubled geometrically like a C++
    vector.
@@ -104,9 +110,12 @@ BACKENDS = ("vectorized", "python")
 #: setup while bounding the candidate matrix held at once).
 DEFAULT_BLOCK_SIZE = 512
 
-#: Candidate pairs verified per gather batch (bounds the memory of the
-#: gathered row selections).
-_VERIFY_BATCH = 1 << 16
+#: Row entries gathered per verification batch: both rows' nnz,
+#: summed over the batch's pairs. Counting entries rather than pairs
+#: bounds the gathered row selections (and their elementwise product)
+#: on hub rows too; a single pair above the budget runs alone. Scores
+#: are per pair, so batch edges change no output byte.
+_GATHER_BUDGET = 1 << 21
 
 #: Ceiling on the estimated candidate count materialized by one sparse
 #: product. A row block's candidate matrix ``block @ suffixᵀ`` has one
@@ -136,7 +145,7 @@ _BOUNDARY_SLACK = 1e-9
 #: what a shard dir holds changes meaning (index order, bound arrays,
 #: the counts a shard result carries), so a dir written by an older
 #: layout under a persistent cache is never adopted.
-_SHARD_LAYOUT = b"allpairs-shards/v2: frequency-ordered prefix, bounds"
+_SHARD_LAYOUT = b"allpairs-shards/v3: probe norm on prefix columns"
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +380,9 @@ def _suffix_index(
 
     The second result is a ``(3, n)`` array: per row, an upper bound
     on the prefix's column-max bound ``sum(prefix values * col_max)``,
-    the prefix's ℓ2 norm, and the whole row's ℓ2 norm (see
-    :func:`_candidate_pairs`).
+    the prefix's ℓ2 norm, and the row's ℓ2 norm over *prefix columns*
+    — the columns left unindexed in at least one row, which hold every
+    row's prefix (see :func:`_candidate_pairs`).
     """
     n, d = csr.shape
     bounds = np.zeros((3, n))
@@ -420,6 +430,12 @@ def _suffix_index(
     bounds[0, has_prefix] = bound[last]
     del bound
     squares = ranked.data * ranked.data
+    # Prefix columns (by rank): those with an unindexed entry. Every
+    # unindexed entry sits on one, so zeroing the other columns first
+    # still leaves the prefix entries for row 1.
+    prefix_cols = np.zeros(d, dtype=bool)
+    prefix_cols[ranked.indices[~indexed]] = True
+    squares[~prefix_cols[ranked.indices]] = 0.0
     bounds[2, nonempty] = np.sqrt(np.add.reduceat(squares, starts[nonempty]))
     squares[indexed] = 0.0
     bounds[1, nonempty] = np.sqrt(np.add.reduceat(squares, starts[nonempty]))
@@ -437,6 +453,39 @@ def _suffix_index(
     return suffix, bounds
 
 
+def _budget_spans(cum: np.ndarray, cap: int) -> list[tuple[int, int]]:
+    """Split items ``0 .. cum.size - 2`` into consecutive spans whose
+    cost ``cum[b] - cum[a]`` stays within ``cap``.
+
+    ``cum`` is the running cost with a leading 0. Greedy accumulation
+    keeps each span under ``cap``; a single item above it forms a span
+    alone. Spans cover every item exactly once, in order.
+    """
+    n_items = cum.size - 1
+    spans: list[tuple[int, int]] = []
+    a = 0
+    while a < n_items:
+        b = int(np.searchsorted(cum, cum[a] + cap, side="right") - 1)
+        b = max(b, a + 1)
+        spans.append((a, min(b, n_items)))
+        a = b
+    return spans
+
+
+def _gather_batches(
+    indptr: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> list[slice]:
+    """Slices of the pair arrays ``(left, right)`` whose gathered rows
+    — both rows' entries, summed over the slice — stay within
+    :data:`_GATHER_BUDGET`; shared by verification and
+    ``apply_pruned``'s re-score."""
+    cost = (indptr[left + 1] - indptr[left]) + (
+        indptr[right + 1] - indptr[right]
+    )
+    cum = np.concatenate(([0], np.cumsum(cost, dtype=np.int64)))
+    return [slice(a, b) for a, b in _budget_spans(cum, _GATHER_BUDGET)]
+
+
 def _verify_pairs(
     csr: sp.csr_array,
     left: np.ndarray,
@@ -447,8 +496,7 @@ def _verify_pairs(
     """Exact-score the candidate pairs ``(left[k], right[k])`` and keep
     those reaching the threshold — gathered row selections and one
     elementwise multiply + row-sum per batch."""
-    for lo in range(0, left.size, _VERIFY_BATCH):
-        sl = slice(lo, lo + _VERIFY_BATCH)
+    for sl in _gather_batches(csr.indptr, left, right):
         li, ri = left[sl], right[sl]
         scores = np.asarray(
             csr[li].multiply(csr[ri]).sum(axis=1)
@@ -473,27 +521,15 @@ def _row_spans(
 
     ``colcount`` holds the suffix index's per-column entry counts, so
     ``sum(colcount[features of row r])`` upper-bounds row ``r``'s
-    share of the candidate product's nnz. Greedy accumulation keeps
-    each span's estimate under ``cap`` (single rows may exceed it —
-    a row's candidates cannot be subdivided). Spans cover the block's
-    rows exactly once, in order.
+    share of the candidate product's nnz. Each span's estimate stays
+    under ``cap`` (single rows may exceed it — a row's candidates
+    cannot be subdivided); see :func:`_budget_spans`.
     """
-    n_rows = block.shape[0]
     entry_cum = np.concatenate(
         ([0], np.cumsum(colcount[block.indices], dtype=np.int64))
     )
-    # Cumulative estimate by row boundary: row_cum[i] covers rows < i.
-    row_cum = entry_cum[block.indptr]
-    spans: list[tuple[int, int]] = []
-    a = 0
-    while a < n_rows:
-        b = int(
-            np.searchsorted(row_cum, row_cum[a] + cap, side="right") - 1
-        )
-        b = max(b, a + 1)
-        spans.append((a, min(b, n_rows)))
-        a = b
-    return spans
+    # Cumulative estimate by row boundary: entry i covers rows < i.
+    return _budget_spans(entry_cum[block.indptr], cap)
 
 
 def _candidate_pairs(
@@ -516,13 +552,14 @@ def _candidate_pairs(
 
     Each product entry is the pair's *partial score*: the probe row
     dotted with the partner's indexed suffix. The partner's unindexed
-    prefix adds at most ``min(prefix column-max bound, ‖probe‖₂ ·
-    ‖prefix‖₂)`` (``bounds``, from :func:`_suffix_index`), so a pair
-    whose partial score plus that bound stays below the threshold is
-    dropped unscored.
+    prefix lies on prefix columns, so it adds at most ``min(prefix
+    column-max bound, ‖probe on prefix columns‖₂ · ‖prefix‖₂)``
+    (``bounds``, from :func:`_suffix_index`; Cauchy–Schwarz), and a
+    pair whose partial score plus that bound stays below the threshold
+    is dropped unscored.
     """
     suffix_t = suffix_window.T
-    prefix_bound, prefix_norm, row_norm = bounds
+    prefix_bound, prefix_norm, probe_norm = bounds
     floor = threshold * (1.0 - _BOUNDARY_SLACK)
     for a, b in _row_spans(block, colcount, _MAX_BLOCK_CANDIDATES):
         cand = (block[a:b] @ suffix_t).tocoo()
@@ -531,7 +568,7 @@ def _candidate_pairs(
         earlier = right < left
         left, right = left[earlier], right[earlier]
         reach = cand.data[earlier] + np.minimum(
-            prefix_bound[right], row_norm[left] * prefix_norm[right]
+            prefix_bound[right], probe_norm[left] * prefix_norm[right]
         )
         keep = reach >= floor
         yield left.size, left[keep], right[keep]

@@ -185,12 +185,17 @@ class DegreeDiscountedSymmetrization(Symmetrization):
         ``2 · TIE_RTOL`` below the keep level; its few surviving pairs
         are then re-scored per factor (gathered rows of ``W``, each
         factor's column range multiplied elementwise and row-summed,
-        ``Y`` then ``Z``) and filtered exactly.
+        ``Y`` then ``Z``) and filtered exactly. The search's
+        verification and this re-score gather rows in batches capped
+        by gathered entries, not pairs, so hub rows cannot blow up a
+        batch.
 
         Requires numeric ``alpha``/``beta`` (the ``"log"`` discount
         has no symmetric square-root factorization) and a positive
         threshold. ``backend``/``block_size``/``n_jobs`` are forwarded
-        to :func:`~repro.linalg.allpairs.thresholded_gram_matrix`;
+        to :func:`~repro.linalg.allpairs.thresholded_gram_matrix`
+        (``block_size=None`` means its default, and a ``block_size``
+        below 1 raises :class:`SymmetrizationError`);
         with ``n_jobs > 1`` the search runs through the out-of-core
         row-block shard fan-out (``W`` is spilled to memory-mapped CSR
         stores and workers receive shard descriptors, not matrices),
@@ -204,7 +209,11 @@ class DegreeDiscountedSymmetrization(Symmetrization):
         order.
         """
         from repro.graph.ugraph import UndirectedGraph
-        from repro.linalg.allpairs import DEFAULT_BLOCK_SIZE, _gram_search
+        from repro.linalg.allpairs import (
+            DEFAULT_BLOCK_SIZE,
+            _gather_batches,
+            _gram_search,
+        )
         from repro.obs.metrics import (
             metric_inc,
             metric_set,
@@ -241,7 +250,9 @@ class DegreeDiscountedSymmetrization(Symmetrization):
                 threshold * (1.0 - 2.0 * TIE_RTOL),
                 include_diagonal=False,
                 backend=backend,
-                block_size=block_size or DEFAULT_BLOCK_SIZE,
+                block_size=(
+                    DEFAULT_BLOCK_SIZE if block_size is None else block_size
+                ),
                 n_jobs=n_jobs,
             )
             # Each unordered pair is verified once (strict upper
@@ -251,9 +262,7 @@ class DegreeDiscountedSymmetrization(Symmetrization):
                 left = pairs.row.astype(np.int64)
                 right = pairs.col.astype(np.int64)
                 values = np.zeros(left.size)
-                batch = 1 << 18
-                for lo in range(0, left.size, batch):
-                    sl = slice(lo, lo + batch)
+                for sl in _gather_batches(stacked.indptr, left, right):
                     rows_l, rows_r = stacked[left[sl]], stacked[right[sl]]
                     for a, b in zip(ends[:-1], ends[1:]):
                         values[sl] += np.asarray(

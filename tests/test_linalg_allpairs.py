@@ -225,7 +225,8 @@ class TestThresholdedGram:
 
 
 class TestCandidateBudget:
-    """The per-span candidate cap must not change any output byte."""
+    """The per-span candidate cap and the per-batch gather budget must
+    not change any output byte."""
 
     @staticmethod
     def _hub_matrix(rng):
@@ -252,6 +253,8 @@ class TestCandidateBudget:
             rows, 0.2, backend="vectorized", block_size=64
         )
         monkeypatch.setattr(allpairs, "_MAX_BLOCK_CANDIDATES", 64)
+        # About 25 pairs per verification batch: ~1,600 batch edges.
+        monkeypatch.setattr(allpairs, "_GATHER_BUDGET", 256)
         capped = thresholded_gram_matrix(
             rows, 0.2, backend="vectorized", block_size=64, n_jobs=n_jobs
         )
@@ -281,6 +284,31 @@ class TestCandidateBudget:
         for a, b in spans:
             if b - a > 1:
                 assert row_cum[b] - row_cum[a] <= 500
+
+    @pytest.mark.parametrize("budget", [1, 40, 300, 1 << 21])
+    def test_gather_batches_respect_budget_and_progress(
+        self, rng, monkeypatch, budget
+    ):
+        import repro.linalg.allpairs as allpairs
+
+        rows = self._hub_matrix(rng)
+        left = rng.integers(1, rows.shape[0], 500)
+        right = rng.integers(0, left)
+        monkeypatch.setattr(allpairs, "_GATHER_BUDGET", budget)
+        batches = allpairs._gather_batches(rows.indptr, left, right)
+        # Batches partition the pairs in order.
+        assert batches[0].start == 0
+        assert batches[-1].stop == left.size
+        for prev, nxt in zip(batches, batches[1:]):
+            assert prev.stop == nxt.start
+        # Each multi-pair batch gathers at most the budget's entries.
+        sizes = np.diff(rows.indptr)
+        for sl in batches:
+            gathered = int(sizes[left[sl]].sum() + sizes[right[sl]].sum())
+            assert sl.stop - sl.start == 1 or gathered <= budget
+        assert allpairs._gather_batches(
+            rows.indptr, left[:0], right[:0]
+        ) == []
 
 
 class TestApplyPruned:
@@ -344,6 +372,14 @@ class TestApplyPruned:
         with pytest.raises(SymmetrizationError, match="positive"):
             DegreeDiscountedSymmetrization().apply_pruned(
                 triangle_digraph, 0.0
+            )
+
+    @pytest.mark.parametrize("block_size", [0, -1])
+    def test_rejects_bad_block_size(self, triangle_digraph, block_size):
+        # 0 is a size, not "unset": only None selects the default.
+        with pytest.raises(SymmetrizationError, match="block_size"):
+            DegreeDiscountedSymmetrization().apply_pruned(
+                triangle_digraph, 0.1, block_size=block_size
             )
 
     def test_rejects_log_discount(self, triangle_digraph):
@@ -414,6 +450,81 @@ class TestApplyPruned:
         )
         assert got == digests
 
+    def test_tiny_gather_budget_is_byte_identical(self, monkeypatch):
+        """A 1-entry gather budget (one pair per batch, in the search's
+        verification and in the re-score) keeps every output byte."""
+        import repro.linalg.allpairs as allpairs
+
+        graph = power_law_digraph(300, np.random.default_rng(14))
+        sym = DegreeDiscountedSymmetrization()
+        reference = sym.apply_pruned(graph, 0.1).adjacency
+        monkeypatch.setattr(allpairs, "_GATHER_BUDGET", 1)
+        tiny = sym.apply_pruned(graph, 0.1).adjacency
+        for part in ("indptr", "indices", "data"):
+            assert (
+                getattr(tiny, part).tobytes()
+                == getattr(reference, part).tobytes()
+            )
+
+    def test_pair_funnel_pinned(self):
+        """The tighter partial-score bound scores at most a third of
+        the pairs the whole-row probe norm did, while the candidate
+        product, which the bound does not touch, stays put. Both
+        counts were 56,534 and 21,642 before the bound was tightened."""
+        import scipy.sparse as sp
+
+        from repro.obs import metrics_active
+
+        graph = power_law_digraph(
+            2000, np.random.default_rng(1), d_max=100
+        )
+        stacked = sp.hstack(
+            DegreeDiscountedSymmetrization().pruning_factors(graph),
+            format="csr",
+        )
+        with metrics_active() as reg:
+            thresholded_gram_matrix(stacked, 0.2)
+        assert reg.counters["allpairs_candidate_pairs_total"] == 56_534
+        assert reg.counters["allpairs_pairs_verified_total"] <= 21_642 // 3
+
+    def test_hub_rows_gather_in_bounded_memory(self):
+        """Verification batches are budgeted in gathered entries, so
+        hub rows of thousands of entries cannot inflate a batch: on a
+        Wikipedia-like graph with hubs, the peak RSS of a subprocess
+        may grow by less than 400 MB during ``apply_pruned`` (about
+        900 MB when batches were counted in pairs)."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        pytest.importorskip("resource")
+        script = (
+            "import resource\n"
+            "from repro.datasets import make_wikipedia_like\n"
+            "from repro.symmetrize import "
+            "DegreeDiscountedSymmetrization\n"
+            "g = make_wikipedia_like(n_nodes=3000, n_categories=30, "
+            "seed=0).graph\n"
+            "usage = resource.getrusage\n"
+            "before = usage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "DegreeDiscountedSymmetrization().apply_pruned(g, 0.03)\n"
+            "after = usage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(after - before)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=Path(__file__).resolve().parents[1],
+            env=dict(os.environ, PYTHONPATH="src"),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        growth_kb = int(proc.stdout.strip())
+        assert growth_kb < 400 * 1024, (
+            f"apply_pruned grew peak RSS by {growth_kb // 1024} MB"
+        )
+
 
 class TestShardDescriptors:
     """The process fan-out must hand workers shard *descriptors*
@@ -456,10 +567,12 @@ class TestShardDescriptors:
         _assert_same_pattern(serial, sharded)
 
     def test_older_layout_shard_dir_is_not_read(self, rng, tmp_path):
-        """A shard dir that an older layout (column-id prefixes, no
-        bound arrays, no verified counts) wrote for the same rows under
-        a persistent cache must not be adopted: its key, recomputed
-        here the way that layout did (no layout tag), differs."""
+        """Shard dirs that older layouts wrote for the same rows under
+        a persistent cache must not be adopted: their keys, recomputed
+        here the way those layouts did, differ. One is untagged
+        (column-id prefixes, no bound arrays, no verified counts); the
+        other carries the v2 tag (bounds row 2 held the whole row's
+        norm)."""
         import hashlib
 
         from repro.engine.cache import ArtifactCache, artifact_cache
@@ -472,25 +585,36 @@ class TestShardDescriptors:
         serial = thresholded_gram_matrix(
             rows, threshold, block_size=block_size
         )
-        digest = hashlib.sha256()
-        digest.update(np.asarray(rows.shape, dtype=np.int64).tobytes())
-        digest.update(np.float64(threshold).tobytes())
-        digest.update(np.int64(block_size).tobytes())
-        digest.update(np.int64(n_jobs).tobytes())
-        for arr in (rows.indptr, rows.indices, rows.data):
-            digest.update(np.ascontiguousarray(arr).tobytes())
         cache_dir = tmp_path / "cache"
-        old = cache_dir / "shards" / digest.hexdigest()[:32]
-        old.mkdir(parents=True)
-        for index in range(n_jobs):
-            np.savez(
-                old / f"shard-{index:04d}.npz",
-                rows=np.array([1]),
-                cols=np.array([0]),
-                vals=np.array([99.0]),
-                n_candidates=np.int64(1),
+        planted = {}
+        for tag, counts in (
+            (b"", {}),
+            (
+                b"allpairs-shards/v2: frequency-ordered prefix, bounds",
+                {"n_verified": np.int64(1)},
+            ),
+        ):
+            digest = hashlib.sha256(tag)
+            digest.update(
+                np.asarray(rows.shape, dtype=np.int64).tobytes()
             )
-        planted = {p.name: p.read_bytes() for p in old.iterdir()}
+            digest.update(np.float64(threshold).tobytes())
+            digest.update(np.int64(block_size).tobytes())
+            digest.update(np.int64(n_jobs).tobytes())
+            for arr in (rows.indptr, rows.indices, rows.data):
+                digest.update(np.ascontiguousarray(arr).tobytes())
+            old = cache_dir / "shards" / digest.hexdigest()[:32]
+            old.mkdir(parents=True)
+            for index in range(n_jobs):
+                np.savez(
+                    old / f"shard-{index:04d}.npz",
+                    rows=np.array([1]),
+                    cols=np.array([0]),
+                    vals=np.array([99.0]),
+                    n_candidates=np.int64(1),
+                    **counts,
+                )
+            planted[old] = {p.name: p.read_bytes() for p in old.iterdir()}
 
         pool = self._CapturingPool()
         with artifact_cache(ArtifactCache(directory=cache_dir)), (
@@ -507,5 +631,6 @@ class TestShardDescriptors:
             )
         assert "shard_results_reused_total" not in reg.counters
         assert "shard_spills_reused_total" not in reg.counters
-        assert {p.name: p.read_bytes() for p in old.iterdir()} == planted
-        assert len(list((cache_dir / "shards").iterdir())) == 2
+        for old, files in planted.items():
+            assert {p.name: p.read_bytes() for p in old.iterdir()} == files
+        assert len(list((cache_dir / "shards").iterdir())) == 3

@@ -206,18 +206,23 @@ def test_degree_discounted_pruned_keeps_exact_ties(inputs):
     tied_gram_inputs(),
     st.integers(1, 64),
     st.integers(1, 256),
+    st.integers(1, 128),
     st.sampled_from([None, 2]),
 )
 @settings(max_examples=100, deadline=None)
-def test_allpairs_knobs_exact_at_ties(inputs, block_size, cap, n_jobs):
-    """Block size, the per-span candidate cap and sharding only change
-    how the vectorized kernel runs: it keeps exactly the oracle's
-    pairs, ties at the threshold included, and its bytes match a run
-    at default settings."""
+def test_allpairs_knobs_exact_at_ties(
+    inputs, block_size, cap, gather_budget, n_jobs
+):
+    """Block size, the per-span candidate cap, the per-batch gather
+    budget and sharding only change how the vectorized kernel runs: it
+    keeps exactly the oracle's pairs, ties at the threshold included,
+    and its bytes match a run at default settings."""
     rows, threshold, i, j = inputs
     oracle = thresholded_gram_matrix(rows, threshold, backend="python")
     default = thresholded_gram_matrix(rows, threshold)
-    with mock.patch.object(allpairs, "_MAX_BLOCK_CANDIDATES", cap):
+    with mock.patch.object(
+        allpairs, "_MAX_BLOCK_CANDIDATES", cap
+    ), mock.patch.object(allpairs, "_GATHER_BUDGET", gather_budget):
         varied = thresholded_gram_matrix(
             rows, threshold, block_size=block_size, n_jobs=n_jobs
         )

@@ -128,7 +128,11 @@ class TestScaleBenchMini:
         spec.loader.exec_module(tool)
         timings, verdict = tool._scale_row(mini_results)
         assert verdict == "PASS"
-        assert "M candidates, exact on" in timings
+        assert "M candidates, " in timings
+        assert "k verified, exact on" in timings
+        for point in mini_results["points"]:
+            verified = point["metrics"]["allpairs_pairs_verified_total"]
+            assert f"{verified / 1e3:.1f}k verified" in timings
         broken = copy.deepcopy(mini_results)
         broken["points"][0]["certificate"]["misses"] = 1
         timings, verdict = tool._scale_row(broken)
