@@ -53,27 +53,30 @@ def heavy_edge_matching(
         runaway super-nodes that would make balancing impossible.
     """
     n = adjacency.shape[0]
-    match = np.arange(n, dtype=np.int64)
-    matched = np.zeros(n, dtype=bool)
     order = rng.permutation(n)
-    indptr, indices, data = (
-        adjacency.indptr,
-        adjacency.indices,
-        adjacency.data,
-    )
+    # The walk runs on Python lists, which index far faster than NumPy
+    # scalars. A node without entries can neither match nor be matched,
+    # so its visit is skipped; the permutation still covers all n
+    # nodes, so the generator's later draws do not move.
+    order = order[np.diff(adjacency.indptr)[order] > 0].tolist()
+    indptr = adjacency.indptr.tolist()
+    indices = adjacency.indices.tolist()
+    data = adjacency.data.tolist()
+    capped = max_node_weight is not None and node_weights is not None
+    weights = np.asarray(node_weights).tolist() if capped else None
+    match = list(range(n))
+    matched = [False] * n
     for v in order:
         if matched[v]:
             continue
-        start, end = indptr[v], indptr[v + 1]
         best = -1
         best_weight = 0.0
-        for idx in range(start, end):
+        for idx in range(indptr[v], indptr[v + 1]):
             u = indices[idx]
             if u == v or matched[u]:
                 continue
-            if max_node_weight is not None and node_weights is not None:
-                if node_weights[v] + node_weights[u] > max_node_weight:
-                    continue
+            if capped and weights[v] + weights[u] > max_node_weight:
+                continue
             w = data[idx]
             if w > best_weight:
                 best_weight = w
@@ -81,9 +84,8 @@ def heavy_edge_matching(
         if best >= 0:
             match[v] = best
             match[best] = v
-            matched[v] = True
-            matched[best] = True
-    return match
+            matched[v] = matched[best] = True
+    return np.array(match, dtype=np.int64)
 
 
 def contract(

@@ -30,6 +30,8 @@ which is both faster and better-quality than flat R-MCL.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -41,6 +43,7 @@ from repro.cluster.common import (
 )
 from repro.exceptions import ClusteringError
 from repro.graph.ugraph import UndirectedGraph
+from repro.linalg.allpairs import _budget_spans
 from repro.obs.metrics import metric_inc, metric_set
 from repro.obs.trace import span
 from repro.perf.stopwatch import add_counters
@@ -48,67 +51,67 @@ from repro.perf.stopwatch import add_counters
 __all__ = ["MLRMCL"]
 
 
-def _column_scale(matrix: sp.csc_array, factors: np.ndarray) -> None:
-    """In-place multiply each column's data by ``factors[col]``."""
-    counts = np.diff(matrix.indptr)
-    matrix.data *= np.repeat(factors, counts)
+#: Estimated entries one column block of an R-MCL product may hold.
+#: Wider steps multiply ``flow @ m_g[:, a:b]`` block by block: an output
+#: column depends only on its own column of ``m_g``, so blocks change no
+#: byte and only bound memory. 2**20 to 2**22 measured the same on a
+#: 20k-node graph of average degree 53.
+_FLOW_BLOCK_ENTRIES = 1 << 21
+
+
+def _segments(indptr: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A CSC's non-empty columns, their first entries and their sizes."""
+    counts = np.diff(indptr)
+    cols = np.flatnonzero(counts)
+    return cols, indptr[cols], counts[cols]
+
+
+def _scale(data: np.ndarray, sums: np.ndarray, counts=1) -> None:
+    """``data *= 1 / sum`` per column of ``counts`` entries, in place
+    (0 where a sum is 0)."""
+    inv = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums != 0)
+    data *= np.repeat(inv, counts)
 
 
 def _column_normalize(matrix: sp.csc_array) -> sp.csc_array:
     """Make every non-empty column sum to 1 (in place; returns input)."""
-    sums = np.asarray(matrix.sum(axis=0)).ravel()
-    inv = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums != 0)
-    _column_scale(matrix, inv)
+    _, starts, counts = _segments(matrix.indptr)
+    _scale(matrix.data, np.add.reduceat(matrix.data, starts), counts)
     return matrix
 
 
-def _column_max(matrix: sp.csc_array) -> np.ndarray:
-    """Per-column maximum entry (0 for empty columns)."""
-    n = matrix.shape[1]
-    out = np.zeros(n)
-    counts = np.diff(matrix.indptr)
-    nonempty = np.flatnonzero(counts)
-    if nonempty.size == 0:
-        return out
-    out[nonempty] = np.maximum.reduceat(
-        matrix.data, matrix.indptr[nonempty]
-    )
-    return out
+def _column_argmax(indices, data, starts, counts) -> np.ndarray:
+    """Row of each non-empty column's maximum, the first on ties (as
+    ``np.argmax``): flag every in-column maximum, then take the first
+    flagged position at or after each column start."""
+    col_max = np.maximum.reduceat(data, starts)
+    flagged = np.flatnonzero(data == np.repeat(col_max, counts))
+    return indices[flagged[np.searchsorted(flagged, starts)]]
 
 
-def _prune_columns(
-    matrix: sp.csc_array, keep_fraction: float
-) -> sp.csc_array:
-    """Drop entries below ``keep_fraction`` of their column maximum.
+def _inflate_prune(indptr, indices, data, inflation, prune_fraction):
+    """The rest of one R-MCL step, on a fresh product's CSC arrays.
 
-    Assembles the pruned CSC directly from the kept entries — they
-    stay in column-major, row-sorted order, so no COO round-trip (and
-    its re-sort) is needed.
+    Inflates ``data`` in place, normalizes each column, drops entries
+    below ``prune_fraction`` of their column maximum and normalizes
+    again. Sums and maxima are ``np.add.reduceat`` and
+    ``np.maximum.reduceat`` over the non-empty columns' starts — what
+    ``csc.sum(axis=0)`` runs — so the bytes are those of whole-matrix
+    passes. Returns the pruned ``(indptr, indices, data)``, the
+    non-empty columns and each one's attractor row.
     """
-    if matrix.nnz == 0:
-        return matrix
-    col_max = _column_max(matrix)
-    n_cols = matrix.shape[1]
-    counts = np.diff(matrix.indptr)
-    thresholds = np.repeat(col_max * keep_fraction, counts)
-    keep = matrix.data >= thresholds
-    if keep.all():
-        return matrix
-    kept_counts = np.bincount(
-        np.repeat(np.arange(n_cols), counts)[keep], minlength=n_cols
-    )
-    indptr = np.concatenate(([0], np.cumsum(kept_counts)))
-    return sp.csc_array(
-        (matrix.data[keep], matrix.indices[keep], indptr),
-        shape=matrix.shape,
-    )
-
-
-def _inflate(matrix: sp.csc_array, inflation: float) -> sp.csc_array:
-    """Column-wise entry-power then re-normalization."""
-    matrix = matrix.copy()
-    matrix.data **= inflation
-    return _column_normalize(matrix)
+    cols, starts, counts = _segments(indptr)
+    data **= inflation
+    _scale(data, np.add.reduceat(data, starts), counts)
+    threshold = np.maximum.reduceat(data, starts) * prune_fraction
+    kept = np.flatnonzero(data >= np.repeat(threshold, counts))
+    if kept.size < data.size:
+        data, indices = data[kept], indices[kept]
+        indptr = np.searchsorted(kept, indptr)
+        cols, starts, counts = _segments(indptr)
+    _scale(data, np.add.reduceat(data, starts), counts)
+    rows = _column_argmax(indices, data, starts, counts)
+    return indptr, indices, data, cols, rows
 
 
 def _canonical_flow(
@@ -134,36 +137,83 @@ def _canonical_flow(
     return _column_normalize(with_loops)
 
 
+def _attractor_components(attractor: np.ndarray) -> tuple[int, np.ndarray]:
+    """Count and labels of the weak components of ``v -> attractor[v]``.
+
+    Every node has one out-edge, so each component is the basin of one
+    cycle. Pointer doubling reaches every node's cycle, and the
+    cycle's smallest node, within ``ceil(log2 n)`` rounds, and stops
+    once every node has reached a fixed point of the map. Components
+    are numbered by their smallest node, in ``int32``, as
+    ``connected_components(directed=True, connection="weak")`` does.
+    """
+    n = attractor.size
+    hop, low = attractor, np.arange(n)
+    for _ in range((n - 1).bit_length()):
+        if np.array_equal(attractor[hop], hop):
+            break  # each cycle is the fixed point its members reached
+        low = np.minimum(low, low[hop])
+        hop = hop[hop]
+    else:
+        hop = low[hop]  # the smallest node of each node's cycle
+    first = np.full(n, n)
+    np.minimum.at(first, hop, np.arange(n))
+    root = first[hop]
+    is_root = root == np.arange(n)
+    labels = (np.cumsum(is_root) - 1)[root]
+    return int(is_root.sum()), labels.astype(np.int32)
+
+
 def _attractor_labels(matrix: sp.csc_array) -> tuple[int, np.ndarray]:
     """Cluster count and labels from a converged flow matrix.
 
-    Node ``j`` is attached to its attractor ``argmax_i M[i, j]``; the
-    clusters are the weakly connected components of the resulting
-    attachment graph (so chains of attractors merge, the standard MCL
-    interpretation). Labels run from 0 to count - 1.
+    Node ``j`` is attached to its attractor ``argmax_i M[i, j]`` (itself
+    for an empty column); the clusters are the weakly connected
+    components of the resulting attachment graph (so chains of
+    attractors merge, the standard MCL interpretation). Labels run from
+    0 to count - 1.
     """
-    n = matrix.shape[1]
-    attractor = np.arange(n, dtype=np.int64)
+    attractor = np.arange(matrix.shape[1])
+    cols, starts, counts = _segments(matrix.indptr)
+    attractor[cols] = _column_argmax(
+        matrix.indices, matrix.data, starts, counts
+    )
+    return _attractor_components(attractor)
+
+
+def _restrict(matrix: sp.csc_array, keep: np.ndarray) -> sp.csc_array:
+    """``matrix[keep][:, keep]`` when the kept columns have entries in
+    kept rows only; the relabelling is monotone, so entry order holds."""
+    if keep.all():
+        return matrix
     counts = np.diff(matrix.indptr)
-    nonempty = np.flatnonzero(counts)
-    if nonempty.size:
-        # Segmented argmax, matching np.argmax's first-max tie rule:
-        # flag every in-column maximum, then take the first flagged
-        # position at or after each column start.
-        starts = matrix.indptr[nonempty]
-        col_max = np.maximum.reduceat(matrix.data, starts)
-        at_max = matrix.data == np.repeat(col_max, counts[nonempty])
-        max_positions = np.flatnonzero(at_max)
-        firsts = max_positions[
-            np.searchsorted(max_positions, starts)
-        ]
-        attractor[nonempty] = matrix.indices[firsts]
-    attach = sp.coo_array(
-        (np.ones(n), (np.arange(n), attractor)), shape=(n, n)
-    )
-    return sp.csgraph.connected_components(
-        attach, directed=True, connection="weak"
-    )
+    entries = np.repeat(keep, counts)
+    indptr = np.concatenate(([0], np.cumsum(counts[keep])))
+    rows = (np.cumsum(keep) - 1)[matrix.indices[entries]]
+    shape = (indptr.size - 1,) * 2
+    return sp.csc_array((matrix.data[entries], rows, indptr), shape=shape)
+
+
+def _embed(sub, active, idle, idle_flow, n, dtype) -> sp.csc_array:
+    """The ``n``-node flow, indexed in ``dtype``, from the flow ``sub``
+    among the nodes ``active`` and the lone diagonal entries
+    ``idle_flow`` of the nodes ``idle``."""
+    indptr, indices, data = sub.indptr, sub.indices, sub.data
+    if active.size < n:
+        counts = np.diff(indptr)
+        full = np.zeros(n + 1, dtype=np.int64)
+        full[active + 1] = counts
+        full[idle + 1] = 1
+        np.cumsum(full, out=full)
+        dest = np.repeat(full[active] - indptr[:-1], counts)
+        dest += np.arange(sub.nnz)
+        indptr = full
+        indices, data = np.empty(full[-1], dtype), np.empty(full[-1])
+        indices[dest], data[dest] = active[sub.indices], sub.data
+        indices[full[idle]], data[full[idle]] = idle, idle_flow
+    indices = indices.astype(dtype, copy=False)
+    indptr = indptr.astype(dtype, copy=False)
+    return sp.csc_array((data, indices, indptr), shape=(n, n))
 
 
 def _rmcl_iterations(
@@ -173,8 +223,9 @@ def _rmcl_iterations(
     n_iter: int,
     prune_fraction: float,
     stop_at_k: int | None = None,
+    name: str = "rmcl",
 ) -> sp.csc_array:
-    """Run up to ``n_iter`` R-MCL iterations.
+    """Run up to ``n_iter`` R-MCL iterations inside span ``name``.
 
     The regularized flow coarsens monotonically as it iterates (each
     round merges attractor basins), so iteration count doubles as a
@@ -185,26 +236,104 @@ def _rmcl_iterations(
     - ``stop_at_k`` is given and the attractor count has decayed to at
       most that many clusters (*curtailed* R-MCL: the caller wants
       that granularity, so further coarsening only loses clusters).
+
+    A step is one SciPy product per column block (see
+    :data:`_FLOW_BLOCK_ENTRIES`) and one :func:`_inflate_prune` pass.
+    *Inert* nodes — at most one entry in their column of ``m_g`` and of
+    ``flow``, none off the diagonal in their row or column of either —
+    exchange no flow, so they stay out of the product: their diagonals
+    take the same arithmetic as a vector, they count as singletons and
+    they are re-embedded on return. Neither changes a byte.
     """
-    prev_labels = None
-    performed = 0
-    entries_seen = 0
-    entries_pruned = 0
-    for _ in range(n_iter):
-        flow = (flow @ m_g).tocsc()  # regularize
-        flow = _inflate(flow, inflation)
-        nnz_pre_prune = flow.nnz
-        flow = _prune_columns(flow, prune_fraction)
-        entries_seen += nnz_pre_prune
-        entries_pruned += nnz_pre_prune - flow.nnz
-        flow = _column_normalize(flow)
-        performed += 1
-        n_clusters, labels = _attractor_labels(flow)
-        if stop_at_k is not None and n_clusters <= stop_at_k:
-            break
-        if prev_labels is not None and np.array_equal(labels, prev_labels):
-            break
-        prev_labels = labels
+    with span(name) as sp_:
+        n = m_g.shape[1]
+        inert = np.ones(n, dtype=bool)
+        for matrix in (m_g, flow):
+            counts = np.diff(matrix.indptr)
+            entry_cols = np.repeat(np.arange(n), counts)
+            off = matrix.indices != entry_cols
+            inert[matrix.indices[off]] = inert[entry_cols[off]] = False
+            inert &= counts <= 1
+        # The inert nodes whose entry enters the first product.
+        idle = np.flatnonzero(
+            inert & (np.diff(m_g.indptr) == 1) & (np.diff(flow.indptr) == 1)
+        )
+        idle_m = m_g.data[m_g.indptr[idle]]
+        idle_flow = flow.data[flow.indptr[idle]]
+        active = np.flatnonzero(~inert)
+        sub, m_sub = _restrict(flow, ~inert), _restrict(m_g, ~inert)
+        m_rows = np.bincount(m_sub.indices, minlength=active.size)
+        # The flow returned keeps the index dtype SciPy gives the
+        # whole-matrix step: a product is int64 if an operand is, a
+        # pruned step is rebuilt in int64, an empty product is int32.
+        m_wide = np.int64 in (m_g.indptr.dtype, m_g.indices.dtype)
+        wide = np.int64 in (flow.indptr.dtype, flow.indices.dtype)
+        prev_labels = None
+        performed = entries_seen = entries_pruned = flow_blocks = 0
+        for _ in range(n_iter):
+            # A column's product has at most the summed flow column
+            # sizes over its rows of m_g.
+            f_counts = np.diff(sub.indptr).astype(np.int64)
+            spans = [(0, active.size)]
+            if f_counts @ m_rows > _FLOW_BLOCK_ENTRIES:
+                cum = np.concatenate(([0], np.cumsum(f_counts[m_sub.indices])))
+                spans = _budget_spans(cum[m_sub.indptr], _FLOW_BLOCK_ENTRIES)
+            flow_blocks = max(flow_blocks, len(spans))
+            attractor = np.arange(active.size)
+            parts = []
+            seen = 0
+            for a, b in spans:
+                product = sub @ (m_sub if len(spans) == 1 else m_sub[:, a:b])
+                seen += product.nnz
+                *part, cols, rows = _inflate_prune(
+                    product.indptr,
+                    product.indices,
+                    product.data,
+                    inflation,
+                    prune_fraction,
+                )
+                attractor[a + cols] = rows
+                parts.append(part)
+            indptr, indices, data = parts[0]
+            if len(parts) > 1:
+                counts = np.concatenate([np.diff(p[0]) for p in parts])
+                indptr = np.concatenate(([0], np.cumsum(counts)))
+                indices = np.concatenate([p[1] for p in parts])
+                data = np.concatenate([p[2] for p in parts])
+            sub = sp.csc_array((data, indices, indptr), shape=m_sub.shape)
+            # Inert diagonals: the product's one term (a zero sum leaves
+            # the product), then the power, both normalizations and the
+            # prune, elementwise. Normalizing need not give 1.0:
+            # 49 * (1/49) is 0.9999999999999999.
+            idle_flow *= idle_m
+            entered = idle_flow != 0
+            idle_flow **= inflation
+            _scale(idle_flow, idle_flow)
+            keep = entered & (idle_flow >= idle_flow * prune_fraction)
+            _scale(idle_flow, idle_flow)
+            idle, idle_m, idle_flow = idle[keep], idle_m[keep], idle_flow[keep]
+            seen += int(entered.sum())
+            pruned = seen - data.size - idle.size
+            entries_seen += seen
+            entries_pruned += pruned
+            wide = pruned > 0 or (seen > 0 and (wide or m_wide))
+            performed += 1
+            n_clusters, labels = _attractor_components(attractor)
+            n_clusters += n - active.size
+            if stop_at_k is not None and n_clusters <= stop_at_k:
+                break
+            if prev_labels is not None and np.array_equal(labels, prev_labels):
+                break
+            prev_labels = labels
+        if performed:
+            dtype = np.int64 if wide else np.int32
+            flow = _embed(sub, active, idle, idle_flow, n, dtype)
+        sp_.set(
+            n_nodes=n,
+            flow_nnz=flow.nnz,
+            inert_nodes=n - active.size,
+            flow_blocks=flow_blocks,
+        )
     add_counters(
         "cluster:mlrmcl", rmcl_iterations=performed, flow_nnz=flow.nnz
     )
@@ -228,13 +357,15 @@ class MLRMCL(GraphClusterer):
     Parameters
     ----------
     inflation:
-        Inflation exponent ``r``; larger gives more, smaller clusters.
-        The paper's experiments sweep this to vary the cluster count.
+        Inflation exponent ``r`` (finite, > 1); larger gives more,
+        smaller clusters. The paper's experiments sweep this to vary
+        the cluster count.
     coarsen_to:
-        Coarsen the graph to at most this many nodes before running
-        R-MCL at the coarsest level.
+        Coarsen the graph to at most this many nodes (>= 1) before
+        running R-MCL at the coarsest level.
     iterations_coarse:
-        R-MCL iterations at the coarsest level.
+        R-MCL iterations at the coarsest level. All three iteration
+        counts must be >= 0.
     iterations_per_level:
         R-MCL iterations at each intermediate level while uncoarsening.
     iterations_finest:
@@ -243,7 +374,8 @@ class MLRMCL(GraphClusterer):
         Per-column pruning: entries below this fraction of the column
         maximum are dropped each iteration.
     self_loop:
-        Self-loop strength in the canonical transition matrix.
+        Self-loop strength in the canonical transition matrix (finite,
+        >= 0).
     seed:
         Seed of the coarsening random generator.
 
@@ -270,10 +402,16 @@ class MLRMCL(GraphClusterer):
         self_loop: float = 1.0,
         seed: int = 0,
     ) -> None:
-        if inflation <= 1.0:
-            raise ClusteringError("inflation must be > 1")
+        if not (inflation > 1.0 and math.isfinite(inflation)):
+            raise ClusteringError("inflation must be finite and > 1")
         if not 0 <= prune_fraction < 1:
             raise ClusteringError("prune_fraction must lie in [0, 1)")
+        if not (self_loop >= 0 and math.isfinite(self_loop)):
+            raise ClusteringError("self_loop must be finite and >= 0")
+        if min(iterations_coarse, iterations_per_level, iterations_finest) < 0:
+            raise ClusteringError("iteration counts must be >= 0")
+        if coarsen_to < 1:
+            raise ClusteringError("coarsen_to must be >= 1")
         self.inflation = float(inflation)
         self.coarsen_to = int(coarsen_to)
         self.iterations_coarse = int(iterations_coarse)
@@ -298,16 +436,15 @@ class MLRMCL(GraphClusterer):
         # the fine levels keep room to refine *and* coarsen.
         coarse_stop = None if n_clusters is None else 4 * n_clusters
         m_g = _canonical_flow(hierarchy.graphs[-1], self.self_loop)
-        with span("rmcl:coarsest") as sp_:
-            flow = _rmcl_iterations(
-                m_g.copy(),
-                m_g,
-                self.inflation,
-                self.iterations_coarse,
-                self.prune_fraction,
-                stop_at_k=coarse_stop,
-            )
-            sp_.set(n_nodes=m_g.shape[0], flow_nnz=flow.nnz)
+        flow = _rmcl_iterations(
+            m_g,
+            m_g,
+            self.inflation,
+            self.iterations_coarse,
+            self.prune_fraction,
+            stop_at_k=coarse_stop,
+            name="rmcl:coarsest",
+        )
         for level in range(len(hierarchy.mappings) - 1, -1, -1):
             mapping = hierarchy.mappings[level]
             n_fine = mapping.size
@@ -329,16 +466,15 @@ class MLRMCL(GraphClusterer):
                 else self.iterations_per_level
             )
             stop = n_clusters if level == 0 else coarse_stop
-            with span(f"rmcl:level[{level}]") as sp_:
-                flow = _rmcl_iterations(
-                    flow,
-                    m_g,
-                    self.inflation,
-                    n_iter,
-                    self.prune_fraction,
-                    stop_at_k=stop,
-                )
-                sp_.set(n_nodes=n_fine, flow_nnz=flow.nnz)
+            flow = _rmcl_iterations(
+                flow,
+                m_g,
+                self.inflation,
+                n_iter,
+                self.prune_fraction,
+                stop_at_k=stop,
+                name=f"rmcl:level[{level}]",
+            )
         return Clustering(_attractor_labels(flow)[1])
 
     def __repr__(self) -> str:

@@ -9,6 +9,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import repro.cluster.mlrmcl as mlrmcl
 from repro.cluster import (
     GraclusClusterer,
     MetisClusterer,
@@ -19,12 +20,15 @@ from repro.datasets import make_wikipedia_like
 from repro.exceptions import ClusteringError
 from repro.graph import UndirectedGraph
 from repro.graph.generators import power_law_digraph
+from repro.obs.metrics import metrics_active
+from repro.obs.trace import tracing
 from repro.symmetrize import DegreeDiscountedSymmetrization
 from tests.conftest import planted_two_cluster_ugraph
 
 
-def _ring_of_cliques(n_cliques=4, clique_size=8, seed=0):
-    """Cliques joined in a ring by single light edges."""
+def _ring_of_cliques(n_cliques=4, clique_size=8, seed=0, n_isolated=0):
+    """Cliques joined in a ring by single light edges, then
+    ``n_isolated`` nodes without edges."""
     edges = []
     n = n_cliques * clique_size
     for c in range(n_cliques):
@@ -34,7 +38,7 @@ def _ring_of_cliques(n_cliques=4, clique_size=8, seed=0):
                 edges.append((base + i, base + j, 1.0))
         nxt = ((c + 1) % n_cliques) * clique_size
         edges.append((base, nxt, 0.1))
-    return UndirectedGraph.from_edges(edges, n_nodes=n)
+    return UndirectedGraph.from_edges(edges, n_nodes=n + n_isolated)
 
 
 def _planted_labels_match(labels, n_cliques, clique_size):
@@ -51,6 +55,80 @@ def _planted_labels_match(labels, n_cliques, clique_size):
 def wikipedia_like_symmetrized():
     ds = make_wikipedia_like(n_nodes=1000, n_categories=16, seed=0)
     return DegreeDiscountedSymmetrization().apply(ds.graph, threshold=0.05)
+
+
+@pytest.fixture(scope="module")
+def power_law_symmetrized():
+    """A paper-prune-family graph: 2k nodes, both degree tails capped at
+    100, §3.6 kernel at ``t = 0.2`` (most nodes left without an edge)."""
+    graph = power_law_digraph(2000, np.random.default_rng(0), d_max=100)
+    return DegreeDiscountedSymmetrization().apply_pruned(graph, 0.2)
+
+
+@pytest.fixture
+def ring_with_isolated():
+    return _ring_of_cliques(10, 12, n_isolated=10)
+
+
+#: sha256 of MLR-MCL labels on the Wikipedia-like graph, by target.
+WIKIPEDIA_LIKE_PINS = [
+    (
+        10,
+        "7e52b65c7da26b01c518597cabc5bd5c"
+        "1773002e485eb7445d57c6c8a738d3d5",
+    ),
+    (
+        25,
+        "cd02dc531fbf2bcd0bfc29d95b22fdbc"
+        "90196692601a634ed50dc9a67f3e91bc",
+    ),
+    (
+        None,
+        "b4818b8a7f39e38bf8bfbf2f62aa4989"
+        "3f29912433553862401cdab009a72308",
+    ),
+]
+POWER_LAW_PIN = (
+    "7cf6c43d9c14d07c98b9451d33a37f9e"
+    "72782877a785a7d474a893e69fdc04ac"
+)
+#: Labels and the four ``mcl_*`` metrics (iterations, entries pruned,
+#: final flow nnz, prune fraction) off the default parameters, recorded
+#: before inert nodes were kept out of the product: graph fixture,
+#: target, parameters, labels sha256, metrics.
+OFF_DEFAULT_PINS = [
+    pytest.param(
+        "power_law_symmetrized",
+        None,
+        {"self_loop": 0.0},
+        "9772ed5e0915751397e8c991644195d3"
+        "a4207b5bf3577fe1ab1be3b38ff69f20",
+        (23, 938, 1516, 0.017131264557818018),
+        id="self_loop_0",
+    ),
+    pytest.param(
+        "ring_with_isolated",
+        None,
+        {"inflation": 3.0, "coarsen_to": 30},
+        "97cc09d03162373cdf27bdbb60088d0f"
+        "9c08f6ad98b95a10fcb0e4dc58124dad",
+        (8, 720, 970, 0.1415929203539823),
+        id="inflation_3_coarsen_to_30",
+    ),
+    pytest.param(
+        "wikipedia_like_symmetrized",
+        25,
+        {"prune_fraction": 0.0},
+        "7fa30a67f6860a7b94248783f5dd3e60"
+        "5d4dd011c006da5034dd2e7e8586187e",
+        (10, 0, 1024144, 0.0),
+        id="prune_fraction_0",
+    ),
+]
+
+
+def _labels_digest(clustering):
+    return hashlib.sha256(clustering.labels.tobytes()).hexdigest()
 
 
 class TestMetis:
@@ -213,42 +291,15 @@ class TestMLRMCL:
     def test_repr(self):
         assert "2.0" in repr(MLRMCL(inflation=2.0))
 
-    def test_labels_pinned_on_power_law_graph(self):
-        """sha256 of the labels on a paper-prune-family graph (2k
-        nodes, both degree tails capped at 100, §3.6 kernel at
-        ``t = 0.2``), recorded before the per-iteration cluster count
-        came from ``connected_components``: a change to how MLR-MCL
-        iterates or stops may not move a label."""
-        graph = power_law_digraph(2000, np.random.default_rng(0), d_max=100)
-        symmetrized = DegreeDiscountedSymmetrization().apply_pruned(
-            graph, 0.2
-        )
-        labels = MLRMCL().cluster(symmetrized, 50).labels
-        assert hashlib.sha256(labels.tobytes()).hexdigest() == (
-            "7cf6c43d9c14d07c98b9451d33a37f9e"
-            "72782877a785a7d474a893e69fdc04ac"
-        )
+    def test_labels_pinned_on_power_law_graph(self, power_law_symmetrized):
+        """sha256 of the labels on a paper-prune-family graph, recorded
+        before the per-iteration cluster count came from
+        ``connected_components``: a change to how MLR-MCL iterates or
+        stops may not move a label."""
+        clustering = MLRMCL().cluster(power_law_symmetrized, 50)
+        assert _labels_digest(clustering) == POWER_LAW_PIN
 
-    @pytest.mark.parametrize(
-        "n_clusters,digest",
-        [
-            (
-                10,
-                "7e52b65c7da26b01c518597cabc5bd5c"
-                "1773002e485eb7445d57c6c8a738d3d5",
-            ),
-            (
-                25,
-                "cd02dc531fbf2bcd0bfc29d95b22fdbc"
-                "90196692601a634ed50dc9a67f3e91bc",
-            ),
-            (
-                None,
-                "b4818b8a7f39e38bf8bfbf2f62aa4989"
-                "3f29912433553862401cdab009a72308",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("n_clusters,digest", WIKIPEDIA_LIKE_PINS)
     def test_labels_pinned_on_wikipedia_like_graph(
         self, wikipedia_like_symmetrized, n_clusters, digest
     ):
@@ -256,7 +307,99 @@ class TestMLRMCL:
         pruned at 0.05), curtailed at two targets and run to the
         plateau."""
         clustering = MLRMCL().cluster(wikipedia_like_symmetrized, n_clusters)
-        assert hashlib.sha256(clustering.labels.tobytes()).hexdigest() == (
-            digest
-        )
+        assert _labels_digest(clustering) == digest
 
+    @pytest.mark.parametrize(
+        "fixture,n_clusters,digest",
+        [("power_law_symmetrized", 50, POWER_LAW_PIN)]
+        + [
+            ("wikipedia_like_symmetrized", *pin)
+            for pin in WIKIPEDIA_LIKE_PINS
+        ],
+    )
+    def test_label_pins_hold_in_one_entry_blocks(
+        self, request, monkeypatch, fixture, n_clusters, digest
+    ):
+        """With the block budget at one entry, every R-MCL product runs
+        about one column at a time; a column's product depends only on
+        its own column of ``M_G``, so no label may move."""
+        monkeypatch.setattr(mlrmcl, "_FLOW_BLOCK_ENTRIES", 1)
+        graph = request.getfixturevalue(fixture)
+        with tracing() as tracer:
+            clustering = MLRMCL().cluster(graph, n_clusters)
+        assert _labels_digest(clustering) == digest
+        blocks = [
+            s.attributes["flow_blocks"]
+            for s in tracer.walk()
+            if s.name.startswith("rmcl:")
+        ]
+        assert max(blocks) > 100
+
+    @pytest.mark.parametrize(
+        "fixture,n_clusters,params,digest,metrics", OFF_DEFAULT_PINS
+    )
+    def test_labels_and_metrics_pinned_off_defaults(
+        self, request, fixture, n_clusters, params, digest, metrics
+    ):
+        """Off-default pins for the cases inert nodes touch: degree-1
+        nodes without self-loops (their only entry is off-diagonal, so
+        they are not inert), isolated nodes through a multi-level run,
+        and no pruning at all (the flow fills in, several column
+        blocks per step)."""
+        graph = request.getfixturevalue(fixture)
+        with metrics_active() as registry:
+            clustering = MLRMCL(**params).cluster(graph, n_clusters)
+        assert _labels_digest(clustering) == digest
+        flat = registry.flat()
+        assert (
+            flat["mcl_iterations"],
+            flat["mcl_entries_pruned_total"],
+            flat["mcl_final_flow_nnz"],
+            flat["mcl_prune_fraction"],
+        ) == metrics
+
+    def test_self_loop_pin_graph_has_degree_one_nodes(
+        self, power_law_symmetrized
+    ):
+        degrees = np.diff(power_law_symmetrized.adjacency.tocsr().indptr)
+        assert (degrees == 1).sum() > 100
+        assert (degrees == 0).sum() > 1000
+
+    def test_spans_report_inert_nodes_and_blocks(self, power_law_symmetrized):
+        with tracing() as tracer:
+            MLRMCL().cluster(power_law_symmetrized, 50)
+        rmcl = [s for s in tracer.walk() if s.name.startswith("rmcl:")]
+        assert rmcl
+        for s in rmcl:
+            assert 0 < s.attributes["inert_nodes"] < s.attributes["n_nodes"]
+            assert s.attributes["flow_blocks"] == 1
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"inflation": float("nan")},
+            {"inflation": float("inf")},
+            {"self_loop": float("nan")},
+            {"self_loop": float("inf")},
+            {"self_loop": -1.0},
+            {"iterations_coarse": -1},
+            {"iterations_per_level": -1},
+            {"iterations_finest": -1},
+            {"coarsen_to": 0},
+        ],
+        ids=lambda params: "-".join(f"{k}={v}" for k, v in params.items()),
+    )
+    def test_rejects_parameters_that_return_garbage(self, params):
+        """Each used to be accepted: non-finite inflation or self-loop
+        returned all singletons, a negative self-loop one cluster,
+        negative iteration counts meant 0, and ``coarsen_to < 1``
+        failed only at cluster time."""
+        with pytest.raises(ClusteringError):
+            MLRMCL(**params)
+
+    def test_zero_iterations_are_legal(self):
+        g = _ring_of_cliques()
+        c = MLRMCL(
+            iterations_coarse=0, iterations_per_level=0, iterations_finest=0
+        ).cluster(g)
+        assert c.labels.shape == (32,)

@@ -330,6 +330,279 @@ def test_matching_is_involution(graph):
     assert np.array_equal(match[match], np.arange(graph.n_nodes))
 
 
+def _reference_matching(
+    adjacency, rng, node_weights=None, max_node_weight=None
+):
+    """The heavy-edge matching loop as it was over NumPy scalars, kept
+    as the oracle for the list-based walk."""
+    n = adjacency.shape[0]
+    match = np.arange(n, dtype=np.int64)
+    matched = np.zeros(n, dtype=bool)
+    order = rng.permutation(n)
+    indptr, indices, data = (
+        adjacency.indptr,
+        adjacency.indices,
+        adjacency.data,
+    )
+    for v in order:
+        if matched[v]:
+            continue
+        start, end = indptr[v], indptr[v + 1]
+        best = -1
+        best_weight = 0.0
+        for idx in range(start, end):
+            u = indices[idx]
+            if u == v or matched[u]:
+                continue
+            if max_node_weight is not None and node_weights is not None:
+                if node_weights[v] + node_weights[u] > max_node_weight:
+                    continue
+            w = data[idx]
+            if w > best_weight:
+                best_weight = w
+                best = u
+        if best >= 0:
+            match[v] = best
+            match[best] = v
+            matched[v] = True
+            matched[best] = True
+    return match
+
+
+@st.composite
+def matching_inputs(draw):
+    """A symmetric weighted adjacency with isolated nodes, self-loops
+    and tied weights, plus node weights and an optional cap."""
+    n = draw(st.integers(1, 40))
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.sampled_from([0.5, 1.0, 1.0, 2.0, 3.25]),
+            ),
+            max_size=3 * n,
+        )
+    )
+    rows, cols, vals = (list(part) for part in zip(*edges)) if edges else (
+        [], [], []
+    )
+    upper = sp.coo_array((vals, (rows, cols)), shape=(n, n))
+    adjacency = sp.csr_array(upper + upper.T)
+    node_weights = np.array(
+        draw(
+            st.lists(
+                st.sampled_from([1.0, 2.0, 3.0]), min_size=n, max_size=n
+            )
+        )
+    )
+    cap = draw(st.one_of(st.none(), st.sampled_from([2.0, 3.0, 4.5])))
+    return adjacency, node_weights, cap, draw(st.integers(0, 2**32 - 1))
+
+
+@given(matching_inputs())
+@settings(max_examples=150, deadline=None)
+def test_heavy_edge_matching_equals_reference_loop(inputs):
+    adjacency, node_weights, cap, seed = inputs
+    rng, reference_rng = (np.random.default_rng(seed) for _ in range(2))
+    match = heavy_edge_matching(
+        adjacency, rng, node_weights=node_weights, max_node_weight=cap
+    )
+    expected = _reference_matching(
+        adjacency, reference_rng, node_weights=node_weights,
+        max_node_weight=cap,
+    )
+    assert match.dtype == expected.dtype
+    np.testing.assert_array_equal(match, expected)
+    # The visit order is still drawn over every node.
+    assert rng.random() == reference_rng.random()
+
+
+@st.composite
+def attractor_maps(draw):
+    """Maps ``v -> f[v]`` of up to a few thousand nodes: random maps,
+    permutations, long chains into long cycles, 2-cycles with trees,
+    and forests of fixed points (a converged flow's shape)."""
+    n = draw(st.integers(1, 3000))
+    kind = draw(
+        st.sampled_from(["random", "permutation", "chains", "pairs", "forest"])
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = rng.permutation(n)
+    f = np.empty(n, dtype=np.int64)
+    if kind == "random":
+        f = rng.integers(0, n, size=n)
+    elif kind == "permutation":
+        f = perm
+    elif kind == "chains":
+        cycle, tail = np.split(perm, [draw(st.integers(1, n))])
+        f[cycle] = np.roll(cycle, -1)
+        f[tail] = np.concatenate((cycle[:1], tail[:-1]))
+    elif kind == "pairs":
+        k = draw(st.integers(0, n // 2))
+        a, b, rest = perm[:k], perm[k: 2 * k], perm[2 * k:]
+        f[a], f[b] = b, a
+        f[rest] = rest if k == 0 else rng.choice(perm[: 2 * k], rest.size)
+    else:
+        roots = perm[: draw(st.integers(1, n))]
+        f = rng.choice(roots, n)
+        f[roots] = roots
+    return f
+
+
+@given(attractor_maps())
+@settings(max_examples=120, deadline=None)
+def test_attractor_components_match_scipy(f):
+    from scipy.sparse.csgraph import connected_components
+
+    from repro.cluster.mlrmcl import _attractor_components
+
+    n = f.size
+    graph = sp.coo_array((np.ones(n), (np.arange(n), f)), shape=(n, n))
+    count, labels = connected_components(
+        graph, directed=True, connection="weak"
+    )
+    got_count, got_labels = _attractor_components(f)
+    assert got_count == count
+    assert got_labels.dtype == labels.dtype
+    np.testing.assert_array_equal(got_labels, labels)
+
+
+def _reference_rmcl(flow, m_g, inflation, n_iter, prune_fraction, stop_at_k):
+    """R-MCL as whole-matrix SciPy passes — the implementation before
+    the fused, column-blocked step — kept as the oracle. Returns the
+    flow and (iterations, entries pruned, entries seen)."""
+    from scipy.sparse.csgraph import connected_components
+
+    def normalize(matrix):
+        sums = np.asarray(matrix.sum(axis=0)).ravel()
+        inv = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums != 0)
+        matrix.data *= np.repeat(inv, np.diff(matrix.indptr))
+
+    n = m_g.shape[1]
+    prev_labels = None
+    performed = pruned = seen = 0
+    for _ in range(n_iter):
+        flow = (flow @ m_g).tocsc().copy()
+        flow.data **= inflation
+        normalize(flow)
+        counts = np.diff(flow.indptr)
+        col_max = np.zeros(n)
+        nonempty = np.flatnonzero(counts)
+        if nonempty.size:
+            col_max[nonempty] = np.maximum.reduceat(
+                flow.data, flow.indptr[nonempty]
+            )
+        keep = flow.data >= np.repeat(col_max * prune_fraction, counts)
+        seen += flow.nnz
+        pruned += int((~keep).sum())
+        if not keep.all():
+            kept = np.bincount(
+                np.repeat(np.arange(n), counts)[keep], minlength=n
+            )
+            flow = sp.csc_array(
+                (
+                    flow.data[keep],
+                    flow.indices[keep],
+                    np.concatenate(([0], np.cumsum(kept))),
+                ),
+                shape=flow.shape,
+            )
+        normalize(flow)
+        performed += 1
+        attractor = np.arange(n)
+        for j in range(n):
+            lo, hi = flow.indptr[j], flow.indptr[j + 1]
+            if hi > lo:
+                attractor[j] = flow.indices[lo + np.argmax(flow.data[lo:hi])]
+        count, labels = connected_components(
+            sp.coo_array((np.ones(n), (np.arange(n), attractor)), (n, n)),
+            directed=True,
+            connection="weak",
+        )
+        if stop_at_k is not None and count <= stop_at_k:
+            break
+        if prev_labels is not None and np.array_equal(labels, prev_labels):
+            break
+        prev_labels = labels
+    return flow, (performed, pruned, seen)
+
+
+@st.composite
+def rmcl_inputs(draw):
+    """A symmetric weighted adjacency with isolated nodes and
+    self-loops, a flow with arbitrary positive column weights on
+    ``M_G``'s pattern, R-MCL parameters and a block budget."""
+    n = draw(st.integers(1, 40))
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.floats(0.1, 50.0, allow_nan=False),
+            ),
+            max_size=2 * n,
+        )
+    )
+    rows, cols, vals = (list(part) for part in zip(*edges)) if edges else (
+        [], [], []
+    )
+    upper = sp.coo_array((vals, (rows, cols)), shape=(n, n))
+    adjacency = sp.csr_array(upper + upper.T)
+    scale = np.array(
+        draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n))
+    )
+    return (
+        adjacency,
+        scale,
+        draw(st.sampled_from([0.0, 0.3, 1.0])),  # self_loop
+        draw(st.sampled_from([1.5, 2.0, 3.0])),  # inflation
+        draw(st.sampled_from([0.0, 0.01, 0.2])),  # prune_fraction
+        draw(st.integers(1, 8)),  # n_iter
+        draw(st.one_of(st.none(), st.integers(1, 10))),  # stop_at_k
+        draw(st.sampled_from([1, 16, 1 << 21])),  # block budget
+    )
+
+
+@given(rmcl_inputs())
+@settings(max_examples=80, deadline=None)
+def test_rmcl_iterations_equal_whole_matrix_reference(inputs):
+    """The fused, column-blocked step with inert nodes kept out of the
+    product returns the reference's flow byte for byte, and the same
+    ``mcl_*`` metrics, whatever the inert diagonals hold."""
+    from repro.cluster import mlrmcl
+    from repro.obs.metrics import metrics_active
+
+    adjacency, scale, self_loop, inflation, prune, n_iter, stop, budget = (
+        inputs
+    )
+    m_g = mlrmcl._canonical_flow(adjacency, self_loop)
+    flow = m_g.copy()
+    flow.data *= np.repeat(scale, np.diff(flow.indptr))
+    expected, (performed, pruned, seen) = _reference_rmcl(
+        flow.copy(), m_g, inflation, n_iter, prune, stop
+    )
+    with mock.patch.object(
+        mlrmcl, "_FLOW_BLOCK_ENTRIES", budget
+    ), metrics_active() as registry:
+        got = mlrmcl._rmcl_iterations(
+            flow, m_g, inflation, n_iter, prune, stop_at_k=stop
+        )
+    for a, b in (
+        (got.indptr, expected.indptr),
+        (got.indices, expected.indices),
+        (got.data, expected.data),
+    ):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    assert registry.counters["mcl_iterations"] == performed
+    assert registry.counters["mcl_entries_pruned_total"] == pruned
+    assert registry.gauges["mcl_final_flow_nnz"] == expected.nnz
+    assert registry.gauges["mcl_prune_fraction"] == (
+        pruned / seen if seen else 0.0
+    )
+
+
 # ---------------------------------------------------------------------------
 # Evaluation invariants
 # ---------------------------------------------------------------------------
