@@ -25,10 +25,12 @@ row's leading features in column-id order.
 exploits that the prefix boundaries depend only on global column
 statistics — not on processing order — so the whole suffix index
 ``I`` can be built upfront as flat NumPy arrays (one sort and one
-segmented-cumsum pass, no Python loop). Each row's prefix is taken in
-decreasing column-frequency order (the AllPairs order), so the
-most-shared features stay unindexed and the posting lists that make
-candidates stay short. Rows are then processed in *blocks*:
+segmented-cumsum pass, no Python loop), together with each row's
+unindexed prefix ``P``. Each row's prefix is
+taken in decreasing column-frequency order (the AllPairs order), so
+the most-shared features stay unindexed and the posting lists that
+make candidates stay short. Rows are then processed in *blocks*,
+and each candidate pair goes through one funnel:
 
 1. **Candidate generation**: one sparse product
    ``block @ I[:end].T`` per block; its nonzero pattern, masked to
@@ -40,30 +42,41 @@ candidates stay short. Rows are then processed in *blocks*:
    ``min(prefix column-max bound, ‖probe on prefix columns‖₂ ·
    ‖prefix‖₂)`` (L2AP, Anastasiu & Karypis, ICDE 2014) — drops
    candidates that provably stay below the threshold without scoring
-   them. Prefixes only hold *prefix columns* (columns some row leaves
-   unindexed, the few most shared ones), so by Cauchy–Schwarz the
-   probe's norm over those columns suffices, and it is never larger
-   than the whole row's.
-3. **Batched verification**: surviving pairs are verified in batches
-   with gathered sparse row selections and one elementwise
-   multiply-and-row-sum per batch — no per-pair Python work. Each
-   batch gathers at most :data:`_GATHER_BUDGET` row entries, so a
-   batch of hub rows stays as small as a batch of short ones.
-4. Accepted triplets accumulate in growable NumPy buffers
-   (:class:`_TripletBuffer`), doubled geometrically like a C++
-   vector.
+   them. Prefixes only hold *prefix columns* (the columns some row
+   leaves unindexed), so by Cauchy–Schwarz the probe's norm over
+   those columns suffices, and it is never larger than the whole
+   row's.
+3. **Prefix gate**: the product entry already holds the pair's score
+   over the partner's suffix, so only the probe's dot product with
+   ``P[partner]`` is left to add. Each batch (at most
+   :data:`_GATHER_BUDGET` gathered entries) lays its probes' entries
+   on prefix columns out as a dense table and reads it at every
+   ``P`` entry of their partners. Pairs whose gate score stays below
+   the threshold (minus a rounding pad) are dropped.
+4. **Exact score**: the gate's survivors are scored once from both
+   whole rows, gathered and multiplied elementwise, and each
+   (pair, column segment) run is summed in stored order with
+   ``np.add.reduceat`` — the arithmetic of ``csr.sum(axis=1)``. One
+   segment gives the plain dot product; ``apply_pruned`` passes one
+   segment per factor.
 
 Blocks are independent, so an opt-in ``n_jobs`` fans them out over
-worker processes (SciPy's sparse kernels hold the GIL, so threads
-cannot overlap them) and merges the per-block triplets exactly;
-environments that cannot fork fall back to the serial path. The
-fan-out is *out-of-core*: the matrix, its suffix index and the
-per-row prefix bounds are spilled once to disk
-(:class:`~repro.linalg.mmcsr.MmapCSR` stores plus one ``.npy``) and
-workers receive only shard descriptors (paths plus a chunk index — a
-few hundred bytes), mapping the rows they need instead of unpickling
-whole matrices; accepted triplets are spilled back as per-shard
-artifacts the parent concatenates. With an ambient disk
+worker processes and merges the per-block triplets exactly;
+environments that cannot fork fall back to the serial path. Processes,
+not threads: SciPy's sparse kernels do release the GIL (SciPy 1.17.1
+on a 2-vCPU VM: six 20k × 20k sparse products took 2.68 s serially
+and 1.47 s on two threads, six elementwise multiplies plus ``tocsc``
+0.58 s and 0.30 s), but the four gram blocks of a paper-prune graph
+took 11.5 ms serially and 11.2 ms on two threads, because the
+per-block NumPy work around the products holds the GIL. The fan-out
+is *out-of-core*: the matrix, its suffix index, its
+prefixes and the per-row prefix bounds are spilled once to
+disk (:class:`~repro.linalg.mmcsr.MmapCSR` stores plus one ``.npy``)
+and workers receive only shard descriptors (paths plus a chunk index
+— a few hundred bytes), mapping the rows they need instead of
+unpickling whole matrices; each worker runs the same funnel and
+spills its kept triplets back as a per-shard artifact the parent
+concatenates. With an ambient disk
 :class:`~repro.engine.cache.ArtifactCache`, spills and finished
 shards are content-addressed under ``<cache>/shards/`` and reused on
 resume. Workers come from the ambient
@@ -83,6 +96,7 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,11 +124,12 @@ BACKENDS = ("vectorized", "python")
 #: setup while bounding the candidate matrix held at once).
 DEFAULT_BLOCK_SIZE = 512
 
-#: Row entries gathered per verification batch: both rows' nnz,
-#: summed over the batch's pairs. Counting entries rather than pairs
-#: bounds the gathered row selections (and their elementwise product)
-#: on hub rows too; a single pair above the budget runs alone. Scores
-#: are per pair, so batch edges change no output byte.
+#: Row entries gathered per batch by the prefix gate and the exact
+#: score: both rows' nnz, summed over the batch's pairs. Counting
+#: entries rather than pairs bounds the gathered row selections (and
+#: their elementwise product) on hub rows too; a single pair above the
+#: budget runs alone. Scores are per pair, so batch edges change no
+#: output byte.
 _GATHER_BUDGET = 1 << 21
 
 #: Ceiling on the estimated candidate count materialized by one sparse
@@ -132,20 +147,27 @@ _GATHER_BUDGET = 1 << 21
 #: split changes batching only.
 _MAX_BLOCK_CANDIDATES = 4 << 20
 
-#: Relative safety margin on the vectorized backend's two bounds — the
-#: prefix boundary and the partial-score drop: both compare a
-#: floating-point sum against ``threshold * (1 - _BOUNDARY_SLACK)``,
-#: so a pair whose exact score rounds a few ULPs either side of the
-#: threshold is still indexed and still verified. Extra candidates
-#: are harmless — verification is exact — while a missed index entry
-#: or a wrongly dropped candidate could lose a qualifying pair.
+#: Cells of the prefix gate's dense probe table (float64, so 512 KB):
+#: probes whose table rows would not fit are done in several groups.
+#: A larger table saves a few NumPy calls per batch, but it stays
+#: resident after the batch and raises the process's peak RSS.
+_TABLE_CELLS = 1 << 16
+
+#: Relative safety margin on the vectorized backend's bounds — the
+#: prefix boundary, the partial-score drop and the prefix gate: each
+#: compares a floating-point sum against ``threshold * (1 -
+#: _BOUNDARY_SLACK)``, so a pair whose exact score rounds a few ULPs
+#: either side of the threshold is still indexed and still scored.
+#: Extra candidates are harmless — the exact score decides — while a
+#: missed index entry or a wrongly dropped candidate could lose a
+#: qualifying pair.
 _BOUNDARY_SLACK = 1e-9
 
 #: Layout tag hashed into every shard scratch key. Bump it whenever
 #: what a shard dir holds changes meaning (index order, bound arrays,
 #: the counts a shard result carries), so a dir written by an older
 #: layout under a persistent cache is never adopted.
-_SHARD_LAYOUT = b"allpairs-shards/v3: probe norm on prefix columns"
+_SHARD_LAYOUT = b"allpairs-shards/v4: prefix gate, segmented scores"
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +181,13 @@ def _validated_csr(rows: sp.csr_array, threshold: float) -> sp.csr_array:
             "use a plain sparse product for threshold 0"
         )
     csr = rows.tocsr()
+    if not csr.has_canonical_format:
+        # Both engines assume sorted rows without duplicates (the
+        # oracle's merge join misses the others). Canonicalize a copy.
+        csr = csr.copy()
+        csr.sum_duplicates()
+    if csr.nnz and not np.isfinite(csr.data).all():
+        raise SymmetrizationError("row values must be finite")
     if csr.nnz and csr.data.min() < 0:
         raise SymmetrizationError("row values must be non-negative")
     return csr
@@ -170,31 +199,57 @@ def _column_maxima(csr: sp.csr_array) -> np.ndarray:
     return col_max
 
 
+class _Found(NamedTuple):
+    """An engine's surviving pairs ``(left[k], right[k])`` — probe row
+    and partner row — and the pair funnel's counts.
+
+    ``values`` holds the pairs' exact scores when the engine already
+    kept them (the oracle, shard workers), and ``None`` while they
+    still await :func:`_score_and_keep`.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    values: np.ndarray | None
+    candidates: int
+    verified: int
+    scored: int
+    indexed_nnz: int | None = None
+
+
 def _count_pairs(
-    stage: str,
-    *,
-    rows: int,
-    nnz_in: int,
-    candidates: int,
-    verified: int,
-    kept: int,
-    **extra: int,
+    stage: str, found: _Found, *, rows: int, nnz_in: int, kept: int
 ) -> None:
     """Record an engine's pair funnel: generated by the candidate
-    product ≥ scored exactly ≥ kept."""
+    product ≥ verified (left after the bound) ≥ scored exactly (left
+    after the prefix gate) ≥ kept."""
+    candidates = found.candidates
+    extra = {}
+    if found.indexed_nnz is not None:
+        extra["indexed_nnz"] = found.indexed_nnz
     add_counters(
         stage,
         rows=rows,
         nnz_in=nnz_in,
         **extra,
         candidate_pairs=candidates,
-        verified_pairs=verified,
+        verified_pairs=found.verified,
+        scored_pairs=found.scored,
         kept_pairs=kept,
         pruned_pairs=candidates - kept,
     )
     metric_inc("allpairs_candidate_pairs_total", candidates)
-    metric_inc("allpairs_pairs_verified_total", verified)
+    metric_inc("allpairs_pairs_verified_total", found.verified)
+    metric_inc("allpairs_pairs_scored_total", found.scored)
     metric_inc("allpairs_pairs_pruned_total", candidates - kept)
+
+
+def _symmetric(
+    n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
+) -> sp.csr_array:
+    """The symmetric ``(n, n)`` CSR matrix of one triangle's triplets."""
+    result = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return (result + result.T).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +281,9 @@ def _exact_dot(
 
 def _python_engine(
     csr: sp.csr_array, threshold: float, include_diagonal: bool
-) -> tuple[sp.csr_array, int]:
-    """The WWW'07 inverted-index scheme, one row at a time; returns
-    the result and the number of pairs scored exactly."""
+) -> _Found:
+    """The WWW'07 inverted-index scheme, one row at a time; every
+    candidate is scored, so its funnel counts are all equal."""
     n = csr.shape[0]
     col_max = _column_maxima(csr)
 
@@ -291,83 +346,35 @@ def _python_engine(
                 (i, float(vals_i[pos]))
             )
 
-    # The oracle scores every candidate: verified == generated.
-    _count_pairs(
-        "allpairs:python",
-        rows=n,
-        nnz_in=csr.nnz,
-        candidates=n_candidates,
-        verified=n_candidates,
-        kept=len(out_vals),
+    return _Found(
+        np.asarray(out_rows, dtype=np.int64),
+        np.asarray(out_cols, dtype=np.int64),
+        np.asarray(out_vals, dtype=np.float64),
+        n_candidates,
+        n_candidates,
+        n_candidates,
     )
-    result = sp.coo_array(
-        (out_vals, (out_rows, out_cols)), shape=(n, n)
-    ).tocsr()
-    return (result + result.T).tocsr(), n_candidates
 
 
 # ---------------------------------------------------------------------------
 # Production engine: blocked, vectorized, optionally parallel
 
 
-class _TripletBuffer:
-    """Growable (row, col, value) COO buffer backed by NumPy arrays.
+class _Index(NamedTuple):
+    """What :func:`_suffix_index` builds: the indexed suffixes, the
+    per-row prefix bounds and the unindexed prefixes ``P``."""
 
-    Capacity doubles geometrically, so ``extend`` is amortized O(1)
-    per element — the array-native replacement for the three Python
-    lists the oracle engine appends to.
-    """
-
-    def __init__(self, capacity: int = 1024) -> None:
-        self._rows = np.empty(capacity, dtype=np.int64)
-        self._cols = np.empty(capacity, dtype=np.int64)
-        self._vals = np.empty(capacity, dtype=np.float64)
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def _reserve(self, extra: int) -> None:
-        needed = self._size + extra
-        capacity = self._rows.size
-        if needed <= capacity:
-            return
-        while capacity < needed:
-            capacity *= 2
-        for name in ("_rows", "_cols", "_vals"):
-            old = getattr(self, name)
-            grown = np.empty(capacity, dtype=old.dtype)
-            grown[: self._size] = old[: self._size]
-            setattr(self, name, grown)
-
-    def extend(
-        self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
-    ) -> None:
-        """Append a batch of triplets."""
-        count = rows.size
-        if count == 0:
-            return
-        self._reserve(count)
-        end = self._size + count
-        self._rows[self._size : end] = rows
-        self._cols[self._size : end] = cols
-        self._vals[self._size : end] = vals
-        self._size = end
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Views of the filled prefixes (no copy)."""
-        return (
-            self._rows[: self._size],
-            self._cols[: self._size],
-            self._vals[: self._size],
-        )
+    suffix: sp.csr_array
+    bounds: np.ndarray
+    prefix: sp.csr_array
 
 
 def _suffix_index(
     csr: sp.csr_array, col_max: np.ndarray, threshold: float
-) -> tuple[sp.csr_array, np.ndarray]:
-    """The prefix-filtered inverted index, and the per-row bounds on
-    what each row's unindexed prefix can still contribute.
+) -> _Index:
+    """The prefix-filtered inverted index, the per-row bounds on what
+    each row's unindexed prefix can still contribute, and the
+    unindexed prefixes themselves.
 
     Each row's features are walked in decreasing column frequency
     (ties by column id), and feature ``p`` is indexed iff the running
@@ -378,16 +385,20 @@ def _suffix_index(
     processing order, which is what lets the whole index be built
     upfront and the blocks processed in any order or in parallel.
 
-    The second result is a ``(3, n)`` array: per row, an upper bound
-    on the prefix's column-max bound ``sum(prefix values * col_max)``,
-    the prefix's ℓ2 norm, and the row's ℓ2 norm over *prefix columns*
-    — the columns left unindexed in at least one row, which hold every
-    row's prefix (see :func:`_candidate_pairs`).
+    ``bounds`` is a ``(3, n)`` array: per row, an upper bound on the
+    prefix's column-max bound ``sum(prefix values * col_max)``, the
+    prefix's ℓ2 norm, and the row's ℓ2 norm over *prefix columns* —
+    the columns left unindexed in at least one row, which hold every
+    row's prefix (see :func:`_candidate_pairs`). ``prefix`` holds each
+    row's unindexed entries in original column ids and order, so a
+    pair's full score is its suffix score plus ``csr[probe] ·
+    prefix[partner]``, which only reads the probe on prefix columns.
     """
     n, d = csr.shape
     bounds = np.zeros((3, n))
     if csr.nnz == 0:
-        return sp.csr_array((n, d)), bounds
+        empty = sp.csr_array((n, d))
+        return _Index(empty, bounds, empty)
     counts = np.diff(csr.indptr)
     starts = csr.indptr[:-1]
     nonempty = np.flatnonzero(counts)
@@ -429,6 +440,11 @@ def _suffix_index(
     last = starts[has_prefix] + prefix_len[has_prefix] - 1
     bounds[0, has_prefix] = bound[last]
     del bound
+    # Ranks are distinct within a row, so an entry is in its row's
+    # prefix iff its rank is at most that of the row's last prefix
+    # entry.
+    last_rank = np.full(n, -1, dtype=rank.dtype)
+    last_rank[has_prefix] = ranked.indices[last]
     squares = ranked.data * ranked.data
     # Prefix columns (by rank): those with an unindexed entry. Every
     # unindexed entry sits on one, so zeroing the other columns first
@@ -439,18 +455,27 @@ def _suffix_index(
     bounds[2, nonempty] = np.sqrt(np.add.reduceat(squares, starts[nonempty]))
     squares[indexed] = 0.0
     bounds[1, nonempty] = np.sqrt(np.add.reduceat(squares, starts[nonempty]))
-    del squares
-    # Back to original column ids and order for the index itself.
-    suffix = sp.csr_array(
-        (
-            ranked.data[indexed],
-            by_freq[ranked.indices[indexed]],
-            np.concatenate(([0], np.cumsum(counts - prefix_len))),
-        ),
-        shape=(n, d),
+    del squares, ranked, indexed
+    # Both matrices keep csr's own column ids and order.
+    in_prefix = rank[csr.indices] <= np.repeat(last_rank, counts)
+    return _Index(
+        _masked(csr, ~in_prefix), bounds, _masked(csr, in_prefix)
     )
-    suffix.sort_indices()
-    return suffix, bounds
+
+
+def _masked(csr: sp.csr_array, mask: np.ndarray) -> sp.csr_array:
+    """The entries of ``csr`` under ``mask``, in their rows and order."""
+    # take() on the kept positions: boolean indexing costs several
+    # times more on masks without long runs.
+    kept = np.flatnonzero(mask)
+    return sp.csr_array(
+        (
+            csr.data.take(kept),
+            csr.indices.take(kept),
+            np.searchsorted(kept, csr.indptr).astype(csr.indptr.dtype),
+        ),
+        shape=csr.shape,
+    )
 
 
 def _budget_spans(cum: np.ndarray, cap: int) -> list[tuple[int, int]]:
@@ -473,36 +498,200 @@ def _budget_spans(cum: np.ndarray, cap: int) -> list[tuple[int, int]]:
 
 
 def _gather_batches(
-    indptr: np.ndarray, left: np.ndarray, right: np.ndarray
+    indptr: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    right_indptr: np.ndarray | None = None,
 ) -> list[slice]:
     """Slices of the pair arrays ``(left, right)`` whose gathered rows
-    — both rows' entries, summed over the slice — stay within
-    :data:`_GATHER_BUDGET`; shared by verification and
-    ``apply_pruned``'s re-score."""
+    — ``left`` rows of the matrix with ``indptr`` and ``right`` rows of
+    the one with ``right_indptr`` (the same matrix by default), summed
+    over the slice — stay within :data:`_GATHER_BUDGET` entries."""
+    if right_indptr is None:
+        right_indptr = indptr
     cost = (indptr[left + 1] - indptr[left]) + (
-        indptr[right + 1] - indptr[right]
+        right_indptr[right + 1] - right_indptr[right]
     )
     cum = np.concatenate(([0], np.cumsum(cost, dtype=np.int64)))
     return [slice(a, b) for a, b in _budget_spans(cum, _GATHER_BUDGET)]
 
 
-def _verify_pairs(
+def _segment_sums(product: sp.csr_array, ends: np.ndarray) -> np.ndarray:
+    """Per row of ``product``, ``0.0 + s_0 + s_1 + …`` where ``s_k`` is
+    the sum of the row's entries in columns ``[ends[k], ends[k+1])``.
+
+    Each (row, segment) run is summed in stored order by one
+    ``np.add.reduceat`` — what ``csr.sum(axis=1)`` runs on a column
+    slice — so segment ``(0, d)`` reproduces a row sum bit for bit, and
+    the segments of ``apply_pruned``'s factors reproduce summing each
+    factor's column slice separately.
+    """
+    n_rows = product.shape[0]
+    n_seg = len(ends) - 1
+    total = np.zeros(n_rows)
+    if product.nnz == 0:
+        return total
+    counts = np.diff(product.indptr)
+    run = np.repeat(np.arange(n_rows, dtype=np.int64) * n_seg, counts)
+    if n_seg > 1:
+        run += np.searchsorted(ends[1:-1], product.indices, side="right")
+    starts = np.flatnonzero(np.diff(run, prepend=-1))
+    sums = np.zeros(n_rows * n_seg)
+    sums[run[starts]] = np.add.reduceat(product.data, starts)
+    for k in range(n_seg):
+        total += sums[k::n_seg]
+    return total
+
+
+def _score_and_keep(
     csr: sp.csr_array,
     left: np.ndarray,
     right: np.ndarray,
-    threshold: float,
-    out: _TripletBuffer,
-) -> None:
-    """Exact-score the candidate pairs ``(left[k], right[k])`` and keep
-    those reaching the threshold — gathered row selections and one
-    elementwise multiply + row-sum per batch."""
+    ends: np.ndarray,
+    keep: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact-score the pairs ``(left[k], right[k])`` over the column
+    segments ``ends`` (see :func:`_segment_sums`) and keep those
+    reaching ``keep`` — both rows gathered once per batch and
+    multiplied elementwise, no per-pair Python work."""
+    values = np.empty(left.size)
     for sl in _gather_batches(csr.indptr, left, right):
-        li, ri = left[sl], right[sl]
-        scores = np.asarray(
-            csr[li].multiply(csr[ri]).sum(axis=1)
-        ).ravel()
-        keep = scores >= threshold
-        out.extend(li[keep], ri[keep], scores[keep])
+        values[sl] = _segment_sums(
+            csr[left[sl]].multiply(csr[right[sl]]), ends
+        )
+    kept = np.flatnonzero(values >= keep)
+    return left.take(kept), right.take(kept), values.take(kept)
+
+
+class _GateScratch:
+    """What the prefix gate reuses across batches: which columns are
+    prefix columns, and a column map and a table that are all zeros
+    between batches, so a batch neither allocates nor clears whole
+    arrays."""
+
+    def __init__(self, prefix: sp.csr_array) -> None:
+        self.prefix_cols = np.zeros(prefix.shape[1], dtype=bool)
+        self.prefix_cols[prefix.indices] = True
+        self.slot = np.zeros(prefix.shape[1], dtype=np.int64)
+        self._table = np.zeros(0)
+
+    def zeros(self, size: int) -> np.ndarray:
+        if self._table.size < size:
+            self._table = np.zeros(size)
+        return self._table[:size]
+
+
+def _ragged(
+    indptr: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions of the entries of ``rows`` (concatenated, each row in
+    stored order) in a CSR matrix with ``indptr``, each row's entry
+    count, and where each row's run starts among the positions."""
+    counts = indptr[rows + 1] - indptr[rows]
+    runs = np.cumsum(counts) - counts
+    total = int(runs[-1] + counts[-1]) if rows.size else 0
+    positions = np.arange(total) + np.repeat(indptr[rows] - runs, counts)
+    return positions, counts, runs
+
+
+def _firsts(left: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in the sorted ``left`` starts."""
+    first = np.empty(left.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(left[1:], left[:-1], out=first[1:])
+    return first
+
+
+def _prefix_gate(
+    csr: sp.csr_array,
+    prefix: sp.csr_array,
+    left: np.ndarray,
+    right: np.ndarray,
+    partial: np.ndarray,
+    floor: float,
+    scratch: _GateScratch,
+) -> tuple[np.ndarray, int]:
+    """Positions of the pairs whose suffix score ``partial`` plus
+    ``csr[left] · prefix[right]`` reaches ``floor``, and the row
+    entries gathered to decide it.
+
+    ``left`` is sorted (pairs come row by row from the candidate
+    product). Pairs whose partial score already reaches ``floor``, or
+    whose partner has no unindexed prefix, need no gather. The others
+    are batched under :data:`_GATHER_BUDGET` gathered entries: each
+    pair's prefix row, and each probe's row once.
+    """
+    score = partial.copy()
+    p_counts = prefix.indptr[right + 1] - prefix.indptr[right]
+    todo = np.flatnonzero((partial < floor) & (p_counts > 0))
+    left, right = left.take(todo), right.take(todo)
+    cost = p_counts.take(todo)
+    cost += _firsts(left) * (csr.indptr[left + 1] - csr.indptr[left])
+    cum = np.concatenate(([0], np.cumsum(cost, dtype=np.int64)))
+    gathered = 0
+    for a, b in _budget_spans(cum, _GATHER_BUDGET):
+        gathered += _add_prefix_scores(
+            score, todo[a:b], left[a:b], right[a:b], csr, prefix, scratch
+        )
+    return np.flatnonzero(score >= floor), gathered
+
+
+def _add_prefix_scores(
+    score: np.ndarray,
+    pairs: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    csr: sp.csr_array,
+    prefix: sp.csr_array,
+    scratch: _GateScratch,
+) -> int:
+    """Add ``csr[left] · prefix[right]`` to ``score[pairs]``; returns
+    the row entries gathered. ``left`` is sorted.
+
+    The probes' rows on prefix columns are laid out as a dense table
+    over the columns they use, :data:`_TABLE_CELLS` cells at a time,
+    and each ``prefix[right]`` entry reads its cell.
+    """
+    first = _firsts(left)
+    probes = left[first]
+    q_pos, q_counts, _ = _ragged(csr.indptr, probes)
+    n_gathered = q_pos.size
+    on_prefix = np.flatnonzero(scratch.prefix_cols[csr.indices.take(q_pos)])
+    q_pos = q_pos.take(on_prefix)
+    q_row = np.repeat(np.arange(probes.size), q_counts).take(on_prefix)
+    q_cols = csr.indices.take(q_pos)
+    cols = np.sort(q_cols)
+    cols = cols[np.flatnonzero(np.diff(cols, prepend=-1))]
+    # Column 0 of each table row stays 0: prefix entries on columns
+    # none of these probes holds read it.
+    width = cols.size + 1
+    slot = scratch.slot
+    slot[cols] = np.arange(1, width)
+    q_cells = slot[q_cols]
+    q_vals = csr.data.take(q_pos)
+    p_pos, p_counts, runs = _ragged(prefix.indptr, right)
+    p_row = np.repeat(np.cumsum(first) - 1, p_counts)
+    p_cells = slot[prefix.indices.take(p_pos)]
+    slot[cols] = 0
+    products = np.empty(p_pos.size)
+    # Probes in groups whose table rows fit the cell budget; both the
+    # table entries and the reads are sorted by probe.
+    group = max(1, _TABLE_CELLS // width)
+    table = scratch.zeros(min(group, probes.size) * width)
+    edges = np.arange(0, probes.size + group, group)
+    q_cut = np.searchsorted(q_row, edges)
+    p_cut = np.searchsorted(p_row, edges)
+    for g in range(edges.size - 1):
+        qa, qb, pa, pb = q_cut[g], q_cut[g + 1], p_cut[g], p_cut[g + 1]
+        cells = (q_row[qa:qb] - edges[g]) * width + q_cells[qa:qb]
+        table[cells] = q_vals[qa:qb]
+        products[pa:pb] = table.take(
+            (p_row[pa:pb] - edges[g]) * width + p_cells[pa:pb]
+        )
+        table[cells] = 0.0
+    products *= prefix.data.take(p_pos)
+    score[pairs] += np.add.reduceat(products, runs)
+    return n_gathered + p_pos.size
 
 
 def _suffix_column_counts(suffix: sp.csr_array) -> np.ndarray:
@@ -540,8 +729,9 @@ def _candidate_pairs(
     bounds: np.ndarray,
     threshold: float,
 ):
-    """Yield ``(generated, left, right)`` for one block: the number of
-    candidate pairs the product generated and the pairs left to verify.
+    """Yield ``(generated, left, right, partial)`` for one block: the
+    number of candidate pairs the product generated, the pairs left
+    after the partial-score bound and their partial scores.
 
     The nonzeros of ``block @ suffix_windowᵀ`` are the pairs sharing
     an indexed feature; partners are restricted to strictly-earlier
@@ -563,58 +753,108 @@ def _candidate_pairs(
     floor = threshold * (1.0 - _BOUNDARY_SLACK)
     for a, b in _row_spans(block, colcount, _MAX_BLOCK_CANDIDATES):
         cand = (block[a:b] @ suffix_t).tocoo()
-        left = cand.row.astype(np.int64) + start + a
+        left = cand.row.astype(np.int64)
+        left += start + a
         right = cand.col.astype(np.int64)
-        earlier = right < left
-        left, right = left[earlier], right[earlier]
-        reach = cand.data[earlier] + np.minimum(
+        earlier = np.flatnonzero(right < left)
+        left, right = left.take(earlier), right.take(earlier)
+        partial = cand.data.take(earlier)
+        reach = partial + np.minimum(
             prefix_bound[right], probe_norm[left] * prefix_norm[right]
         )
-        keep = reach >= floor
-        yield left.size, left[keep], right[keep]
+        keep = np.flatnonzero(reach >= floor)
+        yield (
+            earlier.size,
+            left.take(keep),
+            right.take(keep),
+            partial.take(keep),
+        )
+
+
+def _row_window(csr: sp.csr_array, start: int, stop: int) -> sp.csr_array:
+    """Rows ``start:stop`` as a CSR over views of ``csr``'s index and
+    data arrays (O(rows), not O(nnz) like SciPy's slicing copy)."""
+    lo, hi = csr.indptr[start], csr.indptr[stop]
+    return sp.csr_array(
+        (
+            csr.data[lo:hi],
+            csr.indices[lo:hi],
+            csr.indptr[start : stop + 1] - lo,
+        ),
+        shape=(stop - start, csr.shape[1]),
+    )
 
 
 def _process_blocks(
     csr: sp.csr_array,
-    suffix: sp.csr_array,
-    bounds: np.ndarray,
+    index: _Index,
     threshold: float,
     block_starts: list[int],
     block_size: int,
-) -> tuple[_TripletBuffer, int, int]:
-    """Run candidate generation + verification for a run of blocks.
+) -> _Found:
+    """Run candidate generation, the bound and the prefix gate for a
+    run of blocks; returns the gate's survivors, not yet scored.
 
-    Returns the accepted triplets, the number of candidate pairs
-    generated and the number verified (for the perf counters). Safe
-    to call concurrently: it only reads its inputs.
+    The gate compares against ``threshold`` padded like
+    :func:`_suffix_index`'s boundary: it sums a pair's products in
+    another order than the exact score, and for non-negative terms
+    the two sums differ by at most ``(longest row)·ε`` relative, so no
+    pair the exact score keeps is dropped. Safe to call concurrently:
+    it only reads its inputs.
     """
-    out = _TripletBuffer()
+    n = csr.shape[0]
+    longest = int(np.diff(csr.indptr).max()) if n else 0
+    gate_floor = threshold * (
+        1.0 - _BOUNDARY_SLACK - (longest + 2) * np.finfo(np.float64).eps
+    )
+    lefts: list[np.ndarray] = []
+    rights: list[np.ndarray] = []
     n_candidates = n_verified = 0
-    colcount = _suffix_column_counts(suffix)
+    colcount = _suffix_column_counts(index.suffix)
+    scratch = _GateScratch(index.prefix)
     for start in block_starts:
-        end = min(start + block_size, csr.shape[0])
-        block = csr[start:end]
+        end = min(start + block_size, n)
+        block = _row_window(csr, start, end)
         if block.nnz == 0:
             continue
         with span(f"gram_block[{start}]") as sp_:
-            generated = verified = 0
-            kept_before = len(out)
-            for n_pairs, left, right in _candidate_pairs(
-                block, suffix[:end], start, colcount, bounds, threshold
+            generated = verified = scored = gathered = 0
+            for n_pairs, left, right, partial in _candidate_pairs(
+                block,
+                _row_window(index.suffix, 0, end),
+                start,
+                colcount,
+                index.bounds,
+                threshold,
             ):
                 generated += n_pairs
                 verified += left.size
-                _verify_pairs(csr, left, right, threshold, out)
+                passed, entries = _prefix_gate(
+                    csr,
+                    index.prefix,
+                    left,
+                    right,
+                    partial,
+                    gate_floor,
+                    scratch,
+                )
+                gathered += entries
+                scored += passed.size
+                lefts.append(left.take(passed))
+                rights.append(right.take(passed))
             n_candidates += generated
             n_verified += verified
             sp_.set(
                 rows=end - start,
                 candidate_pairs=generated,
                 verified_pairs=verified,
-                kept_pairs=len(out) - kept_before,
+                scored_pairs=scored,
+                gathered_entries=gathered,
             )
             metric_observe("gram_block_candidates", generated)
-    return out, n_candidates, n_verified
+    left = np.concatenate(lefts) if lefts else np.empty(0, np.int64)
+    right = np.concatenate(rights) if rights else np.empty(0, np.int64)
+    return _Found(left, right, None, n_candidates, n_verified, left.size)
 
 
 def _chunk_starts(
@@ -632,13 +872,19 @@ def _chunk_starts(
 
 
 def _content_key(
-    csr: sp.csr_array, threshold: float, block_size: int, n_chunks: int
+    csr: sp.csr_array,
+    threshold: float,
+    block_size: int,
+    n_chunks: int,
+    ends: np.ndarray,
+    keep: float,
 ) -> str:
     """Content address of a shard scratch dir: hash of exact inputs.
 
     ``n_chunks`` is part of the key because shard artifacts are per
     chunk of a specific partition — a run with a different worker
-    count must not adopt another partition's shards; the
+    count must not adopt another partition's shards; ``ends`` and
+    ``keep`` are, because shards hold scores and keep decisions; the
     :data:`_SHARD_LAYOUT` tag keeps dirs of an older layout out.
     """
     digest = hashlib.sha256(_SHARD_LAYOUT)
@@ -646,6 +892,8 @@ def _content_key(
     digest.update(np.float64(threshold).tobytes())
     digest.update(np.int64(block_size).tobytes())
     digest.update(np.int64(n_chunks).tobytes())
+    digest.update(np.asarray(ends, dtype=np.int64).tobytes())
+    digest.update(np.float64(keep).tobytes())
     for arr in (csr.indptr, csr.indices, csr.data):
         digest.update(np.ascontiguousarray(arr).tobytes())
     return digest.hexdigest()[:32]
@@ -689,33 +937,63 @@ def _spill_bounds(bounds: np.ndarray, path: Path) -> None:
 
 
 def _save_shard(
-    path: Path, out: _TripletBuffer, n_candidates: int, n_verified: int
+    path: Path,
+    triplets: tuple[np.ndarray, np.ndarray, np.ndarray],
+    found: _Found,
 ) -> None:
     """Write one shard artifact atomically (tmp + rename), so a shard
     file either exists complete or not at all — resumed runs can trust
     any artifact they find."""
-    rows, cols, vals = out.arrays()
+    rows, cols, vals = triplets
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
     np.savez(
         tmp,
         rows=rows,
         cols=cols,
         vals=vals,
-        n_candidates=np.int64(n_candidates),
-        n_verified=np.int64(n_verified),
+        n_candidates=np.int64(found.candidates),
+        n_verified=np.int64(found.verified),
+        n_scored=np.int64(found.scored),
     )
     # np.savez appends .npz to paths without it.
     os.replace(str(tmp) + ".npz", path)
 
 
+#: The index matrices a shard dir spills, by store name.
+_SPILLED = ("suffix", "prefix")
+
+
+def _run_chunk(csr: sp.csr_array, index: _Index, spec: dict) -> str:
+    """Run one shard descriptor's blocks through the whole funnel and
+    spill the kept triplets; returns the artifact path."""
+    threshold = spec["threshold"]
+    block_size = spec["block_size"]
+    starts = _chunk_starts(
+        csr.shape[0], block_size, spec["chunk_index"], spec["n_chunks"]
+    )
+    found = _process_blocks(csr, index, threshold, starts, block_size)
+    triplets = _score_and_keep(
+        csr,
+        found.left,
+        found.right,
+        np.asarray(spec["ends"], dtype=np.int64),
+        spec["keep"],
+    )
+    out_path = Path(spec["out_path"])
+    _save_shard(out_path, triplets, found)
+    return str(out_path)
+
+
 def _shard_worker(spec: dict) -> str:
     """Process-pool task: open the stores named by the descriptor,
-    run this chunk's blocks, spill the accepted triplets.
+    run this chunk's blocks, spill the kept triplets.
 
     The payload is a small dict of paths and ints (asserted < 1 KB in
     the tests) — workers map the inputs from disk instead of receiving
     pickled matrices, which is what lets the fan-out scale to graphs
-    that never fit in one process's RAM.
+    that never fit in one process's RAM. SciPy keeps the mapped
+    buffers as views, so only the touched rows' pages are resident,
+    and row windows are views too.
 
     ``chaos_exit`` is the chaos harness's kill-worker lever: the flag
     is decided in the parent (fault plans do not cross process
@@ -725,65 +1003,40 @@ def _shard_worker(spec: dict) -> str:
     """
     if spec.get("chaos_exit"):
         os._exit(1)
-    csr_store = MmapCSR.open(spec["csr_path"])
-    suffix_store = MmapCSR.open(spec["suffix_path"])
-    bounds = np.load(spec["bounds_path"], mmap_mode="r")
-    threshold = spec["threshold"]
-    block_size = spec["block_size"]
-    n_rows = csr_store.shape[0]
-    starts = _chunk_starts(
-        n_rows, block_size, spec["chunk_index"], spec["n_chunks"]
+    scratch = Path(spec["scratch"])
+    suffix, prefix = (
+        MmapCSR.open(scratch / name).to_scipy() for name in _SPILLED
     )
-    # Full wrap for the verification gathers: scipy keeps the mapped
-    # buffers as views, so only the touched rows' pages are resident.
-    csr = csr_store.to_scipy()
-    colcount = _suffix_column_counts(suffix_store.to_scipy())
-    out = _TripletBuffer()
-    n_candidates = n_verified = 0
-    for start in starts:
-        end = min(start + block_size, n_rows)
-        block = csr_store.to_scipy(rows=(start, end))
-        if block.nnz == 0:
-            continue
-        # Same candidate rule, bound and bounded row spans as
-        # _process_blocks. The suffix window is a zero-copy view of
-        # the store, so slicing costs O(rows), not O(nnz).
-        for n_pairs, left, right in _candidate_pairs(
-            block,
-            suffix_store.to_scipy(rows=(0, end)),
-            start,
-            colcount,
-            bounds,
-            threshold,
-        ):
-            n_candidates += n_pairs
-            n_verified += left.size
-            _verify_pairs(csr, left, right, threshold, out)
-    out_path = Path(spec["out_path"])
-    _save_shard(out_path, out, n_candidates, n_verified)
-    return str(out_path)
+    index = _Index(
+        suffix, np.load(scratch / "bounds.npy", mmap_mode="r"), prefix
+    )
+    return _run_chunk(
+        MmapCSR.open(scratch / "rows").to_scipy(), index, spec
+    )
 
 
 def _fan_out_shards(
     csr: sp.csr_array,
-    suffix: sp.csr_array,
-    bounds: np.ndarray,
+    index: _Index,
     threshold: float,
     block_starts: list[int],
     block_size: int,
     n_jobs: int,
-) -> tuple[_TripletBuffer, int, int] | None:
+    ends: np.ndarray,
+    keep: float,
+) -> _Found | None:
     """Run blocks across a process pool via memory-mapped shard
     descriptors; ``None`` if pooling is unavailable (serial fallback).
 
-    The matrix and its suffix index are spilled once to
+    The matrix, its suffix index and its prefixes are spilled once to
     :class:`MmapCSR` stores (reused when a prior call already spilled
     identical content under the ambient cache) and the prefix bounds
-    to one ``.npy``; each worker receives only a descriptor — paths
-    plus ``(chunk_index, n_chunks)`` — and spills its accepted
-    triplets to a per-shard ``.npz`` artifact the parent
-    concatenates. Shard artifacts are atomic and content-addressed,
-    so an interrupted run resumes by re-opening finished shards.
+    to one ``.npy``; each worker receives only a descriptor — the
+    scratch path plus ``(chunk_index, n_chunks)``, the score segments
+    and the keep level — and spills its kept triplets to a per-shard
+    ``.npz`` artifact the parent concatenates. Shard artifacts are
+    atomic and content-addressed, so an interrupted run resumes by
+    re-opening finished shards.
 
     Crash isolation is the worker pool's: a worker that dies
     mid-chunk (OOM killer, segfault, injected ``kill_worker`` fault)
@@ -794,33 +1047,32 @@ def _fan_out_shards(
     lands in exactly one chunk, so triplet sets are disjoint and COO
     assembly canonicalizes order.
     """
-    n_rows = csr.shape[0]
     workers = min(n_jobs, len(block_starts))
     scratch, ephemeral = _shard_scratch(
-        _content_key(csr, threshold, block_size, workers)
+        _content_key(csr, threshold, block_size, workers, ends, keep)
     )
     pool = current_pool()
     owned_pool = pool is None
     if pool is None:
         pool = WorkerPool(workers)
     try:
-        csr_store = _spill_store(csr, scratch / "rows")
-        suffix_store = _spill_store(suffix, scratch / "suffix")
-        bounds_path = scratch / "bounds.npy"
-        _spill_bounds(bounds, bounds_path)
+        _spill_store(csr, scratch / "rows")
+        for name in _SPILLED:
+            _spill_store(getattr(index, name), scratch / name)
+        _spill_bounds(index.bounds, scratch / "bounds.npy")
         specs = []
-        for index in range(workers):
+        for chunk in range(workers):
             flag = chaos("allpairs.worker")
             specs.append(
                 {
-                    "csr_path": str(csr_store.directory),
-                    "suffix_path": str(suffix_store.directory),
-                    "bounds_path": str(bounds_path),
+                    "scratch": str(scratch),
                     "threshold": float(threshold),
                     "block_size": int(block_size),
-                    "chunk_index": index,
+                    "chunk_index": chunk,
                     "n_chunks": workers,
-                    "out_path": str(scratch / f"shard-{index:04d}.npz"),
+                    "ends": [int(e) for e in ends],
+                    "keep": float(keep),
+                    "out_path": str(scratch / f"shard-{chunk:04d}.npz"),
                     "chaos_exit": (
                         flag is not None and flag.kind == "kill_worker"
                     ),
@@ -828,14 +1080,7 @@ def _fan_out_shards(
             )
 
         def _rerun_in_process(spec: dict) -> str:
-            starts = _chunk_starts(
-                n_rows, block_size, spec["chunk_index"], spec["n_chunks"]
-            )
-            out, candidates, verified = _process_blocks(
-                csr, suffix, bounds, threshold, starts, block_size
-            )
-            _save_shard(Path(spec["out_path"]), out, candidates, verified)
-            return spec["out_path"]
+            return _run_chunk(csr, index, spec)
 
         todo = [
             spec
@@ -852,22 +1097,31 @@ def _fan_out_shards(
             )
             if results is None:
                 return None
-        merged = _TripletBuffer()
-        n_candidates = n_verified = 0
+        parts: dict[str, list[np.ndarray]] = {
+            "rows": [],
+            "cols": [],
+            "vals": [],
+        }
+        counts = np.zeros(3, dtype=np.int64)
         bytes_spilled = 0
         for spec in specs:
             path = Path(spec["out_path"])
             bytes_spilled += path.stat().st_size
             with np.load(path) as shard:
-                merged.extend(
-                    shard["rows"], shard["cols"], shard["vals"]
-                )
-                n_candidates += int(shard["n_candidates"])
-                n_verified += int(shard["n_verified"])
+                for name, chunks in parts.items():
+                    chunks.append(shard[name])
+                counts += [
+                    int(shard["n_candidates"]),
+                    int(shard["n_verified"]),
+                    int(shard["n_scored"]),
+                ]
         metric_set("shard_count", len(specs))
         metric_inc("shard_bytes_spilled", bytes_spilled)
         metric_set("peak_rss_bytes", peak_rss_bytes())
-        return merged, n_candidates, n_verified
+        return _Found(
+            *(np.concatenate(chunks) for chunks in parts.values()),
+            *(int(c) for c in counts),
+        )
     finally:
         if owned_pool:
             pool.close()
@@ -878,63 +1132,58 @@ def _fan_out_shards(
 def _vectorized_engine(
     csr: sp.csr_array,
     threshold: float,
-    include_diagonal: bool,
     block_size: int,
     n_jobs: int | None,
-) -> tuple[sp.csr_array, int]:
+    ends: np.ndarray,
+    keep: float,
+) -> _Found:
     """Blocked array-native engine; see the module docstring. Returns
-    the result and the number of pairs scored exactly."""
+    the survivors, already scored and kept when shards ran."""
     n = csr.shape[0]
     with span("suffix_index") as sp_:
         col_max = _column_maxima(csr)
-        suffix, bounds = _suffix_index(csr, col_max, threshold)
-        sp_.set(indexed_nnz=suffix.nnz, nnz_in=csr.nnz)
+        index = _suffix_index(csr, col_max, threshold)
+        sp_.set(indexed_nnz=index.suffix.nnz, nnz_in=csr.nnz)
 
     block_starts = list(range(0, n, block_size))
-    merged: tuple[_TripletBuffer, int, int] | None = None
+    found: _Found | None = None
     if n_jobs is not None and n_jobs > 1 and len(block_starts) > 1:
-        merged = _fan_out_shards(
-            csr, suffix, bounds, threshold, block_starts, block_size, n_jobs
+        found = _fan_out_shards(
+            csr,
+            index,
+            threshold,
+            block_starts,
+            block_size,
+            n_jobs,
+            ends,
+            keep,
         )
-    if merged is None:
-        merged = _process_blocks(
-            csr, suffix, bounds, threshold, block_starts, block_size
+    if found is None:
+        found = _process_blocks(
+            csr, index, threshold, block_starts, block_size
         )
-    buffer, n_candidates, n_verified = merged
-    out_rows, out_cols, out_vals = buffer.arrays()
+    return found._replace(indexed_nnz=index.suffix.nnz)
 
-    if include_diagonal and csr.nnz:
-        counts = np.diff(csr.indptr)
-        self_scores = np.zeros(n)
-        nonempty = np.flatnonzero(counts)
-        if nonempty.size:
-            self_scores[nonempty] = np.add.reduceat(
-                csr.data**2, csr.indptr[nonempty]
-            )
-        keep = np.flatnonzero(self_scores >= threshold)
-        # Halved here because the final symmetrization below doubles
-        # the diagonal (matching the oracle's convention).
-        out_rows = np.concatenate((out_rows, keep))
-        out_cols = np.concatenate((out_cols, keep))
-        out_vals = np.concatenate((out_vals, self_scores[keep] / 2.0))
 
-    _count_pairs(
-        "allpairs:vectorized",
-        rows=n,
-        nnz_in=csr.nnz,
-        candidates=n_candidates,
-        verified=n_verified,
-        kept=len(buffer),
-        indexed_nnz=suffix.nnz,
-    )
-    result = sp.coo_array(
-        (out_vals, (out_rows, out_cols)), shape=(n, n)
-    ).tocsr()
-    return (result + result.T).tocsr(), n_verified
+def _self_scores(
+    csr: sp.csr_array, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows whose squared norm reaches ``threshold``, with half of it:
+    the final symmetrization doubles the diagonal (matching the
+    oracle's convention)."""
+    counts = np.diff(csr.indptr)
+    self_scores = np.zeros(csr.shape[0])
+    nonempty = np.flatnonzero(counts)
+    if nonempty.size:
+        self_scores[nonempty] = np.add.reduceat(
+            csr.data**2, csr.indptr[nonempty]
+        )
+    keep = np.flatnonzero(self_scores >= threshold)
+    return keep, self_scores[keep] / 2.0
 
 
 # ---------------------------------------------------------------------------
-# Public entry point
+# Entry points
 
 
 def thresholded_gram_matrix(
@@ -950,9 +1199,10 @@ def thresholded_gram_matrix(
     Parameters
     ----------
     rows:
-        Sparse ``(n, d)`` matrix with non-negative values (the
+        Sparse ``(n, d)`` matrix with finite, non-negative values (the
         symmetrizations' scaled rows are non-negative by
-        construction).
+        construction). Duplicate entries are summed and rows sorted on
+        a copy.
     threshold:
         Positive similarity cut-off. The result is exact: it contains
         every off-diagonal pair with dot product at least
@@ -981,42 +1231,94 @@ def thresholded_gram_matrix(
     The §3.6 point is the *candidate pruning* (pairs whose similarity
     provably falls below the threshold are never scored), implemented
     via prefix filtering in both backends and, in the vectorized one,
-    a partial-score bound before verification. For small thresholds
-    it degrades gracefully toward a sparse matrix product.
+    a partial-score bound and a prefix gate before the exact score.
+    For small thresholds it degrades gracefully toward a sparse matrix
+    product.
     """
-    return _gram_search(
-        rows, threshold, include_diagonal, backend, block_size, n_jobs
-    )[0]
+    csr = _validated_csr(rows, threshold)
+    whole = np.array([0, csr.shape[1]], dtype=np.int64)
+    with span(f"allpairs:{backend}") as sp_:
+        found = _search(
+            csr,
+            threshold,
+            backend,
+            block_size,
+            n_jobs,
+            whole,
+            threshold,
+            include_diagonal=include_diagonal,
+        )
+        left, right, values = _select(
+            csr, found, backend, whole, threshold
+        )
+        if include_diagonal and backend == "vectorized":
+            diag, halves = _self_scores(csr, threshold)
+            left = np.concatenate((left, diag))
+            right = np.concatenate((right, diag))
+            values = np.concatenate((values, halves))
+        result = _symmetric(csr.shape[0], left, right, values)
+        sp_.set(rows=csr.shape[0], threshold=threshold, nnz_out=result.nnz)
+    return result
 
 
-def _gram_search(
-    rows: sp.csr_array,
+def _search(
+    csr: sp.csr_array,
     threshold: float,
-    include_diagonal: bool,
     backend: str,
     block_size: int,
     n_jobs: int | None,
-) -> tuple[sp.csr_array, int]:
-    """:func:`thresholded_gram_matrix`, plus the number of off-diagonal
-    pairs the engine scored exactly (what its threshold cut is out of)."""
-    csr = _validated_csr(rows, threshold)
+    ends: np.ndarray,
+    keep: float,
+    *,
+    include_diagonal: bool = False,
+) -> _Found:
+    """Run one engine on a matrix that passed ``_validated_csr``; returns
+    its surviving pairs.
+
+    ``ends`` (column segments scored separately) and ``keep`` (the
+    level scores must reach) only matter where the engine scores
+    survivors itself — shard workers. The oracle scores whole rows
+    at ``threshold`` its own way; asked for anything else, its pairs
+    are left for :func:`_select` to re-score.
+    """
     if backend == "vectorized":
         if block_size < 1:
             raise SymmetrizationError("block_size must be >= 1")
-        engine = _vectorized_engine
-        args = (csr, threshold, include_diagonal, block_size, n_jobs)
-    elif backend == "python":
-        engine = _python_engine
-        args = (csr, threshold, include_diagonal)
+        return _vectorized_engine(
+            csr, threshold, block_size, n_jobs, ends, keep
+        )
+    if backend == "python":
+        found = _python_engine(csr, threshold, include_diagonal)
+        if len(ends) > 2 or keep != threshold:
+            found = found._replace(values=None)
+        return found
+    raise SymmetrizationError(
+        f"unknown backend {backend!r}; expected one of {BACKENDS}"
+    )
+
+
+def _select(
+    csr: sp.csr_array,
+    found: _Found,
+    backend: str,
+    ends: np.ndarray,
+    keep: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kept triplets ``(probe, partner, score)`` of a search: its
+    survivors exact-scored over ``ends`` and cut at ``keep``, unless
+    the engine already did; records the pair funnel under
+    ``allpairs:<backend>``."""
+    if found.values is None:
+        left, right, values = _score_and_keep(
+            csr, found.left, found.right, ends, keep
+        )
     else:
-        raise SymmetrizationError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    with span(f"allpairs:{backend}") as sp_:
-        result, n_scored = engine(*args)
-        sp_.set(
-            rows=csr.shape[0],
-            threshold=threshold,
-            nnz_out=result.nnz,
-        )
-    return result, n_scored
+        left, right, values = found.left, found.right, found.values
+    _count_pairs(
+        f"allpairs:{backend}",
+        found,
+        rows=csr.shape[0],
+        nnz_in=csr.nnz,
+        kept=left.size,
+    )
+    return left, right, values

@@ -19,6 +19,7 @@ __all__ = [
     "degree_scale",
     "degree_power",
     "prune_matrix",
+    "drop_diagonal",
     "top_k_entries",
     "sample_rows_similarity",
 ]
@@ -113,6 +114,33 @@ def prune_matrix(
     ).tocsr()
     pruned.eliminate_zeros()
     return pruned
+
+
+def drop_diagonal(matrix: sp.csr_array) -> sp.csr_array:
+    """``matrix`` without its diagonal and its stored zeros, canonical.
+
+    One CSR compress with the bytes of the ``tolil()`` →
+    ``setdiag(0)`` → ``tocsr()`` → ``eliminate_zeros()`` round trip
+    (including its 32-bit indices while they fit), without LIL's
+    per-row Python loop.
+    """
+    csr = matrix.tocsr()
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    kept = np.flatnonzero((csr.indices != rows) & (csr.data != 0))
+    dtype = np.int32
+    if max(csr.shape[1], kept.size) > np.iinfo(np.int32).max:
+        dtype = np.int64
+    return sp.csr_array(
+        (
+            csr.data.take(kept),
+            csr.indices.take(kept).astype(dtype, copy=False),
+            np.searchsorted(kept, csr.indptr).astype(dtype, copy=False),
+        ),
+        shape=csr.shape,
+    )
 
 
 def top_k_entries(

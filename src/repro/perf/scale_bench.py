@@ -19,7 +19,9 @@ with one timing point per size:
   ``shard_bytes_spilled``, ``peak_rss_bytes``) captured from a
   per-point metrics registry;
 - the all-pairs kernel's pair funnel (``allpairs_candidate_pairs_total``
-  generated, ``allpairs_pairs_verified_total`` scored) per point;
+  generated, ``allpairs_pairs_verified_total`` left after the bound,
+  ``allpairs_pairs_scored_total`` left after the prefix gate) per
+  point;
 - an **exactness certificate** per point: seeded sample rows of the
   pruned output checked against a plain SciPy product of the
   :meth:`~repro.symmetrize.DegreeDiscountedSymmetrization
@@ -550,6 +552,7 @@ def format_scale_summary(results: dict[str, Any]) -> str:
             f"{'':>9}   candidates="
             f"{m.get('allpairs_candidate_pairs_total', 0):.0f} "
             f"verified={m.get('allpairs_pairs_verified_total', 0):.0f} "
+            f"scored={m.get('allpairs_pairs_scored_total', 0):.0f} "
             f"certificate: {cert['rows_checked']} rows, "
             f"{cert['misses']} missed, {cert['extras']} extra"
         )

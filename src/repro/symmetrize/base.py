@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from repro.exceptions import SymmetrizationError
 from repro.graph.digraph import DirectedGraph
 from repro.graph.ugraph import UndirectedGraph
-from repro.linalg.sparse_utils import prune_matrix
+from repro.linalg.sparse_utils import drop_diagonal, prune_matrix
 from repro.obs.metrics import metric_inc, metric_set
 from repro.obs.trace import span
 from repro.perf.stopwatch import Stopwatch
@@ -159,10 +159,7 @@ class Symmetrization(abc.ABC):
                     "edges_pruned_total", nnz_raw - matrix.nnz
                 )
             if drop_self_loops:
-                lil = matrix.tolil()
-                lil.setdiag(0.0)
-                matrix = lil.tocsr()
-                matrix.eliminate_zeros()
+                matrix = drop_diagonal(matrix)
             # Clean tiny asymmetries from floating-point products.
             matrix = ((matrix + matrix.T) * 0.5).tocsr()
             sw.count(

@@ -137,6 +137,26 @@ class DegreeDiscountedSymmetrization(Symmetrization):
         Exposed so tests and the scale bench can check the pruned
         output against a plain sparse product of the same factors.
         """
+        n = graph.n_nodes
+        return [
+            sp.csr_array(
+                (data, indices.copy(), indptr.copy()), shape=(n, n)
+            )
+            for indptr, indices, data in self._factor_arrays(graph)
+        ]
+
+    def _factor_arrays(
+        self, graph: DirectedGraph
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """CSR arrays ``(indptr, indices, data)`` of ``Y = Do^-α A
+        Di^-β/2`` and ``Z = Di^-β Aᵀ Do^-α/2``, as included.
+
+        Each is an elementwise scaling of the stored entries of ``A``
+        or ``Aᵀ``, ``(d[row] * a) * d'[col]``: the multiplication
+        order of SciPy's diagonal products ``diag @ A @ diag``, whose
+        bytes (sorted indices, zero products dropped, the adjacency's
+        index dtype) these arrays reproduce.
+        """
         if isinstance(self.alpha, str) or isinstance(self.beta, str):
             raise SymmetrizationError(
                 "apply_pruned requires numeric alpha/beta"
@@ -144,26 +164,64 @@ class DegreeDiscountedSymmetrization(Symmetrization):
         adj = graph.adjacency.tocsr()
         d_out = graph.out_degrees(weighted=self.weighted_degrees)
         d_in = graph.in_degrees(weighted=self.weighted_degrees)
-        out_a = sp.diags_array(
-            self._discount(d_out, float(self.alpha))
-        ).tocsr()
-        out_half = sp.diags_array(
-            self._discount(d_out, float(self.alpha) / 2.0)
-        ).tocsr()
-        in_b = sp.diags_array(
-            self._discount(d_in, float(self.beta))
-        ).tocsr()
-        in_half = sp.diags_array(
-            self._discount(d_in, float(self.beta) / 2.0)
-        ).tocsr()
+        alpha, beta = float(self.alpha), float(self.beta)
         factors = []
         if self.include_coupling:
-            factors.append((out_a @ adj @ in_half).tocsr())
+            factors.append(
+                _scaled(
+                    adj,
+                    self._discount(d_out, alpha),
+                    self._discount(d_in, beta / 2.0),
+                )
+            )
         if self.include_cocitation:
             factors.append(
-                (in_b @ adj.T.tocsr() @ out_half).tocsr()
+                _scaled(
+                    adj.T.tocsr(),
+                    self._discount(d_in, beta),
+                    self._discount(d_out, alpha / 2.0),
+                )
             )
         return factors
+
+    def _stacked_factor(
+        self, graph: DirectedGraph
+    ) -> tuple[sp.csr_array, np.ndarray]:
+        """``W = [Y | Z]`` (or the one included factor) and the column
+        range of each factor inside it.
+
+        Each row of ``W`` is the factors' rows laid side by side, so
+        ``W``'s bytes equal ``sp.hstack(pruning_factors(graph),
+        format="csr")``; the factors' arrays are written into ``W`` in
+        one pass and not kept.
+        """
+        n = graph.n_nodes
+        factors = self._factor_arrays(graph)
+        ends = np.arange(len(factors) + 1, dtype=np.int64) * n
+        counts = [np.diff(indptr) for indptr, _, _ in factors]
+        nnz = sum(indices.size for _, indices, _ in factors)
+        dtype = np.result_type(*(indptr for indptr, _, _ in factors))
+        if max(nnz, int(ends[-1]) - 1) > np.iinfo(np.int32).max:
+            dtype = np.int64
+        indptr = np.zeros(n + 1, dtype=dtype)
+        np.cumsum(sum(counts), out=indptr[1:])
+        indices = np.empty(nnz, dtype=dtype)
+        data = np.empty(nnz)
+        # Next free slot of each W row, advanced past each factor.
+        offset = indptr[:-1].astype(np.int64)
+        for (f_indptr, f_indices, f_data), count, col0 in zip(
+            factors, counts, ends
+        ):
+            dest = np.arange(f_indices.size) + np.repeat(
+                offset - f_indptr[:-1], count
+            )
+            indices[dest] = f_indices + col0
+            data[dest] = f_data
+            offset += count
+        stacked = sp.csr_array(
+            (data, indices, indptr), shape=(n, int(ends[-1]))
+        )
+        return stacked, ends
 
     def apply_pruned(
         self,
@@ -182,37 +240,41 @@ class DegreeDiscountedSymmetrization(Symmetrization):
         ``Z = Di^-β Aᵀ Do^-α/2``: the stacked factor ``W = [Y | Z]``
         has ``W Wᵀ = B_d + C_d = U_d``, so one all-pairs search of
         ``W`` finds every pair reaching the threshold. The search runs
-        ``2 · TIE_RTOL`` below the keep level; its few surviving pairs
-        are then re-scored per factor (gathered rows of ``W``, each
-        factor's column range multiplied elementwise and row-summed,
-        ``Y`` then ``Z``) and filtered exactly. The search's
-        verification and this re-score gather rows in batches capped
-        by gathered entries, not pairs, so hub rows cannot blow up a
+        ``2 · TIE_RTOL`` below the keep level; the pairs left after
+        its prefix gate are then scored exactly once per factor (both
+        rows of ``W`` gathered and multiplied once, each factor's
+        column range summed, ``Y`` then ``Z``) and kept at
+        ``threshold · (1 − TIE_RTOL)``. Every row gather is batched by
+        gathered entries, not pairs, so hub rows cannot blow up a
         batch.
 
         Requires numeric ``alpha``/``beta`` (the ``"log"`` discount
         has no symmetric square-root factorization) and a positive
         threshold. ``backend``/``block_size``/``n_jobs`` are forwarded
-        to :func:`~repro.linalg.allpairs.thresholded_gram_matrix`
-        (``block_size=None`` means its default, and a ``block_size``
-        below 1 raises :class:`SymmetrizationError`);
+        to :func:`~repro.linalg.allpairs.thresholded_gram_matrix`'s
+        engines (``block_size=None`` means its default, and a
+        ``block_size`` below 1 raises :class:`SymmetrizationError`);
         with ``n_jobs > 1`` the search runs through the out-of-core
         row-block shard fan-out (``W`` is spilled to memory-mapped CSR
         stores and workers receive shard descriptors, not matrices),
         so peak RSS stays bounded by the block size rather than the
         factor size.
         Output matches ``apply(graph, threshold=threshold)``
-        edge-for-edge: shared entries agree to ~1 ULP, and the final
-        filter uses a relative tolerance of ``1e-12`` so pairs whose
-        similarity ties the threshold exactly land on the *keep* side
-        in both paths instead of falling either way with summation
-        order.
+        edge-for-edge. Shared entries differ by a few ULP, because the
+        two paths sum in other orders: at most 3 on the paper-prune
+        graphs, 9 on other power-law graphs and 13 on Wikipedia-like
+        graphs, as measured. The final filter uses a relative
+        tolerance of ``1e-12``, so pairs whose similarity ties the
+        threshold exactly land on the *keep* side in both paths
+        instead of falling either way with summation order.
         """
         from repro.graph.ugraph import UndirectedGraph
         from repro.linalg.allpairs import (
             DEFAULT_BLOCK_SIZE,
-            _gather_batches,
-            _gram_search,
+            _search,
+            _select,
+            _symmetric,
+            _validated_csr,
         )
         from repro.obs.metrics import (
             metric_inc,
@@ -235,61 +297,41 @@ class DegreeDiscountedSymmetrization(Symmetrization):
                 nnz_in=graph.adjacency.nnz,
             )
             with span("pruning_factors"):
-                factors = self.pruning_factors(graph)
-                # Column range of each factor inside W; the factors
-                # themselves are dropped so only W stays resident.
-                ends = np.cumsum([0] + [f.shape[1] for f in factors])
-                stacked = sp.hstack(factors, format="csr")
-                del factors
-            # The search's W-products sum in another order than the
-            # per-factor scores below and can differ in the last bits;
-            # searching TIE_RTOL below the keep level's own tolerance
-            # keeps every pair the final filter could keep.
-            found, n_scored = _gram_search(
-                stacked,
-                threshold * (1.0 - 2.0 * TIE_RTOL),
-                include_diagonal=False,
-                backend=backend,
-                block_size=(
-                    DEFAULT_BLOCK_SIZE if block_size is None else block_size
-                ),
-                n_jobs=n_jobs,
-            )
-            # Each unordered pair is verified once (strict upper
-            # triangle; the diagonal never enters).
+                stacked, ends = self._stacked_factor(graph)
+            # The gate and the per-factor scores below sum in other
+            # orders than apply()'s products and can differ in the last
+            # bits; searching TIE_RTOL below the keep level's own
+            # tolerance keeps every pair the keep level could keep.
+            search = threshold * (1.0 - 2.0 * TIE_RTOL)
+            keep_level = threshold * (1.0 - TIE_RTOL)
+            csr = _validated_csr(stacked, search)
+            with span(f"allpairs:{backend}") as sp_:
+                found = _search(
+                    csr,
+                    search,
+                    backend,
+                    DEFAULT_BLOCK_SIZE if block_size is None else block_size,
+                    n_jobs,
+                    ends,
+                    keep_level,
+                )
+                sp_.set(rows=csr.shape[0], threshold=search)
             with span("verify_candidates") as sp_:
-                pairs = sp.triu(found, k=1).tocoo()
-                left = pairs.row.astype(np.int64)
-                right = pairs.col.astype(np.int64)
-                values = np.zeros(left.size)
-                for sl in _gather_batches(stacked.indptr, left, right):
-                    rows_l, rows_r = stacked[left[sl]], stacked[right[sl]]
-                    for a, b in zip(ends[:-1], ends[1:]):
-                        values[sl] += np.asarray(
-                            rows_l[:, a:b]
-                            .multiply(rows_r[:, a:b])
-                            .sum(axis=1)
-                        ).ravel()
-                # Relative tolerance so threshold ties survive in this
-                # path exactly as they do in apply()'s prune_matrix
-                # cut, regardless of floating-point summation order.
-                keep = values >= threshold * (1.0 - TIE_RTOL)
-                n_kept = int(keep.sum())
-                sp_.set(candidate_pairs=int(left.size), kept_pairs=n_kept)
+                left, right, values = _select(
+                    csr, found, backend, ends, keep_level
+                )
+                n_kept = int(left.size)
+                sp_.set(candidate_pairs=found.scored, kept_pairs=n_kept)
             add_counters(
                 "apply_pruned:degree_discounted",
-                candidate_pairs=left.size,
+                candidate_pairs=found.scored,
                 kept_pairs=n_kept,
-                pruned_pairs=int(left.size - n_kept),
+                pruned_pairs=found.scored - n_kept,
             )
-            # Every pair the threshold cut after scoring it: in the
-            # search's verification or in the filter above.
-            metric_inc("edges_pruned_total", int(n_scored - n_kept))
-            total = sp.coo_array(
-                (values[keep], (left[keep], right[keep])),
-                shape=(graph.n_nodes, graph.n_nodes),
-            ).tocsr()
-            total = (total + total.T).tocsr()
+            # Every pair the threshold cut after scoring it: the gate
+            # scores each verified pair in full (suffix plus prefix).
+            metric_inc("edges_pruned_total", found.verified - n_kept)
+            total = _symmetric(graph.n_nodes, left, right, values)
             root.set(nnz_out=total.nnz)
             metric_set("symmetrize_nnz_out", total.nnz)
             metric_set("peak_rss_bytes", peak_rss_bytes())
@@ -302,3 +344,23 @@ class DegreeDiscountedSymmetrization(Symmetrization):
             f"DegreeDiscountedSymmetrization(alpha={self.alpha!r}, "
             f"beta={self.beta!r})"
         )
+
+
+def _scaled(
+    csr: sp.csr_array, row_scale: np.ndarray, col_scale: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays of ``diag(row_scale) @ csr @ diag(col_scale)``, each
+    stored entry ``(row_scale[row] * a) * col_scale[col]``; products
+    that round to zero are dropped, as SciPy's sparse product drops
+    them. The index arrays may be ``csr``'s own."""
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    data = row_scale[rows] * csr.data
+    data *= col_scale[csr.indices]
+    if data.all():
+        return csr.indptr, csr.indices, data
+    nonzero = data != 0
+    indptr = np.zeros_like(csr.indptr)
+    np.cumsum(
+        np.bincount(rows[nonzero], minlength=csr.shape[0]), out=indptr[1:]
+    )
+    return indptr, csr.indices[nonzero], data[nonzero]

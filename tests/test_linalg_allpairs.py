@@ -104,6 +104,37 @@ class TestThresholdedGram:
                 sp.csr_array(np.array([[-1.0]])), 0.5
             )
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_values(self, backend, bad):
+        # A NaN compares false against every bound and used to drop
+        # its pairs silently; an inf passed straight through.
+        rows = sp.csr_array(np.array([[1.0, bad], [1.0, 1.0]]))
+        with pytest.raises(SymmetrizationError, match="finite"):
+            thresholded_gram_matrix(rows, 0.5, backend=backend)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_duplicate_entries_match_dense(self, backend):
+        """Rows with duplicate (and so unsorted) column entries are
+        summed like ``toarray()`` sums them, in both engines, and the
+        caller's matrix is left as it was."""
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            n, d, per_row = 12, 5, 4
+            indices = rng.integers(0, d, n * per_row)
+            data = np.ceil(rng.random(n * per_row) * 8) / 8
+            indptr = np.arange(0, n * per_row + 1, per_row)
+            rows = sp.csr_array((data, indices, indptr), shape=(n, d))
+            before = [a.copy() for a in (rows.indptr, rows.indices, rows.data)]
+            result = thresholded_gram_matrix(rows, 0.4, backend=backend)
+            dense = rows.toarray()
+            expected = dense @ dense.T
+            np.fill_diagonal(expected, 0.0)
+            expected[expected < 0.4] = 0.0
+            assert np.array_equal(result.toarray(), expected)
+            after = (rows.indptr, rows.indices, rows.data)
+            assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
     def test_rejects_unknown_backend(self):
         with pytest.raises(SymmetrizationError, match="backend"):
             thresholded_gram_matrix(
@@ -487,6 +518,98 @@ class TestApplyPruned:
         assert reg.counters["allpairs_candidate_pairs_total"] == 56_534
         assert reg.counters["allpairs_pairs_verified_total"] <= 21_642 // 3
 
+    #: sha256 of ``apply_pruned``'s indptr/indices/data on the
+    #: serve-jobs graph ``make_wikipedia_like(1000, 16, seed=40)`` at
+    #: ``t = 0.05``, recorded before the prefix gate and the one-pass
+    #: factor build (17,094 stored entries, int64 indices).
+    SERVE_JOBS_DIGESTS = (
+        "18cae9935b83be03b1b63d11254f20cf0a47fafbb432abdf81cfa7fceeeada19",
+        "4a778ca25de416858bb430664820254412108bca084cb1be42dadea894a35b4a",
+        "5c2758ad1ea2823dbf2e47aeeb5eaf07181304f822a7ee997d65cde6f4d6fdd8",
+    )
+
+    @pytest.fixture(scope="class")
+    def serve_jobs_graph(self):
+        from repro.datasets import make_wikipedia_like
+
+        return make_wikipedia_like(
+            n_nodes=1000, n_categories=16, seed=40
+        ).graph
+
+    @staticmethod
+    def _digests(matrix):
+        import hashlib
+
+        return tuple(
+            hashlib.sha256(part.tobytes()).hexdigest()
+            for part in (matrix.indptr, matrix.indices, matrix.data)
+        )
+
+    def test_output_bytes_pinned_on_serve_jobs_graph(self, serve_jobs_graph):
+        """A hub-heavy graph, where most verified pairs fail the prefix
+        gate and the kept pairs are scored over rows of thousands of
+        entries."""
+        out = DegreeDiscountedSymmetrization().apply_pruned(
+            serve_jobs_graph, 0.05
+        ).adjacency
+        assert out.nnz == 17_094
+        assert self._digests(out) == self.SERVE_JOBS_DIGESTS
+
+    def test_shard_path_bytes_pinned_on_serve_jobs_graph(
+        self, serve_jobs_graph
+    ):
+        """Shard workers run the same gate and per-factor score and
+        keep the same pairs."""
+        out = DegreeDiscountedSymmetrization().apply_pruned(
+            serve_jobs_graph, 0.05, n_jobs=2
+        ).adjacency
+        assert self._digests(out) == self.SERVE_JOBS_DIGESTS
+
+    def test_funnel_and_block_spans(self):
+        """Candidates ≥ verified (after the bound) ≥ scored (after the
+        prefix gate) ≥ kept, in the metrics, the stage counters and the
+        per-block spans, which also report the gate's gathered row
+        entries. On the 2k power-law graph of the funnel pin the gate
+        leaves 451 of the 6,402 verified pairs (as many as before the
+        gate) to score exactly, and 447 are kept."""
+        from repro.obs import Tracer, metrics_active, tracing
+        from repro.perf.stopwatch import recording
+
+        graph = power_law_digraph(
+            2000, np.random.default_rng(1), d_max=100
+        )
+        stacked = sp.hstack(
+            DegreeDiscountedSymmetrization().pruning_factors(graph),
+            format="csr",
+        )
+        tracer = Tracer()
+        with metrics_active() as reg, tracing(tracer), recording() as rec:
+            out = thresholded_gram_matrix(stacked, 0.2)
+        metrics = reg.counters
+        candidates = metrics["allpairs_candidate_pairs_total"]
+        verified = metrics["allpairs_pairs_verified_total"]
+        scored = metrics["allpairs_pairs_scored_total"]
+        kept = out.nnz // 2
+        assert candidates > verified > scored >= kept > 0
+        assert (verified, scored, kept) == (6_402, 451, 447)
+        counters = rec.stages["allpairs:vectorized"].counters
+        assert counters["scored_pairs"] == scored
+        assert counters["kept_pairs"] == kept
+        blocks = [
+            node
+            for node in tracer.as_dict()["spans"][0]["children"]
+            if node["name"].startswith("gram_block")
+        ]
+        assert len(blocks) == 4
+        for field, total in (
+            ("candidate_pairs", candidates),
+            ("verified_pairs", verified),
+            ("scored_pairs", scored),
+        ):
+            assert sum(b["attributes"][field] for b in blocks) == total
+        gathered = [b["attributes"]["gathered_entries"] for b in blocks]
+        assert all(g >= 0 for g in gathered) and sum(gathered) > 0
+
     def test_hub_rows_gather_in_bounded_memory(self):
         """Verification batches are budgeted in gathered entries, so
         hub rows of thousands of entries cannot inflate a batch: on a
@@ -570,9 +693,10 @@ class TestShardDescriptors:
         """Shard dirs that older layouts wrote for the same rows under
         a persistent cache must not be adopted: their keys, recomputed
         here the way those layouts did, differ. One is untagged
-        (column-id prefixes, no bound arrays, no verified counts); the
-        other carries the v2 tag (bounds row 2 held the whole row's
-        norm)."""
+        (column-id prefixes, no bound arrays, no verified counts); one
+        carries the v2 tag (bounds row 2 held the whole row's norm);
+        one carries the v3 tag (triplets verified over whole rows at
+        the search threshold, no prefix gate, no scored counts)."""
         import hashlib
 
         from repro.engine.cache import ArtifactCache, artifact_cache
@@ -591,6 +715,10 @@ class TestShardDescriptors:
             (b"", {}),
             (
                 b"allpairs-shards/v2: frequency-ordered prefix, bounds",
+                {"n_verified": np.int64(1)},
+            ),
+            (
+                b"allpairs-shards/v3: probe norm on prefix columns",
                 {"n_verified": np.int64(1)},
             ),
         ):
@@ -633,4 +761,4 @@ class TestShardDescriptors:
         assert "shard_spills_reused_total" not in reg.counters
         for old, files in planted.items():
             assert {p.name: p.read_bytes() for p in old.iterdir()} == files
-        assert len(list((cache_dir / "shards").iterdir())) == 3
+        assert len(list((cache_dir / "shards").iterdir())) == 4

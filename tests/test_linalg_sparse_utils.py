@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from repro.exceptions import GraphError, SymmetrizationError
 from repro.linalg.sparse_utils import (
     degree_power,
+    drop_diagonal,
     degree_scale,
     prune_matrix,
     row_normalize,
@@ -100,6 +101,47 @@ class TestPruneMatrix:
             pruned = prune_matrix(m, threshold)
             assert pruned.nnz <= prev
             prev = pruned.nnz
+
+
+class TestDropDiagonal:
+    @staticmethod
+    def _lil_oracle(matrix):
+        lil = matrix.copy().tolil()
+        lil.setdiag(0.0)
+        out = lil.tocsr()
+        out.eliminate_zeros()
+        return out
+
+    def test_equals_lil_round_trip(self, rng):
+        """Random matrices with duplicate and unsorted entries, stored
+        zeros, rectangular and empty shapes and 64-bit indices."""
+        cases = [sp.csr_array(shape) for shape in ((0, 0), (0, 3), (3, 0))]
+        for _ in range(100):
+            rows, cols = rng.integers(0, 9, 30), rng.integers(0, 7, 30)
+            values = rng.choice([0.0, 0.5, 1.0, 3.0], 30)
+            counts = np.bincount(rows, minlength=9)
+            raw = sp.csr_array(
+                (values, cols, np.concatenate(([0], np.cumsum(counts)))),
+                shape=(9, 7),
+            )
+            canonical = sp.csr_array((values, (rows, cols)), shape=(9, 7))
+            wide = sp.csr_array(
+                (
+                    canonical.data,
+                    canonical.indices.astype(np.int64),
+                    canonical.indptr.astype(np.int64),
+                ),
+                shape=(9, 7),
+            )
+            cases += [raw, canonical, wide]
+        for matrix in cases:
+            before = matrix.indices.copy()
+            got, want = drop_diagonal(matrix), self._lil_oracle(matrix)
+            assert np.array_equal(matrix.indices, before)  # not mutated
+            for part in ("indptr", "indices", "data"):
+                g, w = getattr(got, part), getattr(want, part)
+                assert g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
 
 
 class TestTopK:

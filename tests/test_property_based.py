@@ -239,6 +239,173 @@ def test_allpairs_knobs_exact_at_ties(
         )
 
 
+def _reference_verify(csr, left, right, threshold, ends):
+    """The kernel's scoring before the prefix gate, kept as the oracle:
+    every verified pair's whole rows multiplied and row-summed
+    (``_verify_pairs``), kept at ``threshold``; with more than one
+    segment, the survivors are then re-scored one column slice at a
+    time (``apply_pruned``'s per-factor re-score)."""
+    scores = np.asarray(csr[left].multiply(csr[right]).sum(axis=1)).ravel()
+    keep = scores >= threshold
+    left, right, scores = left[keep], right[keep], scores[keep]
+    if len(ends) == 2:
+        return left, right, scores
+    values = np.zeros(left.size)
+    rows_l, rows_r = csr[left], csr[right]
+    for a, b in zip(ends[:-1], ends[1:]):
+        values += np.asarray(
+            rows_l[:, a:b].multiply(rows_r[:, a:b]).sum(axis=1)
+        ).ravel()
+    return left, right, values
+
+
+@st.composite
+def gate_inputs(draw):
+    """A non-negative ``(n, d)`` matrix with hub columns and empty
+    rows, a threshold (often one of its own pair similarities, so
+    pairs tie it exactly), column segments, a gather budget, a gate
+    table size and a block size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 70))
+    d = draw(st.integers(2, 24))
+    density = draw(st.floats(0.05, 0.4))
+    dense = rng.random((n, d)) * (rng.random((n, d)) < density)
+    hubs = rng.choice(d, size=draw(st.integers(0, min(3, d))), replace=False)
+    hub_mask = rng.random((n, hubs.size)) < 0.9
+    dense[:, hubs] = rng.random((n, hubs.size)) * hub_mask
+    dense[rng.random(n) < draw(st.floats(0.0, 0.3))] = 0.0
+    if draw(st.booleans()):
+        dense = np.ceil(dense * 8) / 8  # exact in any summation order
+    rows = sp.csr_array(dense)
+    gram = np.triu(dense @ dense.T, k=1)
+    similarities = gram[gram > 0]
+    if similarities.size and draw(st.booleans()):
+        threshold = float(draw(st.sampled_from(sorted(set(similarities)))))
+    else:
+        threshold = draw(st.floats(0.05, 2.0))
+    cut = draw(st.integers(0, d))
+    ends = np.array([0, d] if cut in (0, d) else [0, cut, d])
+    budget = draw(st.sampled_from([1, 3, 17, 1 << 21]))
+    cells = draw(st.sampled_from([1, 30, 1 << 16]))
+    return rows, threshold, ends, budget, cells, draw(st.integers(1, n))
+
+
+@given(gate_inputs())
+@settings(max_examples=150, deadline=None)
+def test_gate_and_segmented_score_equal_full_row_verification(inputs):
+    """The prefix gate drops no pair the whole-row score keeps, and the
+    segmented exact score keeps exactly the oracle's pairs with the
+    oracle's bytes: at the search threshold with whole rows
+    (``thresholded_gram_matrix``), and ``apply_pruned``-style with a
+    lower search threshold, per-segment scores and a keep level."""
+    rows, threshold, ends, budget, cells, block_size = inputs
+    csr = allpairs._validated_csr(rows, threshold)
+    n, d = csr.shape
+    for search, keep, segments in (
+        (threshold, threshold, np.array([0, d])),
+        (threshold * (1 - 2e-12), threshold * (1 - 1e-12), ends),
+    ):
+        index = allpairs._suffix_index(
+            csr, allpairs._column_maxima(csr), search
+        )
+        colcount = allpairs._suffix_column_counts(index.suffix)
+        verified = [
+            (left, right)
+            for _, left, right, _ in allpairs._candidate_pairs(
+                csr, index.suffix, 0, colcount, index.bounds, search
+            )
+        ]
+        left = np.concatenate([v[0] for v in verified])
+        right = np.concatenate([v[1] for v in verified])
+        want = _reference_verify(csr, left, right, search, segments)
+        if len(segments) > 2:
+            kept = want[2] >= keep
+            want = tuple(part[kept] for part in want)
+        with mock.patch.object(
+            allpairs, "_GATHER_BUDGET", budget
+        ), mock.patch.object(allpairs, "_TABLE_CELLS", cells):
+            found = allpairs._process_blocks(
+                csr, index, search, list(range(0, n, block_size)), block_size
+            )
+            got = allpairs._score_and_keep(
+                csr, found.left, found.right, segments, keep
+            )
+        assert found.verified == left.size
+        order_got = np.lexsort((got[1], got[0]))
+        order_want = np.lexsort((want[1], want[0]))
+        for g, w in zip(got, want):
+            assert g[order_got].tobytes() == w[order_want].tobytes()
+
+
+@st.composite
+def factor_inputs(draw):
+    """A weighted digraph (isolated nodes give zero in- and out-degrees)
+    with 32- or 64-bit indices, and degree-discounted settings."""
+    graph = draw(st.one_of(directed_graphs(), power_law_digraphs()))
+    if draw(st.booleans()):
+        adj = graph.adjacency
+        graph = DirectedGraph(
+            sp.csr_array(
+                (
+                    adj.data,
+                    adj.indices.astype(np.int32),
+                    adj.indptr.astype(np.int32),
+                ),
+                shape=adj.shape,
+            )
+        )
+    coupling, cocitation = draw(
+        st.sampled_from([(True, True), (True, False), (False, True)])
+    )
+    params = dict(
+        alpha=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.7])),
+        beta=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.7])),
+        include_coupling=coupling,
+        include_cocitation=cocitation,
+        weighted_degrees=draw(st.booleans()),
+    )
+    return graph, params
+
+
+@given(factor_inputs())
+@settings(max_examples=120, deadline=None)
+def test_stacked_factor_equals_diagonal_products(inputs):
+    """The one-pass factor build reproduces SciPy's diagonal products
+    ``Do^-α A Di^-β/2`` and ``Di^-β Aᵀ Do^-α/2`` and their ``hstack``
+    byte for byte, index dtypes included."""
+    graph, params = inputs
+    sym = get_symmetrization("degree_discounted", **params)
+    adj = graph.adjacency.tocsr()
+    d_out = graph.out_degrees(weighted=sym.weighted_degrees)
+    d_in = graph.in_degrees(weighted=sym.weighted_degrees)
+
+    def diag(degrees, exponent):
+        return sp.diags_array(sym._discount(degrees, exponent)).tocsr()
+
+    alpha, beta = float(sym.alpha), float(sym.beta)
+    reference = []
+    if sym.include_coupling:
+        reference.append(
+            (diag(d_out, alpha) @ adj @ diag(d_in, beta / 2)).tocsr()
+        )
+    if sym.include_cocitation:
+        reference.append(
+            (diag(d_in, beta) @ adj.T.tocsr() @ diag(d_out, alpha / 2)).tocsr()
+        )
+    factors = sym.pruning_factors(graph)
+    stacked, ends = sym._stacked_factor(graph)
+    n = graph.n_nodes
+    assert ends.tolist() == [k * n for k in range(len(reference) + 1)]
+    for got, want in zip(
+        factors + [stacked], reference + [sp.hstack(reference, format="csr")]
+    ):
+        assert got.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            g, w = getattr(got, part), getattr(want, part)
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+
 @given(directed_graphs(), st.sampled_from(SYM_NAMES))
 @settings(max_examples=60, deadline=None)
 def test_symmetrization_output_symmetric_nonnegative(graph, name):

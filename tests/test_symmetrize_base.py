@@ -1,5 +1,6 @@
 """Unit tests for the symmetrization base/registry/façade."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import SymmetrizationError
@@ -130,3 +131,39 @@ class TestApplyContract:
     def test_cannot_instantiate_abstract(self):
         with pytest.raises(TypeError):
             Symmetrization()  # type: ignore[abstract]
+
+    @pytest.mark.parametrize(
+        "name", ["naive", "random_walk", "bibliometric", "degree_discounted"]
+    )
+    @pytest.mark.parametrize("threshold", [0.0, 0.05])
+    def test_output_bytes_equal_lil_self_loop_drop(self, name, threshold):
+        """``apply`` drops self-loops with one CSR compress; its bytes,
+        index dtypes included, equal the ``tolil`` → ``setdiag(0)`` →
+        ``tocsr`` → ``eliminate_zeros`` round trip it replaced, kept
+        here as the oracle."""
+        from repro.datasets import make_wikipedia_like
+        from repro.graph.generators import power_law_digraph
+        from repro.linalg.sparse_utils import prune_matrix
+
+        graphs = [
+            power_law_digraph(300, np.random.default_rng(seed))
+            for seed in (0, 1)
+        ]
+        graphs.append(
+            make_wikipedia_like(n_nodes=400, n_categories=8, seed=3).graph
+        )
+        sym = get_symmetrization(name)
+        for graph in graphs:
+            matrix = sym.compute_matrix(graph).tocsr()
+            if threshold > 0:
+                matrix = prune_matrix(matrix, threshold)
+            lil = matrix.tolil()
+            lil.setdiag(0.0)
+            matrix = lil.tocsr()
+            matrix.eliminate_zeros()
+            expected = ((matrix + matrix.T) * 0.5).tocsr()
+            got = sym.apply(graph, threshold=threshold).adjacency
+            for part in ("indptr", "indices", "data"):
+                g, e = getattr(got, part), getattr(expected, part)
+                assert g.dtype == e.dtype
+                assert g.tobytes() == e.tobytes()

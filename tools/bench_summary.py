@@ -77,9 +77,9 @@ def _allpairs_row(results: dict) -> tuple[str, str]:
 
 def _scale_row(results: dict) -> tuple[str, str]:
     """(key timings, verdict) for a BENCH_scale.json dict; each point
-    also shows its all-pairs candidate and verified pair counts and
-    its exactness certificate, and a missed or extra pair fails the
-    verdict."""
+    also shows its all-pairs candidate, scored and verified pair
+    counts and its exactness certificate, and a missed or extra pair
+    fails the verdict."""
     parts = []
     peak = 0.0
     certified = True
@@ -87,6 +87,7 @@ def _scale_row(results: dict) -> tuple[str, str]:
         metrics = point.get("metrics", {})
         candidates = metrics.get("allpairs_candidate_pairs_total", 0)
         verified = metrics.get("allpairs_pairs_verified_total", 0)
+        scored = metrics.get("allpairs_pairs_scored_total", 0)
         cert = point.get("certificate")
         if cert is None:
             certificate = "no certificate"
@@ -104,6 +105,7 @@ def _scale_row(results: dict) -> tuple[str, str]:
             f"{point['n_nodes']}n "
             f"{point['symmetrize_seconds']:.1f}s "
             f"({candidates / 1e6:.2f}M candidates, "
+            f"{scored / 1e3:.1f}k scored of "
             f"{verified / 1e3:.1f}k verified, {certificate})"
         )
         peak = max(
