@@ -41,12 +41,17 @@ fault-smoke:
 chaos-smoke:
 	$(PYTHON) -m pytest -m chaos_smoke -q
 
+# Fig 5a/7a run at full scale (~20 s): a change that moves MLR-MCL
+# labels must keep their quality shape.
 bench-smoke:
 	$(PYTHON) -m repro bench --smoke \
 		-o BENCH_allpairs.json --runlog bench_runs.jsonl
 	REPRO_BENCH_SCALE=0.25 $(PYTHON) -m pytest -q \
 		benchmarks/test_table1_datasets.py \
 		benchmarks/test_table2_edges.py
+	$(PYTHON) -m pytest -q \
+		benchmarks/test_fig5_cora_quality.py::test_fig5a_mlrmcl \
+		benchmarks/test_fig7_wiki_quality.py::test_fig7a_mlrmcl
 
 scale-smoke:
 	REPRO_SCALE_SMOKE=1 $(PYTHON) -m pytest -m scale_smoke -q

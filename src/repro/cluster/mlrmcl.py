@@ -80,13 +80,22 @@ def _column_normalize(matrix: sp.csc_array) -> sp.csc_array:
     return matrix
 
 
-def _column_argmax(indices, data, starts, counts) -> np.ndarray:
-    """Row of each non-empty column's maximum, the first on ties (as
-    ``np.argmax``): flag every in-column maximum, then take the first
-    flagged position at or after each column start."""
+def _column_argmax(indices, data, starts, counts):
+    """Row of each non-empty column's maximum, twice: the first in
+    stored order (as ``np.argmax``) and the lowest row among exact
+    ties, which no entry order can flip.
+
+    Flags every in-column maximum, then takes the first flagged
+    position at or after each column start and the smallest flagged
+    row of each column. Without a tie both are one array.
+    """
     col_max = np.maximum.reduceat(data, starts)
     flagged = np.flatnonzero(data == np.repeat(col_max, counts))
-    return indices[flagged[np.searchsorted(flagged, starts)]]
+    firsts = np.searchsorted(flagged, starts)
+    stored = indices[flagged[firsts]]
+    if flagged.size == starts.size:
+        return stored, stored
+    return stored, np.minimum.reduceat(indices[flagged], firsts)
 
 
 def _inflate_prune(indptr, indices, data, inflation, prune_fraction):
@@ -98,7 +107,8 @@ def _inflate_prune(indptr, indices, data, inflation, prune_fraction):
     ``np.maximum.reduceat`` over the non-empty columns' starts — what
     ``csc.sum(axis=0)`` runs — so the bytes are those of whole-matrix
     passes. Returns the pruned ``(indptr, indices, data)``, the
-    non-empty columns and each one's attractor row.
+    non-empty columns and each one's attractor rows (both readings of
+    :func:`_column_argmax`).
     """
     cols, starts, counts = _segments(indptr)
     data **= inflation
@@ -110,8 +120,9 @@ def _inflate_prune(indptr, indices, data, inflation, prune_fraction):
         indptr = np.searchsorted(kept, indptr)
         cols, starts, counts = _segments(indptr)
     _scale(data, np.add.reduceat(data, starts), counts)
-    rows = _column_argmax(indices, data, starts, counts)
-    return indptr, indices, data, cols, rows
+    return indptr, indices, data, cols, _column_argmax(
+        indices, data, starts, counts
+    )
 
 
 def _canonical_flow(
@@ -177,7 +188,7 @@ def _attractor_labels(matrix: sp.csc_array) -> tuple[int, np.ndarray]:
     cols, starts, counts = _segments(matrix.indptr)
     attractor[cols] = _column_argmax(
         matrix.indices, matrix.data, starts, counts
-    )
+    )[0]
     return _attractor_components(attractor)
 
 
@@ -237,6 +248,19 @@ def _rmcl_iterations(
       most that many clusters (*curtailed* R-MCL: the caller wants
       that granularity, so further coarsening only loses clusters).
 
+    The stability test reads each column's attractor as the lowest row
+    among its exact maxima. SciPy's product can store a column's
+    entries in an order that alternates from step to step, so the
+    first stored maximum of a column settled on tied maxima can flip
+    every step, and a test on it would run a settled level to
+    ``n_iter``. The count ``stop_at_k`` curtails on, like
+    :func:`_attractor_labels`, reads the first maximum in stored order.
+    It is computed on its own only when the lowest-row count does not
+    decide the test: re-pointing a node moves the count by at most one,
+    and only a node re-pointed out of its lowest-row component can
+    lower it. The span records the steps run (``iterations``) and why
+    they ended (``stop``: ``"target"``, ``"stable"`` or ``"cap"``).
+
     A step is one SciPy product per column block (see
     :data:`_FLOW_BLOCK_ENTRIES`) and one :func:`_inflate_prune` pass.
     *Inert* nodes — at most one entry in their column of ``m_g`` and of
@@ -270,6 +294,7 @@ def _rmcl_iterations(
         wide = np.int64 in (flow.indptr.dtype, flow.indices.dtype)
         prev_labels = None
         performed = entries_seen = entries_pruned = flow_blocks = 0
+        stop = "cap"
         for _ in range(n_iter):
             # A column's product has at most the summed flow column
             # sizes over its rows of m_g.
@@ -280,12 +305,13 @@ def _rmcl_iterations(
                 spans = _budget_spans(cum[m_sub.indptr], _FLOW_BLOCK_ENTRIES)
             flow_blocks = max(flow_blocks, len(spans))
             attractor = np.arange(active.size)
+            settled = np.arange(active.size)
             parts = []
             seen = 0
             for a, b in spans:
                 product = sub @ (m_sub if len(spans) == 1 else m_sub[:, a:b])
                 seen += product.nnz
-                *part, cols, rows = _inflate_prune(
+                *part, cols, (rows, lowest) = _inflate_prune(
                     product.indptr,
                     product.indices,
                     product.data,
@@ -293,6 +319,7 @@ def _rmcl_iterations(
                     prune_fraction,
                 )
                 attractor[a + cols] = rows
+                settled[a + cols] = lowest
                 parts.append(part)
             indptr, indices, data = parts[0]
             if len(parts) > 1:
@@ -318,11 +345,20 @@ def _rmcl_iterations(
             entries_pruned += pruned
             wide = pruned > 0 or (seen > 0 and (wide or m_wide))
             performed += 1
-            n_clusters, labels = _attractor_components(attractor)
-            n_clusters += n - active.size
-            if stop_at_k is not None and n_clusters <= stop_at_k:
-                break
+            n_clusters, labels = _attractor_components(settled)
+            if stop_at_k is not None:
+                target = stop_at_k - (n - active.size)
+                # The stored-order count lies in [low, n_clusters + moved].
+                moved = np.flatnonzero(attractor != settled)
+                leaving = labels[attractor[moved]] != labels[moved]
+                low = n_clusters - np.count_nonzero(leaving)
+                if low <= target < n_clusters + moved.size:
+                    n_clusters = _attractor_components(attractor)[0]
+                if n_clusters <= target:
+                    stop = "target"
+                    break
             if prev_labels is not None and np.array_equal(labels, prev_labels):
+                stop = "stable"
                 break
             prev_labels = labels
         if performed:
@@ -333,6 +369,8 @@ def _rmcl_iterations(
             flow_nnz=flow.nnz,
             inert_nodes=n - active.size,
             flow_blocks=flow_blocks,
+            iterations=performed,
+            stop=stop,
         )
     add_counters(
         "cluster:mlrmcl", rmcl_iterations=performed, flow_nnz=flow.nnz

@@ -430,10 +430,10 @@ class DirectedGraph:
 
     def without_self_loops(self) -> "DirectedGraph":
         """Return a copy with the diagonal removed."""
-        adj = self._adj.tolil(copy=True)
-        adj.setdiag(0.0)
+        from repro.linalg.sparse_utils import drop_diagonal
+
         return DirectedGraph(
-            adj.tocsr(), node_names=self._names, validate=False
+            drop_diagonal(self._adj), node_names=self._names, validate=False
         )
 
     def subgraph(self, nodes: Sequence[int]) -> "DirectedGraph":

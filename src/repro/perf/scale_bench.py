@@ -102,9 +102,12 @@ DEFAULT_SCALE_SIZES = (100_000, 1_000_000)
 #: exercised, small enough for CI.
 SMOKE_SCALE_SIZES = (50_000,)
 
-#: Prune threshold for the scale runs. 0.5 is the paper's cosine-style
-#: operating point; with α = β = 0.5 discounting it prunes hub columns
-#: hard enough that 1M nodes completes on one core.
+#: Prune threshold for the scale runs: the trajectory point, kept so
+#: runs stay comparable across versions. It is not the paper's operating
+#: point, whose degree-discounted thresholds lie at 0.01–0.025
+#: (EXPERIMENTS.md, Table 2); at 0.5 the committed runs keep 282 edges
+#: among 100k nodes and 2,651 among 1M. ROADMAP item 2 adds a
+#: paper-density point beside it.
 DEFAULT_SCALE_THRESHOLD = 0.5
 
 #: Degree cap for the scale graphs. The generator's default cap grows

@@ -24,7 +24,11 @@ import scipy.sparse as sp
 
 from repro.exceptions import SymmetrizationError
 from repro.graph.ugraph import UndirectedGraph
-from repro.linalg.sparse_utils import degree_power, prune_matrix
+from repro.linalg.sparse_utils import (
+    degree_power,
+    drop_diagonal,
+    prune_matrix,
+)
 
 __all__ = ["BipartiteDegreeDiscounted", "bipartite_symmetrize"]
 
@@ -89,10 +93,7 @@ class BipartiteDegreeDiscounted:
         if threshold > 0:
             similarity = prune_matrix(similarity, threshold)
         if drop_self_loops:
-            lil = similarity.tolil()
-            lil.setdiag(0.0)
-            similarity = lil.tocsr()
-            similarity.eliminate_zeros()
+            similarity = drop_diagonal(similarity)
         similarity = ((similarity + similarity.T) * 0.5).tocsr()
         return UndirectedGraph(similarity, validate=False)
 

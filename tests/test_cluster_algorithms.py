@@ -89,21 +89,22 @@ WIKIPEDIA_LIKE_PINS = [
     ),
 ]
 POWER_LAW_PIN = (
-    "7cf6c43d9c14d07c98b9451d33a37f9e"
-    "72782877a785a7d474a893e69fdc04ac"
+    "9e95c52f9d0765e860d6c247e48781b4"
+    "d197286e349c45a73caf37fd8cac0f8e"
 )
 #: Labels and the four ``mcl_*`` metrics (iterations, entries pruned,
 #: final flow nnz, prune fraction) off the default parameters, recorded
-#: before inert nodes were kept out of the product: graph fixture,
-#: target, parameters, labels sha256, metrics.
+#: before inert nodes were kept out of the product (``self_loop_0``
+#: since the stability test's tie rule): graph fixture, target,
+#: parameters, labels sha256, metrics.
 OFF_DEFAULT_PINS = [
     pytest.param(
         "power_law_symmetrized",
         None,
         {"self_loop": 0.0},
-        "9772ed5e0915751397e8c991644195d3"
-        "a4207b5bf3577fe1ab1be3b38ff69f20",
-        (23, 938, 1516, 0.017131264557818018),
+        "f33e6c6704bc55fa0bbe65734f72bd65"
+        "5760b97b9bd2f47f394f8ab50be19b6a",
+        (19, 882, 1522, 0.019529342837613515),
         id="self_loop_0",
     ),
     pytest.param(
@@ -292,10 +293,13 @@ class TestMLRMCL:
         assert "2.0" in repr(MLRMCL(inflation=2.0))
 
     def test_labels_pinned_on_power_law_graph(self, power_law_symmetrized):
-        """sha256 of the labels on a paper-prune-family graph, recorded
-        before the per-iteration cluster count came from
-        ``connected_components``: a change to how MLR-MCL iterates or
-        stops may not move a label."""
+        """sha256 of the labels on a paper-prune-family graph. The pin
+        moves only with a change to which flow a level ends on: it was
+        re-recorded once, when the two-round stability test began to
+        read each column's lowest row among tied maxima, so the finest
+        level stops after 2 steps instead of alternating for 25 (1,554
+        clusters instead of 1,544). How a step is computed may not move
+        a label."""
         clustering = MLRMCL().cluster(power_law_symmetrized, 50)
         assert _labels_digest(clustering) == POWER_LAW_PIN
 
@@ -374,6 +378,33 @@ class TestMLRMCL:
             assert 0 < s.attributes["inert_nodes"] < s.attributes["n_nodes"]
             assert s.attributes["flow_blocks"] == 1
 
+    def test_spans_report_why_each_level_stopped(
+        self, power_law_symmetrized, wikipedia_like_symmetrized
+    ):
+        """The power-law graph's finest level settles on tied maxima
+        whose stored order flips every step; it stops as stable within
+        a few steps, not at the 40-step cap. Every level of the
+        Wikipedia-like graph reaches its target of 25 (at 10 its finest
+        level settles at 19 clusters)."""
+        with tracing() as tracer, metrics_active() as registry:
+            MLRMCL().cluster(power_law_symmetrized, 50)
+        rmcl = [s for s in tracer.walk() if s.name.startswith("rmcl:")]
+        finest = rmcl[-1]
+        assert finest.name == "rmcl:level[0]"
+        assert finest.attributes["stop"] == "stable"
+        assert finest.attributes["iterations"] <= 5
+        assert sum(s.attributes["iterations"] for s in rmcl) == (
+            registry.flat()["mcl_iterations"]
+        )
+        with tracing() as tracer:
+            MLRMCL().cluster(wikipedia_like_symmetrized, 25)
+        stops = [
+            s.attributes["stop"]
+            for s in tracer.walk()
+            if s.name.startswith("rmcl:")
+        ]
+        assert stops and set(stops) == {"target"}
+
     @pytest.mark.parametrize(
         "params",
         [
@@ -399,7 +430,15 @@ class TestMLRMCL:
 
     def test_zero_iterations_are_legal(self):
         g = _ring_of_cliques()
-        c = MLRMCL(
-            iterations_coarse=0, iterations_per_level=0, iterations_finest=0
-        ).cluster(g)
+        with tracing() as tracer:
+            c = MLRMCL(
+                iterations_coarse=0,
+                iterations_per_level=0,
+                iterations_finest=0,
+            ).cluster(g)
         assert c.labels.shape == (32,)
+        (level,) = [s for s in tracer.walk() if s.name.startswith("rmcl:")]
+        assert (level.attributes["iterations"], level.attributes["stop"]) == (
+            0,
+            "cap",
+        )

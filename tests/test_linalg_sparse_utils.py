@@ -1,10 +1,13 @@
 """Unit tests for :mod:`repro.linalg.sparse_utils`."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import GraphError, SymmetrizationError
+from repro.graph import DirectedGraph, UndirectedGraph
 from repro.linalg.sparse_utils import (
     degree_power,
     drop_diagonal,
@@ -138,10 +141,63 @@ class TestDropDiagonal:
             before = matrix.indices.copy()
             got, want = drop_diagonal(matrix), self._lil_oracle(matrix)
             assert np.array_equal(matrix.indices, before)  # not mutated
-            for part in ("indptr", "indices", "data"):
-                g, w = getattr(got, part), getattr(want, part)
-                assert g.dtype == w.dtype
-                assert g.tobytes() == w.tobytes()
+            _assert_same_csr(got, want)
+
+    @staticmethod
+    def _square_cases(rng):
+        """Self-loops only, and a symmetric mix with self-loops and
+        empty rows (nodes 2, 5 and 7), each also with 64-bit indices."""
+        nodes = np.array([0, 1, 3, 4, 6, 8])
+        rows, cols = rng.choice(nodes, 20), rng.choice(nodes, 20)
+        upper = sp.coo_array((rng.random(20), (rows, cols)), shape=(9, 9))
+        loops = sp.diags_array(np.arange(1.0, 10.0))
+        return [
+            _indexed(matrix, dtype)
+            for matrix in (loops, upper + upper.T)
+            for dtype in (np.int32, np.int64)
+        ]
+
+    @pytest.mark.parametrize("cls", [DirectedGraph, UndirectedGraph])
+    def test_without_self_loops_equals_lil_round_trip(self, cls, rng):
+        for adjacency in self._square_cases(rng):
+            graph = cls(adjacency, validate=False)
+            want = cls(self._lil_oracle(graph.adjacency), validate=False)
+            _assert_same_csr(
+                graph.without_self_loops().adjacency, want.adjacency
+            )
+
+    def test_bipartite_projection_equals_lil_round_trip(self, rng):
+        """The biadjacency's empty rows leave empty similarity rows;
+        the identity's projection is its diagonal alone."""
+        from repro.symmetrize import bipartite
+
+        sym = bipartite.BipartiteDegreeDiscounted()
+        cases = [sp.csr_array(sp.eye_array(5))]
+        cases += [matrix[:, :6] for matrix in self._square_cases(rng)]
+        for B in cases:
+            for threshold in (0.0, 0.3):
+                got = sym.left_similarity(B, threshold).adjacency
+                with mock.patch.object(
+                    bipartite, "drop_diagonal", self._lil_oracle
+                ):
+                    want = sym.left_similarity(B, threshold).adjacency
+                _assert_same_csr(got, want)
+
+
+def _indexed(matrix, dtype):
+    """``matrix`` as a CSR with ``indptr`` and ``indices`` in ``dtype``."""
+    csr = sp.csr_array(matrix)
+    return sp.csr_array(
+        (csr.data, csr.indices.astype(dtype), csr.indptr.astype(dtype)),
+        shape=csr.shape,
+    )
+
+
+def _assert_same_csr(got, want):
+    for part in ("indptr", "indices", "data"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
 
 
 class TestTopK:

@@ -15,7 +15,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import repro.linalg.allpairs as allpairs
@@ -635,11 +635,46 @@ def test_attractor_components_match_scipy(f):
     np.testing.assert_array_equal(got_labels, labels)
 
 
+@given(attractor_maps(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_attractor_count_bounds_after_re_pointing(f, data):
+    """Re-pointing ``m`` nodes of ``f`` raises the component count by at
+    most ``m``, and lowers it by at most the number re-pointed out of
+    their component of ``f``: the bounds R-MCL's ``stop_at_k`` test
+    relies on to skip a second count. Half the draws re-point inside
+    components only (ties within one cluster)."""
+    from repro.cluster.mlrmcl import _attractor_components
+
+    n = f.size
+    count, labels = _attractor_components(f)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    moved = rng.choice(n, data.draw(st.integers(0, n)), replace=False)
+    g = f.copy()
+    g[moved] = rng.integers(0, n, moved.size)
+    if data.draw(st.booleans()):
+        inside = labels[g[moved]] == labels[moved]
+        g[moved[~inside]] = f[moved[~inside]]
+    changed = np.flatnonzero(g != f)
+    leaving = np.count_nonzero(labels[g[changed]] != labels[changed])
+    got = _attractor_components(g)[0]
+    assert count - leaving <= got <= count + changed.size
+
+
 def _reference_rmcl(flow, m_g, inflation, n_iter, prune_fraction, stop_at_k):
     """R-MCL as whole-matrix SciPy passes — the implementation before
-    the fused, column-blocked step — kept as the oracle. Returns the
-    flow and (iterations, entries pruned, entries seen)."""
+    the fused, column-blocked step — kept as the oracle. The ``stop_at_k``
+    count reads each column's first maximum in stored order
+    (``np.argmax``), the two-round stability test its lowest row among
+    exact maxima. Returns the flow and (iterations, entries pruned,
+    entries seen)."""
     from scipy.sparse.csgraph import connected_components
+
+    def components(attractor):
+        return connected_components(
+            sp.coo_array((np.ones(n), (np.arange(n), attractor)), (n, n)),
+            directed=True,
+            connection="weak",
+        )
 
     def normalize(matrix):
         sums = np.asarray(matrix.sum(axis=0)).ravel()
@@ -677,18 +712,16 @@ def _reference_rmcl(flow, m_g, inflation, n_iter, prune_fraction, stop_at_k):
             )
         normalize(flow)
         performed += 1
-        attractor = np.arange(n)
+        attractor, settled = np.arange(n), np.arange(n)
         for j in range(n):
             lo, hi = flow.indptr[j], flow.indptr[j + 1]
             if hi > lo:
-                attractor[j] = flow.indices[lo + np.argmax(flow.data[lo:hi])]
-        count, labels = connected_components(
-            sp.coo_array((np.ones(n), (np.arange(n), attractor)), (n, n)),
-            directed=True,
-            connection="weak",
-        )
-        if stop_at_k is not None and count <= stop_at_k:
+                column = flow.data[lo:hi]
+                attractor[j] = flow.indices[lo + np.argmax(column)]
+                settled[j] = flow.indices[lo:hi][column == column.max()].min()
+        if stop_at_k is not None and components(attractor)[0] <= stop_at_k:
             break
+        labels = components(settled)[1]
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             break
         prev_labels = labels
@@ -699,39 +732,72 @@ def _reference_rmcl(flow, m_g, inflation, n_iter, prune_fraction, stop_at_k):
 def rmcl_inputs(draw):
     """A symmetric weighted adjacency with isolated nodes and
     self-loops, a flow with arbitrary positive column weights on
-    ``M_G``'s pattern, R-MCL parameters and a block budget."""
+    ``M_G``'s pattern, R-MCL parameters and a block budget. Half the
+    draws are tie-heavy: disjoint paths of unit weight on shuffled
+    labels and an unscaled flow. The middle node of a five-node path
+    settles on two exactly tied maxima in different basins."""
     n = draw(st.integers(1, 40))
-    edges = draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, n - 1),
-                st.integers(0, n - 1),
-                st.floats(0.1, 50.0, allow_nan=False),
-            ),
-            max_size=2 * n,
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        cuts = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        edges = [
+            (a, b, 1.0) for a, b, cut in zip(order, order[1:], cuts) if not cut
+        ]
+        scale = np.ones(n)
+    else:
+        edges = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, n - 1),
+                    st.integers(0, n - 1),
+                    st.floats(0.1, 50.0, allow_nan=False),
+                ),
+                max_size=2 * n,
+            )
         )
-    )
+        scale = np.array(
+            draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n))
+        )
     rows, cols, vals = (list(part) for part in zip(*edges)) if edges else (
         [], [], []
     )
     upper = sp.coo_array((vals, (rows, cols)), shape=(n, n))
     adjacency = sp.csr_array(upper + upper.T)
-    scale = np.array(
-        draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n))
-    )
     return (
         adjacency,
         scale,
         draw(st.sampled_from([0.0, 0.3, 1.0])),  # self_loop
         draw(st.sampled_from([1.5, 2.0, 3.0])),  # inflation
         draw(st.sampled_from([0.0, 0.01, 0.2])),  # prune_fraction
-        draw(st.integers(1, 8)),  # n_iter
+        draw(st.integers(1, 40)),  # n_iter
         draw(st.one_of(st.none(), st.integers(1, 10))),  # stop_at_k
         draw(st.sampled_from([1, 16, 1 << 21])),  # block budget
     )
 
 
+#: ``rmcl_inputs`` of the path 0-2-1-4-3 at self-loop 1, inflation 3 and
+#: prune fraction 0.2: the index-sorted flow of step 5 repeats step 4's,
+#: with node 1's column on its neighbours 2 and 4 exactly tied and
+#: SciPy's product swapping their stored order every step.
+TIED_PATH = (
+    sp.csr_array(
+        sp.coo_array(
+            (np.ones(8), ([0, 2, 2, 1, 1, 4, 4, 3], [2, 0, 1, 2, 4, 1, 3, 4])),
+            shape=(5, 5),
+        )
+    ),
+    np.ones(5),
+    1.0,
+    3.0,
+    0.2,
+    40,
+    None,
+    1 << 21,
+)
+
+
 @given(rmcl_inputs())
+@example(TIED_PATH)
 @settings(max_examples=80, deadline=None)
 def test_rmcl_iterations_equal_whole_matrix_reference(inputs):
     """The fused, column-blocked step with inert nodes kept out of the
@@ -768,6 +834,49 @@ def test_rmcl_iterations_equal_whole_matrix_reference(inputs):
     assert registry.gauges["mcl_prune_fraction"] == (
         pruned / seen if seen else 0.0
     )
+
+
+@given(rmcl_inputs())
+@example(TIED_PATH)
+@settings(max_examples=80, deadline=None)
+def test_rmcl_stops_once_the_flow_repeats(inputs):
+    """Once every column's index-sorted entries repeat from one step to
+    the next, no attractor can move, so the level stops at that step at
+    the latest (``stop_at_k`` or settled labels may stop it earlier)
+    and does not report the cap. The trajectory comes from the
+    whole-matrix oracle, one step per call."""
+    from repro.cluster import mlrmcl
+    from repro.obs.metrics import metrics_active
+    from repro.obs.trace import tracing
+
+    adjacency, scale, self_loop, inflation, prune, n_iter, stop, budget = (
+        inputs
+    )
+    m_g = mlrmcl._canonical_flow(adjacency, self_loop)
+    flow = m_g.copy()
+    flow.data *= np.repeat(scale, np.diff(flow.indptr))
+    step, previous, repeats_at = flow, None, None
+    for t in range(1, n_iter + 1):
+        step = _reference_rmcl(step, m_g, inflation, 1, prune, None)[0]
+        ordered = step.sorted_indices()
+        entries = (ordered.indptr.tolist(), ordered.indices.tolist())
+        entries += (ordered.data.tobytes(),)
+        if entries == previous:
+            repeats_at = t
+            break
+        previous = entries
+    with mock.patch.object(
+        mlrmcl, "_FLOW_BLOCK_ENTRIES", budget
+    ), metrics_active() as registry, tracing() as tracer:
+        mlrmcl._rmcl_iterations(
+            flow, m_g, inflation, n_iter, prune, stop_at_k=stop
+        )
+    (level,) = [s for s in tracer.walk() if s.name == "rmcl"]
+    performed = registry.counters["mcl_iterations"]
+    assert level.attributes["iterations"] == performed
+    if repeats_at is not None:
+        assert performed <= repeats_at
+        assert level.attributes["stop"] in ("target", "stable")
 
 
 # ---------------------------------------------------------------------------
