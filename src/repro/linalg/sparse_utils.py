@@ -98,21 +98,47 @@ def prune_matrix(
     A threshold of 0 only removes explicit zeros. With
     ``keep_diagonal=True`` diagonal entries survive regardless of value
     (useful when self-similarities carry bookkeeping information).
+
+    One compress of the kept entries; rows are re-sorted and
+    duplicates summed only when the kept entries are not canonical.
+    Above threshold 0 the result is a canonical ``csr_array``.
     """
     if threshold < 0:
         raise SymmetrizationError("prune threshold must be >= 0")
-    csr = matrix.tocsr().copy()
+    csr = matrix.tocsr()
     if threshold == 0:
+        csr = csr.copy()
         csr.eliminate_zeros()
         return csr
-    coo = csr.tocoo()
-    keep = coo.data >= threshold * (1.0 - TIE_RTOL)
+    keep = csr.data >= threshold * (1.0 - TIE_RTOL)
     if keep_diagonal:
-        keep |= coo.row == coo.col
-    pruned = sp.coo_array(
-        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=csr.shape
-    ).tocsr()
-    pruned.eliminate_zeros()
+        rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+        keep |= csr.indices == rows
+    kept = np.flatnonzero(keep)
+    if kept.size == 0:
+        return sp.csr_array(csr.shape, dtype=csr.dtype)
+    # 64-bit indices stay 64-bit; shapes or entry counts past 32 bits
+    # need them.
+    dtype = np.int32
+    if csr.indices.dtype != np.int32 or (
+        max(*csr.shape, kept.size) > np.iinfo(np.int32).max
+    ):
+        dtype = np.int64
+    pruned = sp.csr_array(
+        (
+            csr.data.take(kept),
+            csr.indices.take(kept).astype(dtype, copy=False),
+            np.searchsorted(kept, csr.indptr).astype(dtype, copy=False),
+        ),
+        shape=csr.shape,
+    )
+    if not pruned.has_canonical_format:
+        pruned.sum_duplicates()
+    if keep_diagonal:
+        # Zeros the diagonal rule kept (or duplicates that cancelled)
+        # leave only now: a result of such zeros alone keeps the
+        # input's index dtype, not an empty matrix's 32-bit one.
+        pruned.eliminate_zeros()
     return pruned
 
 

@@ -65,6 +65,7 @@ __all__ = [
     "MAX_PEAK_RSS_BYTES",
     "REQUIRED_POINT_KEYS",
     "CERTIFICATE_ROWS",
+    "calibration_seconds",
     "exactness_certificate",
     "scale_smoke_enabled",
     "run_scale_bench",
@@ -73,8 +74,9 @@ __all__ = [
 ]
 
 #: Schema identifier embedded in ``BENCH_scale.json``. v2 added the
-#: per-point exactness ``"certificate"``.
-SCALE_SCHEMA = "repro-bench-scale/v2"
+#: per-point exactness ``"certificate"``, v3 each point's
+#: ``"calibration_seconds"``.
+SCALE_SCHEMA = "repro-bench-scale/v3"
 
 #: Environment gate for the minutes-long scale smoke (see
 #: ``docs/performance.md``): tests and CI jobs marked ``scale_smoke``
@@ -147,8 +149,41 @@ REQUIRED_POINT_KEYS = frozenset(
         "peak_rss_children_bytes",
         "metrics",
         "certificate",
+        "calibration_seconds",
     }
 )
+
+
+def calibration_seconds(repeats: int = 3) -> float:
+    """Best-of-``repeats`` wall time of a fixed in-process workload.
+
+    The workload is a seeded 20,000 × 20,000 sparse matrix with 10
+    entries per row, multiplied by its transpose, and its product's
+    rows sorted, which is the kind of work the scale points do. Timed
+    next to a point, it turns that point's seconds into calibration
+    units, which compare across hosts and host states where seconds
+    do not (the same 1M point read 44.6 s and 112.6 s in two runs on
+    one 2-vCPU VM).
+    """
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(0)
+    n, per_row = 20_000, 10
+    matrix = sp.csr_array(
+        (
+            rng.random(n * per_row),
+            rng.integers(0, n, n * per_row),
+            np.arange(0, n * per_row + 1, per_row),
+        ),
+        shape=(n, n),
+    )
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        product = matrix @ matrix.T
+        product.sort_indices()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def _rusage_peak_bytes() -> tuple[int, int]:
@@ -177,12 +212,14 @@ def _scale_point(
     seed: int,
     workdir: Path,
 ) -> dict[str, Any]:
-    """Generate one mmap-backed graph and time symmetrize → prune."""
+    """Time the calibration workload, then generate one mmap-backed
+    graph and time symmetrize → prune."""
     from repro.graph.generators import power_law_mmcsr
     from repro.symmetrize.degree_discounted import (
         DegreeDiscountedSymmetrization,
     )
 
+    calibration = calibration_seconds()
     rng = np.random.default_rng(seed)
     store_dir = workdir / f"graph-{n_nodes}.mmcsr"
     t0 = time.perf_counter()
@@ -215,6 +252,7 @@ def _scale_point(
         "peak_rss_children_bytes": rss_children,
         "metrics": registry.flat(),
         "certificate": certificate,
+        "calibration_seconds": calibration,
     }
 
 
@@ -500,6 +538,9 @@ def scale_manifest(results: dict[str, Any]):
         timings[f"{tag}_symmetrize_seconds"] = float(
             point["symmetrize_seconds"]
         )
+        timings[f"{tag}_calibration_seconds"] = float(
+            point["calibration_seconds"]
+        )
         metrics[f"{tag}.peak_rss_bytes"] = float(point["peak_rss_bytes"])
         for name, value in point["certificate"].items():
             metrics[f"{tag}.certificate_{name}"] = float(value)
@@ -539,13 +580,15 @@ def format_scale_summary(results: dict[str, Any]) -> str:
     """Human-readable table of the scale points and the verdict."""
     lines = [
         f"{'nodes':>9} {'edges':>10} {'gen_s':>8} {'sym_s':>9} "
-        f"{'edges_out':>10} {'rss_self':>9} {'rss_kids':>9}"
+        f"{'sym_cal':>8} {'edges_out':>10} {'rss_self':>9} {'rss_kids':>9}"
     ]
     for p in results["points"]:
         lines.append(
             f"{p['n_nodes']:>9} {p['n_edges']:>10} "
             f"{p['generate_seconds']:>8.2f} "
-            f"{p['symmetrize_seconds']:>9.2f} {p['edges_out']:>10} "
+            f"{p['symmetrize_seconds']:>9.2f} "
+            f"{p['symmetrize_seconds'] / p['calibration_seconds']:>8.1f} "
+            f"{p['edges_out']:>10} "
             f"{p['peak_rss_bytes'] / 1024**2:>8.0f}M "
             f"{p['peak_rss_children_bytes'] / 1024**2:>8.0f}M"
         )

@@ -24,7 +24,11 @@ from __future__ import annotations
 import scipy.sparse as sp
 
 from repro.graph.digraph import DirectedGraph
-from repro.symmetrize.base import Symmetrization, register_symmetrization
+from repro.symmetrize.base import (
+    Symmetrization,
+    register_symmetrization,
+    sum_of_parts,
+)
 
 __all__ = ["BibliometricSymmetrization"]
 
@@ -70,19 +74,29 @@ class BibliometricSymmetrization(Symmetrization):
         self.include_cocitation = bool(include_cocitation)
 
     def compute_matrix(self, graph: DirectedGraph) -> sp.csr_array:
+        return sum_of_parts(
+            [
+                (left @ right).tocsr()
+                for left, right in self.product_terms(graph)
+            ]
+        )
+
+    def product_terms(
+        self, graph: DirectedGraph
+    ) -> list[tuple[sp.csr_array, sp.csr_array]]:
+        """``(A', A'ᵀ)`` for coupling and ``(A'ᵀ, A')`` for
+        co-citation, as included, with ``A' = A + I`` when
+        ``add_self_loops`` is set and ``A`` otherwise."""
         if self.add_self_loops:
             graph = graph.with_self_loops()
         adj = graph.adjacency
         at = adj.T.tocsr()
-        parts = []
+        terms = []
         if self.include_coupling:
-            parts.append((adj @ at).tocsr())
+            terms.append((adj, at))
         if self.include_cocitation:
-            parts.append((at @ adj).tocsr())
-        total = parts[0]
-        for part in parts[1:]:
-            total = total + part
-        return total.tocsr()
+            terms.append((at, adj))
+        return terms
 
     def __repr__(self) -> str:
         return (

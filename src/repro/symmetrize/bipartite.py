@@ -24,11 +24,8 @@ import scipy.sparse as sp
 
 from repro.exceptions import SymmetrizationError
 from repro.graph.ugraph import UndirectedGraph
-from repro.linalg.sparse_utils import (
-    degree_power,
-    drop_diagonal,
-    prune_matrix,
-)
+from repro.linalg.sparse_utils import degree_power, drop_diagonal
+from repro.symmetrize.base import pruned_product_sum
 
 __all__ = ["BipartiteDegreeDiscounted", "bipartite_symmetrize"]
 
@@ -89,9 +86,12 @@ class BipartiteDegreeDiscounted:
         Dr = sp.diags_array(degree_power(right_degrees, self.beta))
         scaled = (Dl @ B @ Dr).tocsr()
         left_scaled = (Dl @ B).tocsr()
-        similarity = (scaled @ left_scaled.T).tocsr()
         if threshold > 0:
-            similarity = prune_matrix(similarity, threshold)
+            similarity = pruned_product_sum(
+                lambda: [(scaled, left_scaled.T.tocsr())], threshold
+            )[0]
+        else:
+            similarity = (scaled @ left_scaled.T).tocsr()
         if drop_self_loops:
             similarity = drop_diagonal(similarity)
         similarity = ((similarity + similarity.T) * 0.5).tocsr()

@@ -32,7 +32,11 @@ import scipy.sparse as sp
 from repro.exceptions import SymmetrizationError
 from repro.graph.digraph import DirectedGraph
 from repro.linalg.sparse_utils import TIE_RTOL, degree_power
-from repro.symmetrize.base import Symmetrization, register_symmetrization
+from repro.symmetrize.base import (
+    Symmetrization,
+    register_symmetrization,
+    sum_of_parts,
+)
 
 __all__ = ["DegreeDiscountedSymmetrization", "TIE_RTOL"]
 
@@ -103,28 +107,36 @@ class DegreeDiscountedSymmetrization(Symmetrization):
         return degree_power(degrees, float(exponent))
 
     def compute_matrix(self, graph: DirectedGraph) -> sp.csr_array:
+        terms = self.product_terms(graph)
+        if self.include_cocitation:
+            # C_d's product runs column-oriented, which stores its rows
+            # sorted; the stored order of the sum depends on it (its
+            # values do not).
+            left, right = terms[-1]
+            terms[-1] = (left.tocsc(), right)
+        return sum_of_parts([(left @ right).tocsr() for left, right in terms])
+
+    def product_terms(
+        self, graph: DirectedGraph
+    ) -> list[tuple[sp.csr_array, sp.csr_array]]:
+        """``(X, (Do^-α A)ᵀ)`` for ``B_d`` and ``((A Di^-β)ᵀ,
+        Do^-α (A Di^-β))`` for ``C_d``, as included, with
+        ``X = (Do^-α A) Di^-β``. Each factor is built by SciPy's
+        diagonal products in the association written, which fixes the
+        last bits of its weighted entries."""
         adj = graph.adjacency.tocsr()
         d_out = graph.out_degrees(weighted=self.weighted_degrees)
         d_in = graph.in_degrees(weighted=self.weighted_degrees)
         out_disc = sp.diags_array(self._discount(d_out, self.alpha)).tocsr()
         in_disc = sp.diags_array(self._discount(d_in, self.beta)).tocsr()
-
-        # Shared factors: X = Do^-a A Di^-b appears in both terms
-        # (B_d = X (Do^-a A)ᵀ... expanded explicitly for clarity).
-        a_scaled = (out_disc @ adj @ in_disc).tocsr()  # Do^-a A Di^-b
-        parts = []
+        terms = []
         if self.include_coupling:
-            # B_d = Do^-a A Di^-b Aᵀ Do^-a = a_scaled @ (Do^-a A)ᵀ
             left = (out_disc @ adj).tocsr()
-            parts.append((a_scaled @ left.T).tocsr())
+            terms.append(((left @ in_disc).tocsr(), left.T.tocsr()))
         if self.include_cocitation:
-            # C_d = Di^-b Aᵀ Do^-a A Di^-b = (A Di^-b)ᵀ @ a_scaled...
             right = (adj @ in_disc).tocsr()
-            parts.append((right.T @ (out_disc @ right)).tocsr())
-        total = parts[0]
-        for part in parts[1:]:
-            total = total + part
-        return total.tocsr()
+            terms.append((right.T.tocsr(), (out_disc @ right).tocsr()))
+        return terms
 
     def pruning_factors(
         self, graph: DirectedGraph

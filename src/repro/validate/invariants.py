@@ -536,7 +536,7 @@ def repair_matrix(
     no interpretation in any of the paper's symmetrizations.
     """
     csr = matrix.tocsr().copy()
-    issues: list[ValidationIssue] = []
+    report = ValidationReport()
     if csr.nnz:
         with np.errstate(invalid="ignore"):
             bad = ~np.isfinite(csr.data) | (csr.data < 0)
@@ -544,16 +544,23 @@ def repair_matrix(
         if n_bad:
             csr.data[bad] = 0.0
             csr.eliminate_zeros()
-            issues.append(
-                ValidationIssue(
-                    "repaired_weights",
-                    "warning",
-                    f"dropped {n_bad} non-finite or negative edge "
-                    "weight(s)",
-                    count=n_bad,
-                )
-            )
-    return csr, ValidationReport(tuple(issues))
+            report = repaired_weights_report(n_bad)
+    return csr, report
+
+
+def repaired_weights_report(n_bad: int) -> ValidationReport:
+    """The report :func:`repair_matrix` gives for ``n_bad`` dropped
+    entries (also used to report a repair made piece by piece)."""
+    return ValidationReport(
+        (
+            ValidationIssue(
+                "repaired_weights",
+                "warning",
+                f"dropped {n_bad} non-finite or negative edge weight(s)",
+                count=n_bad,
+            ),
+        )
+    )
 
 
 def repair_graph(graph: object) -> tuple[object, ValidationReport]:

@@ -93,3 +93,21 @@ def planted_two_cluster_ugraph(
 def two_blob_ugraph() -> UndirectedGraph:
     """Fixture wrapper around :func:`planted_two_cluster_ugraph`."""
     return planted_two_cluster_ugraph()
+
+
+#: Subprocess preamble defining ``peak_kb()``: the process's own peak
+#: RSS in kB. ``ru_maxrss`` is no good here: Linux carries the
+#: spawning process's high-water mark across ``exec``, so under a
+#: large pytest process a child reads the parent's peak.
+PEAK_KB = (
+    "import resource\n"
+    "def peak_kb():\n"
+    "    try:\n"
+    "        with open('/proc/self/status') as status:\n"
+    "            for line in status:\n"
+    "                if line.startswith('VmHWM:'):\n"
+    "                    return int(line.split()[1])\n"
+    "    except OSError:\n"
+    "        pass\n"
+    "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+)

@@ -649,6 +649,51 @@ class TestApplyPruned:
         )
 
 
+    @pytest.mark.parametrize(
+        "method, threshold",
+        [("DegreeDiscountedSymmetrization", 0.03),
+         ("BibliometricSymmetrization", 9.0)],
+    )
+    def test_apply_prunes_row_spans_in_bounded_memory(
+        self, method, threshold
+    ):
+        """``apply(threshold)`` prunes the similarity product one row
+        span at a time, so on the same graph it may grow a
+        subprocess's peak RSS by less than 64 MB (about 350 MB when it
+        built the whole ``U`` first). Bibliometric's integer threshold
+        keeps a similar edge count (about 62k and 50k edges)."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from tests.conftest import PEAK_KB
+
+        pytest.importorskip("resource")
+        script = (
+            PEAK_KB
+            + "from repro.datasets import make_wikipedia_like\n"
+            f"from repro.symmetrize import {method}\n"
+            "g = make_wikipedia_like(n_nodes=3000, n_categories=30, "
+            "seed=0).graph\n"
+            "before = peak_kb()\n"
+            f"u = {method}().apply(g, threshold={threshold})\n"
+            "print(peak_kb() - before, u.n_edges)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=Path(__file__).resolve().parents[1],
+            env=dict(os.environ, PYTHONPATH="src"),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        growth_kb, n_edges = map(int, proc.stdout.split())
+        assert n_edges > 40_000
+        assert growth_kb < 64 * 1024, (
+            f"apply grew peak RSS by {growth_kb // 1024} MB"
+        )
+
 class TestShardDescriptors:
     """The process fan-out must hand workers shard *descriptors*
     (store paths plus a chunk index), never pickled matrices."""

@@ -5,10 +5,13 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import GraphError, SymmetrizationError
 from repro.graph import DirectedGraph, UndirectedGraph
 from repro.linalg.sparse_utils import (
+    TIE_RTOL,
     degree_power,
     drop_diagonal,
     degree_scale,
@@ -104,6 +107,91 @@ class TestPruneMatrix:
             pruned = prune_matrix(m, threshold)
             assert pruned.nnz <= prev
             prev = pruned.nnz
+
+
+def _coo_prune_oracle(matrix, threshold, keep_diagonal=False):
+    """The COO round trip ``prune_matrix`` replaced, kept as its
+    oracle: copy, expand to COO, filter, rebuild a COO, convert back
+    (summing duplicates), drop stored zeros."""
+    csr = matrix.tocsr().copy()
+    if threshold == 0:
+        csr.eliminate_zeros()
+        return csr
+    coo = csr.tocoo()
+    keep = coo.data >= threshold * (1.0 - TIE_RTOL)
+    if keep_diagonal:
+        keep |= coo.row == coo.col
+    pruned = sp.coo_array(
+        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=csr.shape
+    ).tocsr()
+    pruned.eliminate_zeros()
+    return pruned
+
+
+@st.composite
+def _prune_inputs(draw):
+    """Raw CSR arrays — rows unsorted, duplicate entries, stored zeros,
+    negative and tied values, NaN on the diagonal — in either index
+    dtype, with a threshold that is 0, one of the stored values (an
+    exact tie) or drawn."""
+    n_rows = draw(st.integers(0, 6))
+    n_cols = draw(st.integers(1, 6)) if n_rows else draw(st.integers(0, 4))
+    values = st.sampled_from([0.0, -0.0, -1.0, 0.25, 0.5, 0.5, 1.0, 2.0])
+    entries = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, max(n_rows - 1, 0)),
+                st.integers(0, max(n_cols - 1, 0)),
+                values,
+            ),
+            max_size=25 if n_rows and n_cols else 0,
+        )
+    )
+    if n_rows and n_cols and draw(st.booleans()):
+        entries.append((0, 0, np.nan))
+    if draw(st.booleans()):
+        entries.sort(key=lambda e: (e[0], e[1]))
+    else:
+        entries.sort(key=lambda e: e[0])
+    rows = np.array([e[0] for e in entries], dtype=np.int64)
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    matrix = sp.csr_array(
+        (
+            np.array([e[2] for e in entries], dtype=np.float64),
+            np.array([e[1] for e in entries], dtype=dtype),
+            np.concatenate(
+                ([0], np.cumsum(np.bincount(rows, minlength=n_rows)))
+            ).astype(dtype),
+        ),
+        shape=(n_rows, n_cols),
+    )
+    stored = [e[2] for e in entries if e[2] > 0]
+    threshold = draw(
+        st.one_of(
+            st.just(0.0),
+            st.sampled_from(stored) if stored else st.just(0.5),
+            st.floats(0.01, 3.0),
+        )
+    )
+    return matrix, threshold, draw(st.booleans())
+
+
+@given(_prune_inputs())
+@settings(max_examples=300, deadline=None)
+def test_prune_matrix_equals_coo_round_trip(inputs):
+    """Bytes and index dtypes equal the old COO round trip's, and the
+    input is not mutated."""
+    matrix, threshold, keep_diagonal = inputs
+    before = [
+        getattr(matrix, part).copy() for part in ("indptr", "indices", "data")
+    ]
+    got = prune_matrix(matrix, threshold, keep_diagonal=keep_diagonal)
+    want = _coo_prune_oracle(matrix, threshold, keep_diagonal)
+    assert type(got) is type(want)
+    assert got.shape == want.shape
+    _assert_same_csr(got, want)
+    for part, old in zip(("indptr", "indices", "data"), before):
+        assert getattr(matrix, part).tobytes() == old.tobytes()
 
 
 class TestDropDiagonal:

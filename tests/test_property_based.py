@@ -27,8 +27,13 @@ from repro.eval.significance import sign_test
 from repro.graph import DirectedGraph, UndirectedGraph
 from repro.graph.generators import power_law_digraph
 from repro.linalg import thresholded_gram_matrix
-from repro.linalg.sparse_utils import prune_matrix
-from repro.symmetrize import get_symmetrization
+from repro.linalg.sparse_utils import drop_diagonal, prune_matrix
+from repro.symmetrize import (
+    BibliometricSymmetrization,
+    DegreeDiscountedSymmetrization,
+    get_symmetrization,
+)
+from repro.symmetrize import base as symmetrize_base
 from repro.validate import lenient
 
 # ---------------------------------------------------------------------------
@@ -404,6 +409,75 @@ def test_stacked_factor_equals_diagonal_products(inputs):
             g, w = getattr(got, part), getattr(want, part)
             assert g.dtype == w.dtype
             assert g.tobytes() == w.tobytes()
+
+
+def _whole_matrix_apply(sym, graph, threshold, drop_self_loops):
+    """``apply``'s route before it pruned row spans, kept as the
+    oracle: build all of ``U``, prune it, then the shared tail."""
+    matrix = sym.compute_matrix(graph).tocsr()
+    if threshold > 0:
+        matrix = prune_matrix(matrix, threshold)
+    if drop_self_loops:
+        matrix = drop_diagonal(matrix)
+    return ((matrix + matrix.T) * 0.5).tocsr()
+
+
+@st.composite
+def product_term_symmetrizations(draw):
+    """Degree-discounted or bibliometric, with every ablation switch
+    and (for degree-discounted) α, β from the paper's Table 4 grid."""
+    both = st.sampled_from([(True, True), (True, False), (False, True)])
+    coupling, cocitation = draw(both)
+    if draw(st.booleans()):
+        exponent = st.sampled_from([0.0, 0.25, 0.5, 1.0, "log"])
+        return DegreeDiscountedSymmetrization(
+            alpha=draw(exponent),
+            beta=draw(exponent),
+            include_coupling=coupling,
+            include_cocitation=cocitation,
+            weighted_degrees=draw(st.booleans()),
+        )
+    return BibliometricSymmetrization(
+        add_self_loops=draw(st.booleans()),
+        include_coupling=coupling,
+        include_cocitation=cocitation,
+    )
+
+
+@given(
+    st.one_of(directed_graphs(), power_law_digraphs()),
+    product_term_symmetrizations(),
+    st.booleans(),
+    st.data(),
+)
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_row_span_route_equals_whole_matrix_prune(
+    graph, sym, drop_self_loops, data
+):
+    """``apply(threshold > 0)`` prunes ``Σ L[a:b] @ R`` one row span
+    at a time; with the span budget at one product term (about one
+    row per span) its bytes and index dtypes equal pruning the whole
+    ``U``, at thresholds that tie one of ``U``'s values exactly."""
+    values = sym.compute_matrix(graph).data
+    threshold = data.draw(
+        st.sampled_from(sorted(set(values[values > 0].tolist())))
+        if (values > 0).any()
+        else st.floats(0.01, 2.0),
+        label="threshold",
+    )
+    want = _whole_matrix_apply(sym, graph, threshold, drop_self_loops)
+    with mock.patch.object(symmetrize_base, "_SPAN_TERMS", 1):
+        got = sym.apply(
+            graph, threshold=threshold, drop_self_loops=drop_self_loops
+        ).adjacency
+    for part in ("indptr", "indices", "data"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert g.dtype == w.dtype, part
+        assert g.tobytes() == w.tobytes(), part
 
 
 @given(directed_graphs(), st.sampled_from(SYM_NAMES))

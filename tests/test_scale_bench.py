@@ -139,6 +139,26 @@ class TestScaleBenchMini:
         assert "FAIL" in verdict
         assert "1 missed" in timings
 
+    def test_points_time_a_calibration_loop(self, mini_results):
+        """Each point records its calibration loop, and the summary
+        row and table give its time in those units."""
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "bench_summary",
+            Path(__file__).parent.parent / "tools" / "bench_summary.py",
+        )
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        timings, _ = tool._scale_row(mini_results)
+        table = format_scale_summary(mini_results)
+        for point in mini_results["points"]:
+            calibration = point["calibration_seconds"]
+            assert 0 < calibration < 60
+            units = point["symmetrize_seconds"] / calibration
+            assert f"= {units:.0f} cal" in timings
+            assert f"{units:>8.1f}" in table
+
     def test_rejects_empty_sizes(self):
         with pytest.raises(ReproError, match="at least one size"):
             run_scale_bench(sizes=[])

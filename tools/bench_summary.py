@@ -77,9 +77,10 @@ def _allpairs_row(results: dict) -> tuple[str, str]:
 
 def _scale_row(results: dict) -> tuple[str, str]:
     """(key timings, verdict) for a BENCH_scale.json dict; each point
-    also shows its all-pairs candidate, scored and verified pair
-    counts and its exactness certificate, and a missed or extra pair
-    fails the verdict."""
+    also shows its time in calibration units (its seconds over its
+    ``calibration_seconds``, when recorded), its all-pairs candidate,
+    scored and verified pair counts and its exactness certificate, and
+    a missed or extra pair fails the verdict."""
     parts = []
     peak = 0.0
     certified = True
@@ -101,9 +102,14 @@ def _scale_row(results: dict) -> tuple[str, str]:
                 else f"**{cert['misses']} missed, "
                 f"{cert['extras']} extra**"
             )
+        seconds = f"{point['symmetrize_seconds']:.1f}s"
+        calibration = point.get("calibration_seconds")
+        if calibration:
+            seconds += (
+                f" = {point['symmetrize_seconds'] / calibration:.0f} cal"
+            )
         parts.append(
-            f"{point['n_nodes']}n "
-            f"{point['symmetrize_seconds']:.1f}s "
+            f"{point['n_nodes']}n {seconds} "
             f"({candidates / 1e6:.2f}M candidates, "
             f"{scored / 1e3:.1f}k scored of "
             f"{verified / 1e3:.1f}k verified, {certificate})"
