@@ -6,7 +6,7 @@
 #   make format-check  ruff format --check (advisory in CI)
 #   make fault-smoke   fault-injection marker subset
 #   make chaos-smoke   chaos-harness recovery subset (retries, budgets)
-#   make bench-smoke   repro bench --smoke + benchmark smoke subset
+#   make bench-smoke   Table 1/2 and Fig 5a/7a benchmark subset
 #   make scale-smoke   out-of-core 50k-node bench under wall/mem budget
 #   make cache-smoke   cache identity + SIGKILL/resume smoke
 #   make serve-smoke   service daemon boot/dedup/drain smoke
@@ -44,8 +44,6 @@ chaos-smoke:
 # Fig 5a/7a run at full scale (~20 s): a change that moves MLR-MCL
 # labels must keep their quality shape.
 bench-smoke:
-	$(PYTHON) -m repro bench --smoke \
-		-o BENCH_allpairs.json --runlog bench_runs.jsonl
 	REPRO_BENCH_SCALE=0.25 $(PYTHON) -m pytest -q \
 		benchmarks/test_table1_datasets.py \
 		benchmarks/test_table2_edges.py
@@ -80,5 +78,4 @@ ci: lint test fault-smoke chaos-smoke bench-smoke scale-smoke cache-smoke \
 	serve-smoke serve-chaos paperbench-smoke coverage
 
 clean:
-	rm -rf .pytest_cache .ruff_cache coverage.xml .coverage \
-		bench_runs.jsonl
+	rm -rf .pytest_cache .ruff_cache coverage.xml .coverage

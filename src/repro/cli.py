@@ -8,8 +8,7 @@ Subcommands mirror the library's workflow on plain-text edge lists::
     python -m repro pipeline    graph.txt labels.txt -m dd -c metis -k 20
     python -m repro generate    cora out.txt --labels labels.txt -n 1500
     python -m repro evaluate    labels.txt truth.txt
-    python -m repro bench       -o BENCH_allpairs.json --smoke
-    python -m repro bench       --scale -o BENCH_scale.json
+    python -m repro bench       -o BENCH_scale.json --smoke
     python -m repro cache       list | stats | clear
     python -m repro sweep       graph.txt -k 10 20 30 --journal run.jsonl
     python -m repro resume      run.jsonl
@@ -292,43 +291,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bench",
         help=(
-            "symmetrize+cluster perf sweep on synthetic power-law "
-            "graphs; writes BENCH_allpairs.json (BENCH_scale.json "
-            "with --scale)"
+            "out-of-core scale bench: mmap-backed power-law graphs "
+            "(default 100k and 1M nodes) through the sharded "
+            "symmetrize->prune path, with a peak-RSS regression "
+            "floor; writes BENCH_scale.json"
         ),
     )
     p.add_argument(
         "-o",
         "--output",
-        default=None,
-        help=(
-            "where to write the JSON results (default: "
-            "BENCH_allpairs.json, or BENCH_scale.json with --scale)"
-        ),
-    )
-    p.add_argument(
-        "--scale",
-        action="store_true",
-        help=(
-            "out-of-core scale bench instead: mmap-backed power-law "
-            "graphs (default 100k and 1M nodes) through the sharded "
-            "symmetrize->prune path, with peak-RSS regression floor"
-        ),
+        default="BENCH_scale.json",
+        help="where to write the JSON results",
     )
     p.add_argument(
         "--block-size",
         type=int,
         default=4096,
-        help="rows per shard block in --scale mode",
+        help="rows per shard block",
     )
     p.add_argument(
         "--d-max",
         type=int,
         default=None,
         help=(
-            "cap on out-degrees and expected in-degrees for --scale "
-            "graphs (default: fixed cap of 100 so the curve isolates "
-            "scaling in n)"
+            "cap on out-degrees and expected in-degrees (default: "
+            "fixed cap of 100 so the curve isolates scaling in n)"
         ),
     )
     p.add_argument(
@@ -340,38 +327,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "-t",
-        "--thresholds",
+        "--threshold",
         type=float,
-        nargs="+",
         default=None,
-        help="prune thresholds to sweep",
-    )
-    p.add_argument(
-        "--backends",
-        nargs="+",
-        default=["python", "vectorized"],
-        help="all-pairs backends to time",
+        help="prune threshold for every point (default 0.5)",
     )
     p.add_argument(
         "--n-jobs",
         type=int,
         default=None,
-        help="parallel row-block workers for the vectorized backend",
+        help="shard workers for each timing point (default: serial)",
     )
     p.add_argument(
         "--smoke",
         action="store_true",
-        help="seconds-scale sweep (one 2k-node graph) for CI",
-    )
-    p.add_argument(
-        "--no-cluster",
-        action="store_true",
-        help="skip the MLR-MCL stage-2 timing",
-    )
-    p.add_argument(
-        "--no-cache-sweep",
-        action="store_true",
-        help="skip the cold-vs-warm artifact-cache sweep",
+        help="one ~50k-node graph instead of 100k + 1M, for CI",
     )
     p.add_argument("-s", "--seed", type=int, default=0)
     p.add_argument(
@@ -934,56 +904,22 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import (
-        bench_manifest,
-        format_summary,
-        run_bench,
-        write_bench,
-    )
-
-    if args.scale:
-        return _cmd_bench_scale(args)
-    if args.output is None:
-        args.output = "BENCH_allpairs.json"
-    results = run_bench(
-        sizes=args.sizes,
-        thresholds=args.thresholds,
-        backends=args.backends,
-        n_jobs=args.n_jobs,
-        seed=args.seed,
-        smoke=args.smoke,
-        with_cluster=not args.no_cluster,
-        with_cache_sweep=not args.no_cache_sweep,
-    )
-    path = write_bench(results, args.output)
-    print(format_summary(results))
-    print(f"results written to {path}")
-    if args.runlog is not None:
-        from repro.obs.manifest import append_manifest
-
-        append_manifest(bench_manifest(results), args.runlog)
-        print(f"run manifest appended to {args.runlog}")
-    return 0 if results["regression"]["passed"] else 1
-
-
-def _cmd_bench_scale(args: argparse.Namespace) -> int:
-    from repro.perf.bench import write_bench
     from repro.perf.scale_bench import (
         DEFAULT_SCALE_D_MAX,
         DEFAULT_SCALE_THRESHOLD,
         format_scale_summary,
         run_scale_bench,
         scale_manifest,
+        write_bench,
     )
 
-    threshold = (
-        args.thresholds[0]
-        if args.thresholds
-        else DEFAULT_SCALE_THRESHOLD
-    )
     results = run_scale_bench(
         sizes=args.sizes,
-        threshold=threshold,
+        threshold=(
+            args.threshold
+            if args.threshold is not None
+            else DEFAULT_SCALE_THRESHOLD
+        ),
         n_jobs=args.n_jobs,
         block_size=args.block_size,
         d_max=(
@@ -992,10 +928,7 @@ def _cmd_bench_scale(args: argparse.Namespace) -> int:
         seed=args.seed,
         smoke=args.smoke,
     )
-    path = write_bench(
-        results,
-        args.output if args.output is not None else "BENCH_scale.json",
-    )
+    path = write_bench(results, args.output)
     print(format_scale_summary(results))
     print(f"results written to {path}")
     if args.runlog is not None:

@@ -173,7 +173,6 @@ class GraphClusterer(abc.ABC):
         from repro.exceptions import DegenerateGraphWarning
         from repro.obs.metrics import metric_set
         from repro.obs.trace import span
-        from repro.perf.stopwatch import Stopwatch
 
         _check_input(graph, n_clusters)
         if graph.adjacency.nnz == 0:
@@ -186,15 +185,8 @@ class GraphClusterer(abc.ABC):
                 stacklevel=2,
             )
             return Clustering(np.arange(graph.n_nodes))
-        with span(f"cluster:{self.name}") as sp_, Stopwatch(
-            f"cluster:{self.name}"
-        ) as sw:
+        with span(f"cluster:{self.name}") as sp_:
             result = self._cluster(graph, n_clusters)
-            sw.count(
-                n_nodes=graph.n_nodes,
-                nnz_in=graph.adjacency.nnz,
-                n_clusters=result.n_clusters,
-            )
             sp_.set(
                 n_nodes=graph.n_nodes,
                 nnz_in=graph.adjacency.nnz,

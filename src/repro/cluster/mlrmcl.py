@@ -46,7 +46,6 @@ from repro.graph.ugraph import UndirectedGraph
 from repro.linalg.allpairs import _budget_spans
 from repro.obs.metrics import metric_inc, metric_set
 from repro.obs.trace import span
-from repro.perf.stopwatch import add_counters
 
 __all__ = ["MLRMCL"]
 
@@ -372,9 +371,6 @@ def _rmcl_iterations(
             iterations=performed,
             stop=stop,
         )
-    add_counters(
-        "cluster:mlrmcl", rmcl_iterations=performed, flow_nnz=flow.nnz
-    )
     metric_inc("mcl_iterations", performed)
     metric_inc("mcl_entries_pruned_total", entries_pruned)
     metric_set("mcl_final_flow_nnz", flow.nnz)

@@ -9,8 +9,7 @@ facade, sweeps, experiment runners):
   :class:`~repro.exceptions.ReproWarning` raised inside a stage is
   recorded as a :class:`PipelineWarning` instead of reaching the
   user's warning filters;
-- wall-clock timing per stage, optionally recorded into the ambient
-  :class:`~repro.perf.PerfRecorder` under the stage's ``perf_tag``;
+- wall-clock timing per stage (:class:`StageExecution`);
 - validation strictness scoped to the run's mode;
 - content-addressed artifact caching for cacheable stages, keyed on
   the input dataset fingerprint plus the stage lineage's canonical
@@ -52,7 +51,6 @@ from repro.graph.digraph import DirectedGraph
 from repro.graph.ugraph import UndirectedGraph
 from repro.obs.metrics import metric_inc
 from repro.obs.trace import span
-from repro.perf.stopwatch import record_stage
 from repro.validate.invariants import strictness
 
 __all__ = [
@@ -514,12 +512,6 @@ class Executor:
                     )
                     sp_.set(cache="miss", artifact_key=key[:16])
         seconds = time.perf_counter() - t0
-        if stage.perf_tag is not None:
-            record_stage(
-                stage.perf_tag,
-                seconds,
-                **stage.counters(values, outputs),
-            )
         values.update(outputs)
         return StageExecution(
             stage=stage.name,

@@ -64,16 +64,12 @@ class Stage(abc.ABC):
         Whether the stage's (single) output artifact may be served
         from the content-addressed cache. Cacheable stages must be
         deterministic functions of their inputs and configuration.
-    perf_tag:
-        When set, the executor records the stage's wall time under
-        this :func:`repro.perf.record_stage` name.
     """
 
     name: str = "stage"
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
     cacheable: bool = False
-    perf_tag: str | None = None
 
     @abc.abstractmethod
     def run(
@@ -106,12 +102,6 @@ class Stage(abc.ABC):
             }
         )
         return hashlib.sha256(payload.encode()).hexdigest()
-
-    def counters(
-        self, values: dict[str, Any], outputs: dict[str, Any]
-    ) -> dict[str, int]:
-        """Counters attached to the ``perf_tag`` timing record."""
-        return {}
 
     def __repr__(self) -> str:
         cfg = ", ".join(

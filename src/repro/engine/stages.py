@@ -89,7 +89,6 @@ class SymmetrizeStage(Stage):
     inputs = ("graph",)
     outputs = ("symmetrized",)
     cacheable = True
-    perf_tag = "pipeline:symmetrize"
 
     def __init__(
         self,
@@ -114,14 +113,6 @@ class SymmetrizeStage(Stage):
             "symmetrized": self.symmetrization.apply(
                 values["graph"], threshold=self.threshold
             )
-        }
-
-    def counters(
-        self, values: dict[str, Any], outputs: dict[str, Any]
-    ) -> dict[str, int]:
-        return {
-            "nnz_in": values["graph"].adjacency.nnz,
-            "nnz_out": outputs["symmetrized"].adjacency.nnz,
         }
 
 
@@ -185,7 +176,6 @@ class ClusterStage(Stage):
     name = "cluster"
     inputs = ("symmetrized",)
     outputs = ("clustering",)
-    perf_tag = "pipeline:cluster"
 
     def __init__(
         self,
@@ -214,14 +204,6 @@ class ClusterStage(Stage):
             "clustering": self.clusterer.cluster(
                 values["symmetrized"], self.n_clusters
             )
-        }
-
-    def counters(
-        self, values: dict[str, Any], outputs: dict[str, Any]
-    ) -> dict[str, int]:
-        return {
-            "nnz_in": values["symmetrized"].adjacency.nnz,
-            "n_clusters": outputs["clustering"].n_clusters,
         }
 
 

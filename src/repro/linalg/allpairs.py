@@ -113,7 +113,6 @@ from repro.obs.metrics import (
     peak_rss_bytes,
 )
 from repro.obs.trace import span
-from repro.perf.stopwatch import add_counters
 
 __all__ = ["thresholded_gram_matrix", "BACKENDS"]
 
@@ -214,34 +213,6 @@ class _Found(NamedTuple):
     candidates: int
     verified: int
     scored: int
-    indexed_nnz: int | None = None
-
-
-def _count_pairs(
-    stage: str, found: _Found, *, rows: int, nnz_in: int, kept: int
-) -> None:
-    """Record an engine's pair funnel: generated by the candidate
-    product ≥ verified (left after the bound) ≥ scored exactly (left
-    after the prefix gate) ≥ kept."""
-    candidates = found.candidates
-    extra = {}
-    if found.indexed_nnz is not None:
-        extra["indexed_nnz"] = found.indexed_nnz
-    add_counters(
-        stage,
-        rows=rows,
-        nnz_in=nnz_in,
-        **extra,
-        candidate_pairs=candidates,
-        verified_pairs=found.verified,
-        scored_pairs=found.scored,
-        kept_pairs=kept,
-        pruned_pairs=candidates - kept,
-    )
-    metric_inc("allpairs_candidate_pairs_total", candidates)
-    metric_inc("allpairs_pairs_verified_total", found.verified)
-    metric_inc("allpairs_pairs_scored_total", found.scored)
-    metric_inc("allpairs_pairs_pruned_total", candidates - kept)
 
 
 def _symmetric(
@@ -1162,7 +1133,7 @@ def _vectorized_engine(
         found = _process_blocks(
             csr, index, threshold, block_starts, block_size
         )
-    return found._replace(indexed_nnz=index.suffix.nnz)
+    return found
 
 
 def _self_scores(
@@ -1248,9 +1219,7 @@ def thresholded_gram_matrix(
             threshold,
             include_diagonal=include_diagonal,
         )
-        left, right, values = _select(
-            csr, found, backend, whole, threshold
-        )
+        left, right, values = _select(csr, found, whole, threshold)
         if include_diagonal and backend == "vectorized":
             diag, halves = _self_scores(csr, threshold)
             left = np.concatenate((left, diag))
@@ -1300,25 +1269,22 @@ def _search(
 def _select(
     csr: sp.csr_array,
     found: _Found,
-    backend: str,
     ends: np.ndarray,
     keep: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The kept triplets ``(probe, partner, score)`` of a search: its
     survivors exact-scored over ``ends`` and cut at ``keep``, unless
-    the engine already did; records the pair funnel under
-    ``allpairs:<backend>``."""
+    the engine already did. Counts the pair funnel: generated by the
+    candidate product ≥ verified (left after the bound) ≥ scored
+    exactly (left after the prefix gate) ≥ kept."""
     if found.values is None:
         left, right, values = _score_and_keep(
             csr, found.left, found.right, ends, keep
         )
     else:
         left, right, values = found.left, found.right, found.values
-    _count_pairs(
-        f"allpairs:{backend}",
-        found,
-        rows=csr.shape[0],
-        nnz_in=csr.nnz,
-        kept=left.size,
-    )
+    metric_inc("allpairs_candidate_pairs_total", found.candidates)
+    metric_inc("allpairs_pairs_verified_total", found.verified)
+    metric_inc("allpairs_pairs_scored_total", found.scored)
+    metric_inc("allpairs_pairs_pruned_total", found.candidates - left.size)
     return left, right, values

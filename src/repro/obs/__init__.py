@@ -1,10 +1,10 @@
 """Observability: tracing, metrics and run manifests.
 
-This package grows the stage-timing layer of :mod:`repro.perf` into a
-full observability subsystem — the paper's empirical claims are
-*comparative* (degree-discounted clusters 2–5x faster, ≈22% better
-Avg-F than BestWCut on Cora), so seeing where time, memory and quality
-go per stage and per run is a first-class concern:
+This package is the library's one instrumentation channel — the
+paper's empirical claims are *comparative* (degree-discounted clusters
+2–5x faster, ≈22% better Avg-F than BestWCut on Cora), so seeing where
+time, memory and quality go per stage and per run is a first-class
+concern:
 
 - :mod:`~repro.obs.trace` — hierarchical :class:`Span` trees
   (stage → substage → gram block) with wall/CPU time, optional memory
@@ -18,11 +18,11 @@ go per stage and per run is a first-class concern:
   span tree, metrics) appended to JSONL run logs that the
   ``repro runs`` CLI lists and diffs.
 
-All three share the ambient-contextvar pattern of
-:func:`repro.perf.recording`: instrumentation calls are no-ops when
-nothing is installed, so the library costs nothing to observe when
-observation is off. The flat stage timers (:class:`.PerfRecorder`,
-:class:`.Stopwatch`) remain available here as the fourth primitive.
+Spans time the code and carry its counts as attributes (nnz in and
+out, cluster counts, iterations, pair-funnel stages); metrics total
+them across a run. Both are ambient-contextvar based: instrumentation
+calls are no-ops when nothing is installed, so the library costs
+nothing to observe when observation is off.
 
 See ``docs/observability.md`` for a guide.
 """
@@ -56,12 +56,6 @@ from repro.obs.trace import (
     to_chrome_trace,
     tracing,
 )
-from repro.perf.stopwatch import (
-    PerfRecorder,
-    Stopwatch,
-    current_recorder,
-    recording,
-)
 
 __all__ = [
     # tracing
@@ -90,9 +84,4 @@ __all__ = [
     "read_manifests",
     "diff_manifests",
     "format_diff",
-    # re-exported flat timers
-    "PerfRecorder",
-    "Stopwatch",
-    "recording",
-    "current_recorder",
 ]

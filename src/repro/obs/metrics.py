@@ -3,7 +3,7 @@
 The symmetrize/prune/cluster/eval stages emit named metrics —
 ``edges_pruned_total``, ``mcl_iterations``, ``singleton_fraction``,
 ``pagerank_convergence_delta`` — through the same ambient-contextvar
-pattern as :mod:`repro.perf` timings and :mod:`repro.obs.trace` spans:
+pattern as :mod:`repro.obs.trace` spans:
 library code calls :func:`metric_inc` / :func:`metric_set` /
 :func:`metric_observe` unconditionally, and each call is a no-op
 (one contextvar read) unless a :class:`MetricsRegistry` is installed
@@ -18,9 +18,10 @@ Metric kinds follow the usual conventions:
 - **histogram** — distribution summary (count/sum/min/max plus decade
   buckets): per-block candidate counts, per-span durations.
 
-``repro bench`` and the pipeline's run manifests snapshot the registry
-with :meth:`MetricsRegistry.as_dict`; see ``docs/observability.md``
-for the metrics glossary.
+The pipeline's run manifests snapshot the registry with
+:meth:`MetricsRegistry.as_dict`, and ``repro bench`` with
+:meth:`MetricsRegistry.flat`; see ``docs/observability.md`` for the
+metrics glossary.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class MetricsRegistry:
 
         Histograms contribute their count under ``<name>_count`` and
         sum under ``<name>_sum`` — the shape ``repro bench`` embeds in
-        ``BENCH_allpairs.json`` run entries.
+        each ``BENCH_scale.json`` point.
         """
         out: dict[str, float] = {}
         out.update(self.counters)

@@ -6,11 +6,13 @@ nest, forming a tree (``pipeline`` → ``symmetrize`` →
 ``gram_block[512]``), and each records wall-clock time, CPU time,
 optional memory deltas and free-form numeric/string attributes.
 
-Like the :mod:`repro.perf` stage recorder, tracing is *ambient*:
-library code calls :func:`span` unconditionally, and without an
-installed :class:`Tracer` the call returns a shared no-op span — one
-contextvar read, zero allocations — so instrumented hot paths cost
-nothing when tracing is off. Install a tracer with :func:`tracing`::
+Spans and the metrics of :mod:`repro.obs.metrics` are the library's
+one instrumentation channel: a span's attributes carry the counts that
+explain its timing. Tracing is *ambient*: library code calls
+:func:`span` unconditionally, and without an installed
+:class:`Tracer` the call returns a shared no-op span — one contextvar
+read, zero allocations — so instrumented hot paths cost nothing when
+tracing is off. Install a tracer with :func:`tracing`::
 
     with tracing() as tracer:
         result = pipeline.run(graph)

@@ -1,55 +1,12 @@
-"""Stage-level performance instrumentation and the bench harness.
+"""The ``repro bench`` harness.
 
-The north-star of this reproduction is running "as fast as the
-hardware allows" on web-scale graphs, which makes *measuring* each
-pipeline stage a first-class concern. This package provides:
+:mod:`~repro.perf.scale_bench` runs mmap-backed 100k/1M-node
+power-law graphs through the out-of-core sharded symmetrize → prune
+path and emits ``BENCH_scale.json`` with timing points, peak-RSS
+high-water marks, the pair funnel, an exactness certificate per point
+and a shard-vs-monolithic identity check.
 
-- :mod:`~repro.perf.stopwatch` — a :class:`Stopwatch` timer, a
-  ``@timed`` decorator, and a :class:`PerfRecorder` that the pipeline,
-  symmetrizations, clusterers and the all-pairs engine report into
-  (per-stage wall time plus counters such as nnz in/out, candidate
-  pairs generated, pairs pruned).
-- :mod:`~repro.perf.bench` — the ``repro bench`` harness: a
-  symmetrize + cluster sweep over synthetic power-law graphs across
-  sizes and backends that emits ``BENCH_allpairs.json`` with
-  per-backend timings and regression thresholds.
-- :mod:`~repro.perf.scale_bench` — the ``repro bench --scale``
-  harness: mmap-backed 100k/1M-node graphs through the out-of-core
-  sharded symmetrize → prune path, emitting ``BENCH_scale.json``
-  with timing points, peak-RSS high-water marks and a
-  shard-vs-monolithic identity check.
-
-Instrumentation is zero-configuration and near-zero overhead: stages
-record into the *ambient* recorder installed by
-:func:`~repro.perf.recording`, and recording calls are no-ops when no
-recorder is active.
-
-This package has since grown into the fuller observability layer in
-:mod:`repro.obs` — hierarchical span tracing with Chrome
-``trace_event`` export, a counters/gauges/histograms metrics registry
-and run manifests — which re-exports the stopwatch API. New code
-should import from :mod:`repro.obs`; this module remains the home of
-the flat stage recorder and the bench harness.
+Timings and counts inside the library come from :mod:`repro.obs`
+(spans plus metrics), the one instrumentation channel; the harness
+reads the pair funnel from its metrics registry.
 """
-
-from repro.perf.stopwatch import (
-    PerfRecorder,
-    StageRecord,
-    Stopwatch,
-    add_counters,
-    current_recorder,
-    record_stage,
-    recording,
-    timed,
-)
-
-__all__ = [
-    "PerfRecorder",
-    "StageRecord",
-    "Stopwatch",
-    "add_counters",
-    "current_recorder",
-    "record_stage",
-    "recording",
-    "timed",
-]

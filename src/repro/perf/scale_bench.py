@@ -1,9 +1,8 @@
-"""The ``repro bench --scale`` harness: paper-scale out-of-core runs.
+"""The ``repro bench`` harness: paper-scale out-of-core runs.
 
-Where :mod:`repro.perf.bench` sweeps backends on graphs that fit
-comfortably in RAM, this harness reproduces the *scaling* claims
-(Figures 8–9 of the paper): generate power-law digraphs at 100k and
-1M nodes straight into memory-mapped CSR stores
+This harness reproduces the *scaling* claims (Figures 8–9 of the
+paper): generate power-law digraphs at 100k and 1M nodes straight
+into memory-mapped CSR stores
 (:func:`~repro.graph.generators.power_law_mmcsr`), run the
 degree-discounted symmetrize → prune pipeline end-to-end through the
 out-of-core sharded all-pairs engine, and emit ``BENCH_scale.json``
@@ -40,6 +39,7 @@ finishes in CI time; that mode is exercised by
 
 from __future__ import annotations
 
+import json
 import os
 import platform
 import shutil
@@ -69,6 +69,7 @@ __all__ = [
     "exactness_certificate",
     "scale_smoke_enabled",
     "run_scale_bench",
+    "write_bench",
     "scale_manifest",
     "format_scale_summary",
 ]
@@ -522,6 +523,13 @@ def _regression_block(
         "passed": not failures,
         "failures": failures,
     }
+
+
+def write_bench(results: dict[str, Any], path: str | Path) -> Path:
+    """Serialize ``results`` to ``path`` (pretty-printed JSON)."""
+    out = Path(path)
+    out.write_text(json.dumps(results, indent=2) + "\n")
+    return out
 
 
 def scale_manifest(results: dict[str, Any]):

@@ -78,11 +78,6 @@ from repro.obs.metrics import (
     metrics_active,
 )
 from repro.obs.trace import Tracer, current_tracer, span, tracing
-from repro.perf.stopwatch import (
-    PerfRecorder,
-    current_recorder,
-    recording,
-)
 from repro.symmetrize.base import Symmetrization, get_symmetrization
 
 __all__ = [
@@ -112,14 +107,6 @@ class PipelineResult:
     average_f:
         §4.3 Avg-F in percent, when ground truth was supplied to
         :meth:`SymmetrizeClusterPipeline.run`; ``None`` otherwise.
-    stages:
-        Per-stage instrumentation snapshot (the
-        :meth:`~repro.perf.PerfRecorder.as_dict` of the recorder that
-        observed this run): wall time, call counts and counters such
-        as nnz in/out, candidate-pair and pruned-pair totals. When the
-        run happened inside an ambient :func:`repro.perf.recording`
-        block the shared recorder accumulates across runs and this
-        snapshot reflects the totals so far.
     warnings:
         Structured :class:`PipelineWarning` records for every
         :class:`~repro.exceptions.ReproWarning` the run emitted —
@@ -153,7 +140,6 @@ class PipelineResult:
     symmetrize_seconds: float
     cluster_seconds: float
     average_f: float | None
-    stages: dict[str, Any] | None = field(default=None, compare=False)
     warnings: tuple[PipelineWarning, ...] = field(
         default=(), compare=False
     )
@@ -342,9 +328,6 @@ class SymmetrizeClusterPipeline:
         plan_budget:
             Whole-run :class:`~repro.engine.Budget` ceiling.
         """
-        recorder = current_recorder()
-        if recorder is None:
-            recorder = PerfRecorder()
         tracer = current_tracer()
         own_tracer = None
         if tracer is None and (trace or manifest_path is not None):
@@ -377,7 +360,6 @@ class SymmetrizeClusterPipeline:
                 stack.enter_context(tracing(own_tracer))
             if own_metrics is not None:
                 stack.enter_context(metrics_active(own_metrics))
-            stack.enter_context(recording(recorder))
             root = stack.enter_context(span("pipeline"))
             root.set(
                 symmetrization=self.symmetrization.name,
@@ -443,7 +425,6 @@ class SymmetrizeClusterPipeline:
             symmetrize_seconds=t_sym,
             cluster_seconds=t_cluster,
             average_f=avg_f,
-            stages=recorder.as_dict(),
             warnings=execution.warnings,
             trace=trace_snapshot,
             metrics=metrics_snapshot,

@@ -20,7 +20,6 @@ from repro.graph.ugraph import UndirectedGraph
 from repro.linalg.sparse_utils import drop_diagonal, prune_matrix
 from repro.obs.metrics import metric_inc, metric_set
 from repro.obs.trace import span
-from repro.perf.stopwatch import Stopwatch
 from repro.validate.invariants import (
     degenerate_event,
     repair_graph,
@@ -171,9 +170,7 @@ class Symmetrization(abc.ABC):
                 f"expected a DirectedGraph, got {type(graph).__name__}"
             )
         graph = self._validated_input(graph)
-        with span(f"symmetrize:{self.name}") as sp_, Stopwatch(
-            f"symmetrize:{self.name}"
-        ) as sw:
+        with span(f"symmetrize:{self.name}") as sp_:
             if threshold > 0 and type(self).product_terms is not (
                 Symmetrization.product_terms
             ):
@@ -198,12 +195,6 @@ class Symmetrization(abc.ABC):
                 matrix = drop_diagonal(matrix)
             # Clean tiny asymmetries from floating-point products.
             matrix = ((matrix + matrix.T) * 0.5).tocsr()
-            sw.count(
-                n_nodes=graph.n_nodes,
-                nnz_in=graph.adjacency.nnz,
-                nnz_raw=nnz_raw,
-                nnz_out=matrix.nnz,
-            )
             sp_.set(
                 n_nodes=graph.n_nodes,
                 nnz_in=graph.adjacency.nnz,

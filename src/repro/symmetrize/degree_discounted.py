@@ -294,7 +294,6 @@ class DegreeDiscountedSymmetrization(Symmetrization):
             peak_rss_bytes,
         )
         from repro.obs.trace import span
-        from repro.perf.stopwatch import add_counters
 
         if threshold <= 0:
             raise SymmetrizationError(
@@ -329,17 +328,9 @@ class DegreeDiscountedSymmetrization(Symmetrization):
                 )
                 sp_.set(rows=csr.shape[0], threshold=search)
             with span("verify_candidates") as sp_:
-                left, right, values = _select(
-                    csr, found, backend, ends, keep_level
-                )
+                left, right, values = _select(csr, found, ends, keep_level)
                 n_kept = int(left.size)
                 sp_.set(candidate_pairs=found.scored, kept_pairs=n_kept)
-            add_counters(
-                "apply_pruned:degree_discounted",
-                candidate_pairs=found.scored,
-                kept_pairs=n_kept,
-                pruned_pairs=found.scored - n_kept,
-            )
             # Every pair the threshold cut after scoring it: the gate
             # scores each verified pair in full (suffix plus prefix).
             metric_inc("edges_pruned_total", found.verified - n_kept)

@@ -347,6 +347,8 @@ class TestStreamingEdgeList:
         import sys
         from pathlib import Path
 
+        from tests.conftest import PEAK_KB
+
         resource = pytest.importorskip("resource")
         del resource
         n_nodes = 30_000
@@ -363,14 +365,14 @@ class TestStreamingEdgeList:
                 ):
                     f.write(f"{s} {d}\n")
             script = (
-                "import resource, sys, warnings\n"
+                PEAK_KB
+                + "import warnings\n"
                 "from repro.graph.io import read_edge_list\n"
                 "warnings.simplefilter('ignore')\n"
                 f"g = read_edge_list({str(path)!r}, "
                 f"n_nodes={n_nodes}, streaming=True, "
                 "chunk_edges=8192)\n"
-                "print(resource.getrusage("
-                "resource.RUSAGE_SELF).ru_maxrss)\n"
+                "print(peak_kb())\n"
             )
             proc = subprocess.run(
                 [sys.executable, "-c", script],

@@ -24,6 +24,7 @@ from repro.cluster import MLRMCL
 from repro.graph.generators import power_law_mmcsr
 from repro.perf.scale_bench import scale_smoke_enabled
 from repro.symmetrize import DegreeDiscountedSymmetrization
+from tests.conftest import PEAK_KB
 
 
 def _paper_density(n_nodes, directory):
@@ -46,15 +47,15 @@ def test_paper_density_5k_clusters_in_bounded_memory(tmp_path):
     path = tmp_path / "u.npz"
     sp.save_npz(path, sp.csr_array(symmetrized.adjacency))
     script = (
-        "import resource, sys\n"
+        PEAK_KB
+        + "import sys\n"
         "import scipy.sparse as sp\n"
         "from repro.cluster import MLRMCL\n"
         "from repro.graph import UndirectedGraph\n"
         "graph = UndirectedGraph(sp.csr_array(sp.load_npz(sys.argv[1])))\n"
-        "usage = resource.getrusage\n"
-        "before = usage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = peak_kb()\n"
         "MLRMCL().cluster(graph)\n"
-        "print(usage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        "print(peak_kb() - before)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, str(path)],

@@ -1,5 +1,5 @@
 """Tests for :mod:`repro.perf.scale_bench` — the out-of-core scale
-harness behind ``repro bench --scale``.
+harness behind ``repro bench``.
 
 The unmarked tests run a miniature sweep (a few thousand nodes) so
 the schema, the regression block and the shard-vs-monolithic
@@ -17,7 +17,6 @@ import pytest
 
 from repro.cli import main
 from repro.exceptions import ReproError
-from repro.perf.bench import write_bench
 from repro.perf.scale_bench import (
     MAX_PEAK_RSS_BYTES,
     REQUIRED_POINT_KEYS,
@@ -27,6 +26,7 @@ from repro.perf.scale_bench import (
     run_scale_bench,
     scale_manifest,
     scale_smoke_enabled,
+    write_bench,
 )
 
 
@@ -223,7 +223,6 @@ class TestScaleBenchCli:
         code = main(
             [
                 "bench",
-                "--scale",
                 "--sizes",
                 "2000",
                 "-o",
@@ -245,7 +244,6 @@ class TestScaleBenchCli:
         code = main(
             [
                 "bench",
-                "--scale",
                 "--sizes",
                 "2000",
                 "-o",
@@ -258,6 +256,27 @@ class TestScaleBenchCli:
         manifests = read_manifests(log)
         assert len(manifests) == 1
         assert manifests[0].name == "bench-scale"
+
+    def test_bench_takes_one_threshold(self, tmp_path, capsys):
+        # A second value is a usage error, not a silently dropped
+        # grid point.
+        out = tmp_path / "BENCH_scale.json"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "bench",
+                    "-t",
+                    "0.03",
+                    "0.5",
+                    "--sizes",
+                    "400",
+                    "-o",
+                    str(out),
+                ]
+            )
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.scale_smoke

@@ -1,20 +1,18 @@
 """Append a bench-trajectory row to the CI job summary.
 
-Every CI run benches the kernels (``BENCH_allpairs.json``, optionally
-``BENCH_scale.json``) and uploads the raw JSON as an artifact — this
-tool distills each file into one markdown table row (date, commit,
-key timings, regression verdict) and appends it to
-``$GITHUB_STEP_SUMMARY`` so the Actions UI shows the performance
-trajectory at a glance without downloading anything. Falls back to
-stdout when the variable is unset (local runs).
+The CI scale leg benches the kernel (``BENCH_scale.json``) and
+uploads the raw JSON as an artifact — this tool distills the file
+into one markdown table row (date, commit, key timings, regression
+verdict) and appends it to ``$GITHUB_STEP_SUMMARY`` so the Actions UI
+shows the performance trajectory at a glance without downloading
+anything. Falls back to stdout when the variable is unset (local
+runs).
 
 Usage::
 
-    PYTHONPATH=src python tools/bench_summary.py \
-        [--allpairs BENCH_allpairs.json] [--scale BENCH_scale.json]
+    PYTHONPATH=src python tools/bench_summary.py [--scale BENCH_scale.json]
 
-Missing files are skipped silently: the scale bench only runs on the
-scale-smoke matrix leg. Exit code is 0 unless no input file exists.
+Exit code is 0 unless the input file is missing or unreadable.
 """
 
 from __future__ import annotations
@@ -48,31 +46,6 @@ def _git_sha() -> str:
 
 def _verdict(passed: bool) -> str:
     return "PASS" if passed else "**FAIL**"
-
-
-def _allpairs_row(results: dict) -> tuple[str, str]:
-    """(key timings, verdict) for a BENCH_allpairs.json dict."""
-    largest: dict[str, dict] = {}
-    for run in results.get("runs", []):
-        if run.get("kind") != "symmetrize":
-            continue
-        backend = run.get("backend", "?")
-        if (
-            backend not in largest
-            or run["n_nodes"] > largest[backend]["n_nodes"]
-        ):
-            largest[backend] = run
-    timings = ", ".join(
-        f"{backend} {run['seconds']:.3f}s@{run['n_nodes']}"
-        for backend, run in sorted(largest.items())
-    )
-    speedups = results.get("speedups") or {}
-    if speedups:
-        best = max(speedups.values())
-        timings += f", speedup {best:.2f}x"
-    return timings or "no runs", _verdict(
-        bool(results.get("regression", {}).get("passed"))
-    )
 
 
 def _scale_row(results: dict) -> tuple[str, str]:
@@ -134,45 +107,32 @@ def _scale_row(results: dict) -> tuple[str, str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--allpairs", default="BENCH_allpairs.json")
     parser.add_argument("--scale", default="BENCH_scale.json")
     args = parser.parse_args(argv)
 
     date = datetime.datetime.now(datetime.timezone.utc).strftime(
         "%Y-%m-%d"
     )
-    sha = _git_sha()
-    rows = []
-    for label, path, distill in (
-        ("allpairs", Path(args.allpairs), _allpairs_row),
-        ("scale", Path(args.scale), _scale_row),
-    ):
-        if not path.exists():
-            continue
-        try:
-            results = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(
-                f"bench-summary: unreadable {path}: {exc}",
-                file=sys.stderr,
-            )
-            return 1
-        timings, verdict = distill(results)
-        rows.append(
-            f"| {date} | `{sha}` | {label} | {timings} | {verdict} |"
-        )
-    if not rows:
+    path = Path(args.scale)
+    if not path.exists():
+        print(f"bench-summary: {path} not found", file=sys.stderr)
+        return 1
+    try:
+        results = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
         print(
-            "bench-summary: no bench files found", file=sys.stderr
+            f"bench-summary: unreadable {path}: {exc}",
+            file=sys.stderr,
         )
         return 1
+    timings, verdict = _scale_row(results)
 
     lines = [
         "### Bench trajectory",
         "",
         "| date | sha | bench | key timings | regression |",
         "| --- | --- | --- | --- | --- |",
-        *rows,
+        f"| {date} | `{_git_sha()}` | scale | {timings} | {verdict} |",
         "",
     ]
     output = "\n".join(lines)
