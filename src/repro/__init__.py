@@ -35,10 +35,8 @@ Package layout
 
 from repro.cluster import (
     Clustering,
-    ConsensusClusterer,
     GraclusClusterer,
     GraphClusterer,
-    LouvainClusterer,
     MLRMCL,
     MetisClusterer,
     SpectralClusterer,
@@ -174,8 +172,6 @@ __all__ = [
     "MetisClusterer",
     "GraclusClusterer",
     "SpectralClusterer",
-    "LouvainClusterer",
-    "ConsensusClusterer",
     # directed baselines / objectives
     "ZhouDirectedSpectral",
     "WCutSpectral",

@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "-k", "--n-clusters", type=int, default=None,
-        help="requested cluster count (advisory for mlrmcl/louvain)",
+        help="requested cluster count (advisory for mlrmcl)",
     )
 
     p = sub.add_parser(

@@ -12,9 +12,6 @@ implemented here from scratch:
   k-means normalized-cut minimization (Dhillon et al.).
 - :class:`SpectralClusterer` — Shi–Malik normalized spectral
   clustering, used as an additional reference method.
-- :class:`LouvainClusterer` — Louvain modularity maximization, an
-  extra stage-2 option demonstrating the framework's plug-anything
-  claim (not part of the paper's evaluation).
 
 All algorithms consume an :class:`~repro.graph.UndirectedGraph` and
 return a :class:`~repro.cluster.common.Clustering`.
@@ -27,9 +24,7 @@ from repro.cluster.common import (
     get_clusterer,
     register_clusterer,
 )
-from repro.cluster.consensus import ConsensusClusterer
 from repro.cluster.graclus import GraclusClusterer
-from repro.cluster.louvain import LouvainClusterer
 from repro.cluster.metis import MetisClusterer
 from repro.cluster.mlrmcl import MLRMCL
 from repro.cluster.spectral import SpectralClusterer
@@ -44,6 +39,4 @@ __all__ = [
     "MetisClusterer",
     "GraclusClusterer",
     "SpectralClusterer",
-    "LouvainClusterer",
-    "ConsensusClusterer",
 ]

@@ -34,9 +34,8 @@ The fault-tolerant runtime layers on top:
   :class:`~repro.engine.journal.JournalReplay` feeds
   ``Executor(resume_from=...)`` and ``sweep_*(..., resume=...)`` so an
   interrupted run recomputes only its unfinished tail;
-- :class:`~repro.engine.pool.WorkerPool` — a shared, crash-tolerant
-  process pool with an ambient installer (:func:`worker_pool`) that
-  sweep points and sharded kernels draw from together, with lost
+- :class:`~repro.engine.pool.WorkerPool` — a crash-tolerant process
+  pool, one per sharded kernel call or service supervisor, with lost
   payloads re-executed in-process;
 - :mod:`~repro.engine.chaos` — deterministic fault injection
   (:func:`inject_faults`) for proving the recovery paths work.
@@ -83,7 +82,7 @@ from repro.engine.journal import (
 from repro.engine.ambient import AmbientState, ambient_scope
 from repro.engine.plan import Plan
 from repro.engine.policy import Budget, BudgetMeter, RetryPolicy
-from repro.engine.pool import WorkerPool, current_pool, worker_pool
+from repro.engine.pool import WorkerPool
 from repro.engine.stage import Stage, StageContext
 from repro.engine.stages import (
     ClusterStage,
@@ -92,7 +91,6 @@ from repro.engine.stages import (
     PruneToDegreeStage,
     SymmetrizeStage,
     ValidateInputStage,
-    ValidateSymmetrizedStage,
 )
 
 __all__ = [
@@ -121,7 +119,6 @@ __all__ = [
     "EXECUTION_MODES",
     # concrete stages
     "ValidateInputStage",
-    "ValidateSymmetrizedStage",
     "SymmetrizeStage",
     "PruneStage",
     "PruneToDegreeStage",
@@ -133,8 +130,6 @@ __all__ = [
     "RetryPolicy",
     # worker pool
     "WorkerPool",
-    "worker_pool",
-    "current_pool",
     # journal / resume
     "JOURNAL_SCHEMA",
     "RunJournal",

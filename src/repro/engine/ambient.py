@@ -1,9 +1,8 @@
 """One scope object for every piece of ambient execution state.
 
-The library grew four independent ``contextvars``-based ambient
+The library has three independent ``contextvars``-based ambient
 registries — the artifact cache (:mod:`repro.engine.cache`), the
-worker pool (:mod:`repro.engine.pool`), the tracer
-(:mod:`repro.obs.trace`) and the metrics registry
+tracer (:mod:`repro.obs.trace`) and the metrics registry
 (:mod:`repro.obs.metrics`) — plus the run journal
 (:mod:`repro.engine.journal`). Each has its own installer context
 manager, which is fine for a one-shot CLI process but a trap for the
@@ -13,10 +12,10 @@ another on an error path), and any token that is not reset leaks the
 job's state into whatever runs next on that asyncio task or pooled
 worker thread.
 
-:func:`ambient_scope` is the single front door: it sets all five
+:func:`ambient_scope` is the single front door: it sets all four
 variables in one call, records every reset token, and unwinds them in
 reverse order on exit — unconditionally, including on exceptions — so
-no job can ever observe another job's cache, pool, tracer, metrics or
+no job can ever observe another job's cache, tracer, metrics or
 journal. Parameters left unset inherit the enclosing scope; pass
 ``isolate=True`` to sever inheritance instead (unset state becomes
 ``None`` inside the scope), which is what the daemon uses between
@@ -31,10 +30,8 @@ from typing import Any, Iterator
 
 from repro.engine import cache as _cache_mod
 from repro.engine import journal as _journal_mod
-from repro.engine import pool as _pool_mod
 from repro.engine.cache import ArtifactCache
 from repro.engine.journal import RunJournal
-from repro.engine.pool import WorkerPool
 from repro.obs import metrics as _metrics_mod
 from repro.obs import trace as _trace_mod
 from repro.obs.metrics import MetricsRegistry
@@ -51,7 +48,6 @@ class AmbientState:
     """The effective ambient state inside an :func:`ambient_scope`."""
 
     cache: ArtifactCache | None
-    pool: WorkerPool | None
     tracer: Tracer | None
     metrics: MetricsRegistry | None
     journal: RunJournal | None
@@ -63,7 +59,6 @@ class AmbientState:
 # CMs and this scope always agree on the same variables.
 _SLOTS = (
     ("cache", _cache_mod, "_CACHE"),
-    ("pool", _pool_mod, "_POOL"),
     ("tracer", _trace_mod, "_TRACER"),
     ("metrics", _metrics_mod, "_METRICS"),
     ("journal", _journal_mod, "_JOURNAL"),
@@ -73,7 +68,6 @@ _SLOTS = (
 @contextlib.contextmanager
 def ambient_scope(
     cache: ArtifactCache | None = _UNSET,
-    pool: WorkerPool | None = _UNSET,
     tracer: Tracer | None = _UNSET,
     metrics: MetricsRegistry | None = _UNSET,
     journal: RunJournal | None = _UNSET,
@@ -83,7 +77,7 @@ def ambient_scope(
 
     Parameters
     ----------
-    cache, pool, tracer, metrics, journal:
+    cache, tracer, metrics, journal:
         The state to install. Anything not passed inherits the
         enclosing scope's value (default) or is cleared to ``None``
         when ``isolate=True``.
@@ -101,7 +95,6 @@ def ambient_scope(
     """
     requested = {
         "cache": cache,
-        "pool": pool,
         "tracer": tracer,
         "metrics": metrics,
         "journal": journal,

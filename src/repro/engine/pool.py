@@ -1,13 +1,9 @@
-"""A shared, crash-tolerant process pool for sharded kernels and sweeps.
+"""A crash-tolerant process pool for the sharded kernel and the service.
 
-The sharded all-pairs kernel (:mod:`repro.linalg.allpairs`) and the
-sweep drivers (:mod:`repro.pipeline.sweep`) both fan work out over
-processes. Before this module each call site built its own
-:class:`~concurrent.futures.ProcessPoolExecutor`, so a threshold sweep
-over an out-of-core graph would fork a fresh pool per grid point per
-factor. :class:`WorkerPool` centralizes that: one pool, installed as
-ambient state with :func:`worker_pool`, serves every fan-out beneath
-it — sweep points and row-block shards share the same workers.
+The sharded all-pairs kernel (:mod:`repro.linalg.allpairs`) creates
+one :class:`WorkerPool` per fanned-out call and closes it when the
+call returns; the service's process worker mode
+(:mod:`repro.service.supervisor`) keeps one for the daemon's lifetime.
 
 The pool carries the crash-recovery contract the kernels rely on:
 
@@ -20,7 +16,7 @@ The pool carries the crash-recovery contract the kernels rely on:
   surfaced as an :class:`~repro.exceptions.ExecutionWarning` with code
   ``worker_crash``;
 - a broken executor is discarded and lazily rebuilt, so one crash does
-  not poison the rest of a sweep;
+  not poison the pool's later runs (the daemon's next job);
 - environments that cannot fork/spawn at all (sandboxes) make
   :meth:`WorkerPool.run` return ``None`` and callers fall back to
   their serial path.
@@ -30,11 +26,10 @@ from __future__ import annotations
 
 import atexit
 import contextlib
-import contextvars
 import time
 import warnings
 import weakref
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
@@ -42,7 +37,7 @@ from typing import Any
 from repro.exceptions import ExecutionWarning
 from repro.obs.metrics import metric_inc
 
-__all__ = ["WorkerPool", "worker_pool", "current_pool"]
+__all__ = ["WorkerPool"]
 
 #: Every pool that ever created an executor, so the atexit guard can
 #: close stragglers a long-lived process (the service daemon) failed
@@ -127,7 +122,7 @@ class WorkerPool:
                 process.kill()
                 process.join(1.0)
         if leaked:
-            metric_inc("worker_pool_kills_total", len(leaked))
+            metric_inc("worker_kills_total", len(leaked))
 
     def close(self, timeout: float = 10.0) -> None:
         """Shut the executor down (idempotent).
@@ -186,7 +181,7 @@ class WorkerPool:
             return None
         if lost:
             # The executor is unusable after a break; rebuild lazily
-            # on the next run() so one crash does not end the sweep.
+            # on the next run() so one crash does not disable the pool.
             self._discard_executor()
             metric_inc("worker_crashes_total")
             warnings.warn(
@@ -210,35 +205,3 @@ class WorkerPool:
         )
         return f"WorkerPool(max_workers={self.max_workers}, {state})"
 
-
-_POOL: contextvars.ContextVar[WorkerPool | None] = (
-    contextvars.ContextVar("repro_worker_pool", default=None)
-)
-
-
-def current_pool() -> WorkerPool | None:
-    """The ambient worker pool, or ``None`` when none is installed."""
-    return _POOL.get()
-
-
-@contextlib.contextmanager
-def worker_pool(
-    max_workers: int, pool: WorkerPool | None = None
-) -> Iterator[WorkerPool]:
-    """Install a :class:`WorkerPool` as the ambient pool.
-
-    Sharded kernels and sweep drivers beneath the block pick it up via
-    :func:`current_pool` instead of forking their own executors, so
-    the whole run shares ``max_workers`` processes. The pool is closed
-    when the block exits (unless a caller-owned ``pool`` was passed
-    in).
-    """
-    owned = pool is None
-    installed = pool if pool is not None else WorkerPool(max_workers)
-    token = _POOL.set(installed)
-    try:
-        yield installed
-    finally:
-        _POOL.reset(token)
-        if owned:
-            installed.close()

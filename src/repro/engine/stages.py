@@ -25,12 +25,10 @@ from repro.symmetrize.pruning import (
 from repro.validate.invariants import (
     repair_graph,
     validate_directed_graph,
-    validate_undirected_graph,
 )
 
 __all__ = [
     "ValidateInputStage",
-    "ValidateSymmetrizedStage",
     "SymmetrizeStage",
     "PruneStage",
     "PruneToDegreeStage",
@@ -58,28 +56,6 @@ class ValidateInputStage(Stage):
             repair_report.emit_warnings()
         report.emit_warnings()
         return {"graph": graph}
-
-
-class ValidateSymmetrizedStage(Stage):
-    """Validate a caller-supplied stage-1 artifact before stage 2."""
-
-    name = "validate"
-    inputs = ("symmetrized",)
-    outputs = ("symmetrized",)
-
-    def run(
-        self, ctx: StageContext, values: dict[str, Any]
-    ) -> dict[str, Any]:
-        symmetrized = values["symmetrized"]
-        report = validate_undirected_graph(
-            symmetrized.adjacency, level="basic"
-        )
-        if not report.ok:
-            if ctx.strict:
-                report.raise_errors()
-            symmetrized, repair_report = repair_graph(symmetrized)
-            repair_report.emit_warnings()
-        return {"symmetrized": symmetrized}
 
 
 class SymmetrizeStage(Stage):

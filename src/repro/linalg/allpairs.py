@@ -79,9 +79,8 @@ spills its kept triplets back as a per-shard artifact the parent
 concatenates. With an ambient disk
 :class:`~repro.engine.cache.ArtifactCache`, spills and finished
 shards are content-addressed under ``<cache>/shards/`` and reused on
-resume. Workers come from the ambient
-:class:`~repro.engine.pool.WorkerPool` when one is installed (so a
-sweep shares one pool across points), or a private pool otherwise.
+resume. Each fanned-out call creates its own
+:class:`~repro.engine.pool.WorkerPool` and closes it on return.
 
 :meth:`repro.symmetrize.DegreeDiscountedSymmetrization` exposes this
 through ``apply_pruned``, which searches the stacked factor
@@ -103,7 +102,7 @@ import scipy.sparse as sp
 
 from repro.engine.cache import current_cache
 from repro.engine.chaos import chaos
-from repro.engine.pool import WorkerPool, current_pool
+from repro.engine.pool import WorkerPool
 from repro.exceptions import StorageError, SymmetrizationError
 from repro.linalg.mmcsr import MmapCSR
 from repro.obs.metrics import (
@@ -1022,10 +1021,7 @@ def _fan_out_shards(
     scratch, ephemeral = _shard_scratch(
         _content_key(csr, threshold, block_size, workers, ends, keep)
     )
-    pool = current_pool()
-    owned_pool = pool is None
-    if pool is None:
-        pool = WorkerPool(workers)
+    pool = WorkerPool(workers)
     try:
         _spill_store(csr, scratch / "rows")
         for name in _SPILLED:
@@ -1094,8 +1090,7 @@ def _fan_out_shards(
             *(int(c) for c in counts),
         )
     finally:
-        if owned_pool:
-            pool.close()
+        pool.close()
         if ephemeral:
             shutil.rmtree(scratch, ignore_errors=True)
 

@@ -11,9 +11,11 @@ with one timing point per size:
 - **generation** and **symmetrize** wall-clock per size — the fig-8/9
   timing curve;
 - **peak RSS** of the bench process *and* its pool workers
-  (``getrusage`` high-water marks), because the whole point of the
-  mmap + shard-descriptor design is that resident memory stays
-  bounded by block size, not graph size;
+  (``getrusage`` high-water marks), held under the 2 GiB floor below;
+  it grows with the graph and the output, because the parent builds
+  the stacked factor and its suffix index in RAM before it spills
+  them and merges every kept triplet (``docs/performance.md``, "When
+  sharding pays, measured");
 - the shard fan-out's own gauges (``shard_count``,
   ``shard_bytes_spilled``, ``peak_rss_bytes``) captured from a
   per-point metrics registry;

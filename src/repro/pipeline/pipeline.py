@@ -59,7 +59,6 @@ from repro.engine.stages import (
     EvaluateStage,
     SymmetrizeStage,
     ValidateInputStage,
-    ValidateSymmetrizedStage,
 )
 from repro.eval.groundtruth import GroundTruth
 from repro.exceptions import ClusteringError, PipelineError
@@ -240,25 +239,18 @@ class SymmetrizeClusterPipeline:
         self,
         n_clusters: int | None = None,
         with_ground_truth: bool = False,
-        precomputed_symmetrized: bool = False,
     ) -> Plan:
         """The :class:`~repro.engine.Plan` a :meth:`run` would execute.
 
         Exposed for inspection (``plan().describe()``) and for callers
         that drive the engine directly (sweeps, experiment runners).
         """
-        stages: list[Any] = [ValidateInputStage()]
+        stages: list[Any] = [
+            ValidateInputStage(),
+            SymmetrizeStage(self.symmetrization, threshold=self.threshold),
+            ClusterStage(self.clusterer, n_clusters),
+        ]
         initial = ["graph"]
-        if precomputed_symmetrized:
-            initial.append("symmetrized")
-            stages.append(ValidateSymmetrizedStage())
-        else:
-            stages.append(
-                SymmetrizeStage(
-                    self.symmetrization, threshold=self.threshold
-                )
-            )
-        stages.append(ClusterStage(self.clusterer, n_clusters))
         if with_ground_truth:
             initial.append("ground_truth")
             stages.append(EvaluateStage())
@@ -273,7 +265,6 @@ class SymmetrizeClusterPipeline:
         graph: DirectedGraph,
         n_clusters: int | None = None,
         ground_truth: GroundTruth | None = None,
-        symmetrized: UndirectedGraph | None = None,
         trace: bool = False,
         manifest_path: str | Path | None = None,
         cache: ArtifactCache | None = None,
@@ -293,12 +284,6 @@ class SymmetrizeClusterPipeline:
             Requested cluster count (advisory for MLR-MCL).
         ground_truth:
             When given, the result carries the §4.3 Avg-F score.
-        symmetrized:
-            Pass a pre-computed stage-1 output to amortize
-            symmetrization across many stage-2 runs; its symmetrize
-            time is then reported as 0. With an artifact cache
-            installed the engine amortizes stage 1 automatically, so
-            this parameter is mostly legacy.
         trace:
             Record a hierarchical span tree and metrics snapshot for
             this run (see :mod:`repro.obs`) onto the result's
@@ -339,11 +324,8 @@ class SymmetrizeClusterPipeline:
         plan = self.plan(
             n_clusters=n_clusters,
             with_ground_truth=ground_truth is not None,
-            precomputed_symmetrized=symmetrized is not None,
         )
         values: dict[str, Any] = {"graph": graph}
-        if symmetrized is not None:
-            values["symmetrized"] = symmetrized
         if ground_truth is not None:
             values["ground_truth"] = ground_truth
         executor = Executor(

@@ -40,18 +40,10 @@ the full runtime:
   recomputes only its unfinished tail — replayed points are marked
   ``resumed=True`` and are byte-identical to what the first run
   measured, including recorded failures.
-- ``n_jobs=`` installs one shared
-  :class:`~repro.engine.pool.WorkerPool` for the whole grid: every
-  point's sharded kernels (the out-of-core all-pairs fan-out beneath
-  ``apply_pruned``) draw workers from that single pool instead of
-  forking a pool per point, and both recovery layers compose — the
-  journal replays finished *points*, the content-addressed shard
-  artifacts replay finished *shards* of the interrupted point.
 """
 
 from __future__ import annotations
 
-import contextlib
 import warnings as _warnings
 from dataclasses import dataclass
 from typing import Any
@@ -59,7 +51,6 @@ from typing import Any
 from repro.cluster.common import GraphClusterer, get_clusterer
 from repro.engine.cache import ArtifactCache, current_cache
 from repro.engine.chaos import chaos
-from repro.engine.pool import current_pool, worker_pool
 from repro.engine.executor import ExecutionResult, Executor
 from repro.engine.journal import (
     JournalReplay,
@@ -303,15 +294,8 @@ def _sweep(
     plan_budget: Budget | None = None,
     journal: RunJournal | None = None,
     resume: JournalReplay | None = None,
-    n_jobs: int | None = None,
 ) -> list[SweepPoint]:
-    """Shared sweep driver: one engine plan per grid point.
-
-    With ``n_jobs > 1`` a single :class:`~repro.engine.WorkerPool` is
-    installed around the grid loop (unless one is already ambient),
-    so the sharded kernels of every point share one set of worker
-    processes for the sweep's lifetime.
-    """
+    """Shared sweep driver: one engine plan per grid point."""
     active = _sweep_cache(cache)
     dataset_sha = fingerprint_graph(graph)["sha256"]
     if journal is None:
@@ -324,35 +308,6 @@ def _sweep(
             mode=mode,
             config={"parameters": [repr(p) for p in parameters]},
         )
-    pool_scope = (
-        worker_pool(n_jobs)
-        if n_jobs is not None and n_jobs > 1 and current_pool() is None
-        else contextlib.nullcontext()
-    )
-    with pool_scope:
-        points = _sweep_points(
-            graph, parameters, make_stages, ground_truth, active,
-            name, mode, retry, budgets, plan_budget, journal, resume,
-            dataset_sha,
-        )
-    return points
-
-
-def _sweep_points(
-    graph: DirectedGraph,
-    parameters: list[object],
-    make_stages,
-    ground_truth: GroundTruth | None,
-    active: ArtifactCache,
-    name: str,
-    mode: str,
-    retry: RetryPolicy | None,
-    budgets: dict[str, Budget] | None,
-    plan_budget: Budget | None,
-    journal: RunJournal | None,
-    resume: JournalReplay | None,
-    dataset_sha: str,
-) -> list[SweepPoint]:
     points = []
     for parameter in parameters:
         stages: list[Stage] = make_stages(parameter)
@@ -426,13 +381,11 @@ def sweep_n_clusters(
     plan_budget: Budget | None = None,
     journal: RunJournal | None = None,
     resume: JournalReplay | None = None,
-    n_jobs: int | None = None,
 ) -> list[SweepPoint]:
     """Avg-F / time vs requested cluster count (Figures 5, 7, 8, 9).
 
     The symmetrization artifact is shared across cluster counts via
     the artifact cache (first point computes, later points hit).
-    ``n_jobs`` installs one shared worker pool for the whole grid.
     """
     if isinstance(symmetrization, str):
         symmetrization = get_symmetrization(symmetrization)
@@ -459,7 +412,6 @@ def sweep_n_clusters(
         plan_budget=plan_budget,
         journal=journal,
         resume=resume,
-        n_jobs=n_jobs,
     )
 
 
@@ -477,7 +429,6 @@ def sweep_threshold(
     plan_budget: Budget | None = None,
     journal: RunJournal | None = None,
     resume: JournalReplay | None = None,
-    n_jobs: int | None = None,
 ) -> list[SweepPoint]:
     """The Table-3 study: prune threshold vs edges / Avg-F / time.
 
@@ -512,7 +463,6 @@ def sweep_threshold(
         plan_budget=plan_budget,
         journal=journal,
         resume=resume,
-        n_jobs=n_jobs,
     )
 
 
@@ -531,7 +481,6 @@ def sweep_alpha_beta(
     plan_budget: Budget | None = None,
     journal: RunJournal | None = None,
     resume: JournalReplay | None = None,
-    n_jobs: int | None = None,
 ) -> list[SweepPoint]:
     """The Table-4 study: Avg-F per (α, β) configuration.
 
@@ -577,5 +526,4 @@ def sweep_alpha_beta(
         plan_budget=plan_budget,
         journal=journal,
         resume=resume,
-        n_jobs=n_jobs,
     )

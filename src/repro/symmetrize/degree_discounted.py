@@ -266,11 +266,11 @@ class DegreeDiscountedSymmetrization(Symmetrization):
         to :func:`~repro.linalg.allpairs.thresholded_gram_matrix`'s
         engines (``block_size=None`` means its default, and a
         ``block_size`` below 1 raises :class:`SymmetrizationError`);
-        with ``n_jobs > 1`` the search runs through the out-of-core
-        row-block shard fan-out (``W`` is spilled to memory-mapped CSR
-        stores and workers receive shard descriptors, not matrices),
-        so peak RSS stays bounded by the block size rather than the
-        factor size.
+        with ``n_jobs > 1`` the search and the exact score run in
+        worker processes (``W`` is spilled to memory-mapped CSR stores
+        and workers receive shard descriptors, not matrices). ``W``,
+        its suffix index and the merged output are still built in
+        this process, so peak RSS grows with the graph either way.
         Output matches ``apply(graph, threshold=threshold)``
         edge-for-edge. Shared entries differ by a few ULP, because the
         two paths sum in other orders: at most 3 on the paper-prune

@@ -694,43 +694,50 @@ class TestShardDescriptors:
     """The process fan-out must hand workers shard *descriptors*
     (store paths plus a chunk index), never pickled matrices."""
 
-    class _CapturingPool:
-        """Duck-typed WorkerPool that records each payload's pickled
-        size and runs the worker function in-process."""
+    @pytest.fixture
+    def payload_bytes(self, monkeypatch):
+        """The pickled size of every payload the fan-out submits, with
+        the kernel's WorkerPool replaced by a duck-typed pool that
+        runs the worker function in-process."""
+        from repro.linalg import allpairs
 
-        def __init__(self):
-            self.payload_bytes = []
+        sizes = []
 
-        def run(self, fn, payloads, fallback=None):
-            import pickle
+        class CapturingPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
 
-            results = []
-            for payload in payloads:
-                self.payload_bytes.append(len(pickle.dumps(payload)))
-                results.append(fn(payload))
-            return results
+            def run(self, fn, payloads, fallback=None):
+                import pickle
 
-        def close(self):
-            pass
+                results = []
+                for payload in payloads:
+                    sizes.append(len(pickle.dumps(payload)))
+                    results.append(fn(payload))
+                return results
 
-    def test_worker_payloads_under_1kb(self, rng):
-        from repro.engine.pool import worker_pool
+            def close(self):
+                pass
 
+        monkeypatch.setattr(allpairs, "WorkerPool", CapturingPool)
+        return sizes
+
+    def test_worker_payloads_under_1kb(self, rng, payload_bytes):
         g = power_law_digraph(400, rng)
         factor = DegreeDiscountedSymmetrization().pruning_factors(g)[0]
         serial = thresholded_gram_matrix(
             factor, 0.2, block_size=32, n_jobs=None
         )
-        pool = self._CapturingPool()
-        with worker_pool(4, pool=pool):
-            sharded = thresholded_gram_matrix(
-                factor, 0.2, block_size=32, n_jobs=4
-            )
-        assert pool.payload_bytes, "fan-out never reached the pool"
-        assert max(pool.payload_bytes) < 1024
+        sharded = thresholded_gram_matrix(
+            factor, 0.2, block_size=32, n_jobs=4
+        )
+        assert payload_bytes, "fan-out never reached the pool"
+        assert max(payload_bytes) < 1024
         _assert_same_pattern(serial, sharded)
 
-    def test_older_layout_shard_dir_is_not_read(self, rng, tmp_path):
+    def test_older_layout_shard_dir_is_not_read(
+        self, rng, tmp_path, payload_bytes
+    ):
         """Shard dirs that older layouts wrote for the same rows under
         a persistent cache must not be adopted: their keys, recomputed
         here the way those layouts did, differ. One is untagged
@@ -741,7 +748,6 @@ class TestShardDescriptors:
         import hashlib
 
         from repro.engine.cache import ArtifactCache, artifact_cache
-        from repro.engine.pool import worker_pool
         from repro.obs import metrics_active
 
         g = power_law_digraph(300, rng)
@@ -785,14 +791,12 @@ class TestShardDescriptors:
                 )
             planted[old] = {p.name: p.read_bytes() for p in old.iterdir()}
 
-        pool = self._CapturingPool()
-        with artifact_cache(ArtifactCache(directory=cache_dir)), (
-            worker_pool(n_jobs, pool=pool)
-        ), metrics_active() as reg:
+        cache = ArtifactCache(directory=cache_dir)
+        with artifact_cache(cache), metrics_active() as reg:
             sharded = thresholded_gram_matrix(
                 rows, threshold, block_size=block_size, n_jobs=n_jobs
             )
-        assert len(pool.payload_bytes) == n_jobs  # every shard ran
+        assert len(payload_bytes) == n_jobs  # every shard ran
         for part in ("indptr", "indices", "data"):
             assert (
                 getattr(sharded, part).tobytes()
@@ -803,3 +807,35 @@ class TestShardDescriptors:
         for old, files in planted.items():
             assert {p.name: p.read_bytes() for p in old.iterdir()} == files
         assert len(list((cache_dir / "shards").iterdir())) == 4
+
+
+def test_shards_equal_serial_at_paper_density(tmp_path):
+    """Two shard workers return serial's bytes and dtypes at the
+    paper's operating point: ``power_law_mmcsr(20k, seed 0,
+    d_max=100)`` at ``t = 0.03`` with 4096-row blocks, about 1.06M
+    stored entries. The ``shard_count`` gauge proves the fan-out ran;
+    the test skips only where no process pool can start."""
+    from repro.engine.pool import WorkerPool
+    from repro.graph.generators import power_law_mmcsr
+    from repro.obs import metrics_active
+
+    graph = power_law_mmcsr(
+        20_000, tmp_path / "graph.mmcsr", np.random.default_rng(0),
+        d_max=100,
+    )
+    sym = DegreeDiscountedSymmetrization()
+    serial = sym.apply_pruned(graph, 0.03, block_size=4096).adjacency
+    with metrics_active() as reg:
+        sharded = sym.apply_pruned(
+            graph, 0.03, block_size=4096, n_jobs=2
+        ).adjacency
+    if "shard_count" not in reg.gauges:
+        with WorkerPool(1) as probe:
+            if probe.run(abs, [-1]) is None:
+                pytest.skip("process pools are unavailable")
+    assert reg.gauges["shard_count"] == 2
+    assert serial.nnz == 1_059_052
+    for part in ("indptr", "indices", "data"):
+        want, got = getattr(serial, part), getattr(sharded, part)
+        assert got.dtype == want.dtype, part
+        assert got.tobytes() == want.tobytes(), part

@@ -40,15 +40,6 @@ class TestPipeline:
         assert result.clustering.n_clusters == 5
         assert result.average_f is None
 
-    def test_precomputed_symmetrization_reused(self, cora_small):
-        pipe = SymmetrizeClusterPipeline("naive", "metis")
-        undirected = pipe.symmetrize(cora_small.graph)
-        result = pipe.run(
-            cora_small.graph, n_clusters=4, symmetrized=undirected
-        )
-        assert result.symmetrize_seconds == 0.0
-        assert result.symmetrized is undirected
-
     def test_threshold_applied(self, cora_small):
         dense = SymmetrizeClusterPipeline(
             "degree_discounted", "metis"

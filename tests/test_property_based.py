@@ -1097,20 +1097,3 @@ def test_hybrid_bounded_by_normalized_parts(graph, lam):
     if u.adjacency.nnz:
         assert u.adjacency.data.max() <= 1.0 + 1e-9
 
-
-# ---------------------------------------------------------------------------
-# Louvain modularity invariant
-# ---------------------------------------------------------------------------
-
-
-@given(undirected_graphs(min_nodes=4, max_nodes=16))
-@settings(max_examples=30, deadline=None)
-def test_louvain_never_worse_than_singletons(graph):
-    from repro.cluster import LouvainClusterer
-    from repro.cluster.louvain import modularity
-
-    clustering = LouvainClusterer().cluster(graph)
-    adj = graph.adjacency
-    assert modularity(adj, clustering.labels) >= modularity(
-        adj, np.arange(graph.n_nodes)
-    ) - 1e-9

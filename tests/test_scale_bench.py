@@ -30,6 +30,19 @@ from repro.perf.scale_bench import (
 )
 
 
+def _bench_summary():
+    """``tools/bench_summary.py`` loaded as a module."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_summary",
+        Path(__file__).parent.parent / "tools" / "bench_summary.py",
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 class TestScaleBenchMini:
     @pytest.fixture(scope="class")
     def mini_results(self):
@@ -118,14 +131,8 @@ class TestScaleBenchMini:
 
     def test_summary_row_fails_on_certificate_miss(self, mini_results):
         import copy
-        import importlib.util
 
-        spec = importlib.util.spec_from_file_location(
-            "bench_summary",
-            Path(__file__).parent.parent / "tools" / "bench_summary.py",
-        )
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
+        tool = _bench_summary()
         timings, verdict = tool._scale_row(mini_results)
         assert verdict == "PASS"
         assert "M candidates, " in timings
@@ -139,17 +146,31 @@ class TestScaleBenchMini:
         assert "FAIL" in verdict
         assert "1 missed" in timings
 
+    def test_summary_row_counts_src_lines(
+        self, mini_results, tmp_path, capsys, monkeypatch
+    ):
+        """The job-summary row carries the ``src/`` line count, as
+        ``find src -name '*.py' | xargs cat | wc -l`` counts it."""
+        import subprocess
+
+        monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
+        path = write_bench(mini_results, tmp_path / "scale.json")
+        assert _bench_summary().main(["--scale", str(path)]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[-1]
+        wc = subprocess.run(
+            "find src -name '*.py' | xargs cat | wc -l",
+            shell=True,
+            cwd=Path(__file__).resolve().parents[1],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert f"| {int(wc.stdout):,} | scale |" in row
+
     def test_points_time_a_calibration_loop(self, mini_results):
         """Each point records its calibration loop, and the summary
         row and table give its time in those units."""
-        import importlib.util
-
-        spec = importlib.util.spec_from_file_location(
-            "bench_summary",
-            Path(__file__).parent.parent / "tools" / "bench_summary.py",
-        )
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
+        tool = _bench_summary()
         timings, _ = tool._scale_row(mini_results)
         table = format_scale_summary(mini_results)
         for point in mini_results["points"]:
@@ -282,7 +303,7 @@ class TestScaleBenchCli:
 @pytest.mark.scale_smoke
 @pytest.mark.skipif(
     not scale_smoke_enabled(),
-    reason="minutes-scale; run via `make scale-smoke` "
+    reason="~10 s; run via `make scale-smoke` "
     "(REPRO_SCALE_SMOKE=1)",
 )
 def test_scale_smoke_under_budget(tmp_path):

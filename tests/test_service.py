@@ -24,7 +24,6 @@ from repro.engine import (
     ambient_scope,
     current_cache,
     current_journal,
-    current_pool,
 )
 from repro.exceptions import BudgetExceeded, ReproError
 from repro.graph import DirectedGraph
@@ -38,7 +37,6 @@ from repro.service import (
     ServiceError,
     ServiceServer,
 )
-from repro.service.client import ServiceHTTPError
 
 
 @pytest.fixture
@@ -166,7 +164,6 @@ class TestAmbientScope:
         with ambient_scope(cache=outer):
             with ambient_scope(isolate=True):
                 assert current_cache() is None
-                assert current_pool() is None
                 assert current_journal() is None
             assert current_cache() is outer
 
@@ -679,6 +676,7 @@ class TestServiceIntegration:
             {"n_clusters": 0},
             {"kind": "sweep", "counts": [0]},
             {"tuning": "fast"},
+            {"clusterer": "louvain"},
         ],
         ids=[
             "nan-threshold",
@@ -687,6 +685,7 @@ class TestServiceIntegration:
             "zero-clusters",
             "zero-count",
             "unknown-tuning",
+            "unregistered-clusterer",
         ],
     )
     def test_out_of_range_spec_is_rejected(

@@ -304,6 +304,66 @@ class TestManagerDurability:
         assert job.clients[0] == "crashed-client"
         second.close()
 
+    def test_jobs_of_an_unregistered_clusterer_recover(
+        self, tmp_path, small_graph, monkeypatch
+    ) -> None:
+        """A state dir written while a clusterer was registered (an
+        older daemon's Louvain jobs) recovers after the clusterer is
+        gone: the finished job's result is served byte for byte and
+        the incomplete one is not re-run."""
+        from repro.cluster import common
+        from repro.cluster.metis import MetisClusterer
+
+        class Retired(MetisClusterer):
+            name = "louvain"
+
+        monkeypatch.setitem(common._REGISTRY, "louvain", Retired)
+        state = tmp_path / "state"
+        first = JobManager(
+            state, store=ServiceStore(state), max_workers=1
+        )
+        first.register_graph("cora", small_graph)
+        finished, _ = first.submit(
+            JobSpec.from_dict({**CLUSTER_SPEC, "clusterer": "louvain"}),
+            client="a",
+        )
+        assert finished.done.wait(120)
+        assert finished.state == "done"
+        original = json.dumps(finished.result, sort_keys=True)
+        spec = JobSpec.from_dict(
+            {**CLUSTER_SPEC, "clusterer": "louvain", "n_clusters": 3}
+        )
+        key = first.job_key(spec)
+        interrupted = type(
+            "J",
+            (),
+            {
+                "job_id": f"job-{key[:16]}",
+                "key": key,
+                "clients": ["crashed-client"],
+                "spec": spec,
+                "created_unix": time.time(),
+            },
+        )()
+        first.store.record_job_start(interrupted)
+        first.close()
+        monkeypatch.delitem(common._REGISTRY, "louvain")
+
+        second = JobManager(
+            state, store=ServiceStore(state), max_workers=1
+        )
+        counters = second.metrics.as_dict()["counters"]
+        assert counters["service_results_recovered_total"] == 1
+        assert "service_jobs_rerun_total" not in counters
+        recovered = second.job(finished.job_id)
+        assert json.dumps(recovered.result, sort_keys=True) == original
+        assert [j["job_id"] for j in second.jobs()] == [finished.job_id]
+        assert (
+            "service_job_executions_total"
+            not in second.metrics.as_dict()["counters"]
+        )
+        second.close()
+
 
 # ----------------------------------------------------------------------
 # Kill-point differential (SIGKILL via chaos, subprocess driver)

@@ -2,11 +2,12 @@
 
 The CI scale leg benches the kernel (``BENCH_scale.json``) and
 uploads the raw JSON as an artifact — this tool distills the file
-into one markdown table row (date, commit, key timings, regression
-verdict) and appends it to ``$GITHUB_STEP_SUMMARY`` so the Actions UI
-shows the performance trajectory at a glance without downloading
-anything. Falls back to stdout when the variable is unset (local
-runs).
+into one markdown table row (date, commit, ``src/`` line count, key
+timings, regression verdict) and appends it to
+``$GITHUB_STEP_SUMMARY`` so the Actions UI shows the performance
+trajectory, and the code size next to it, at a glance without
+downloading anything. Falls back to stdout when the variable is unset
+(local runs).
 
 Usage::
 
@@ -42,6 +43,15 @@ def _git_sha() -> str:
         )
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+
+
+def _src_lines() -> int:
+    """Lines of Python under ``src/``, counted as
+    ``find src -name '*.py' | xargs cat | wc -l`` counts them."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return sum(
+        path.read_bytes().count(b"\n") for path in src.rglob("*.py")
+    )
 
 
 def _verdict(passed: bool) -> str:
@@ -130,9 +140,10 @@ def main(argv: list[str] | None = None) -> int:
     lines = [
         "### Bench trajectory",
         "",
-        "| date | sha | bench | key timings | regression |",
-        "| --- | --- | --- | --- | --- |",
-        f"| {date} | `{_git_sha()}` | scale | {timings} | {verdict} |",
+        "| date | sha | src lines | bench | key timings | regression |",
+        "| --- | --- | --- | --- | --- | --- |",
+        f"| {date} | `{_git_sha()}` | {_src_lines():,} | scale "
+        f"| {timings} | {verdict} |",
         "",
     ]
     output = "\n".join(lines)
