@@ -42,11 +42,13 @@ chaos-smoke:
 	$(PYTHON) -m pytest -m chaos_smoke -q
 
 # Fig 5a/7a run at full scale (~20 s): a change that moves MLR-MCL
-# labels must keep their quality shape.
+# labels must keep their quality shape. The quarter-scale Table 1/2
+# run must leave the committed full-scale result files untouched.
 bench-smoke:
 	REPRO_BENCH_SCALE=0.25 $(PYTHON) -m pytest -q \
 		benchmarks/test_table1_datasets.py \
 		benchmarks/test_table2_edges.py
+	git diff --exit-code -- benchmarks/results
 	$(PYTHON) -m pytest -q \
 		benchmarks/test_fig5_cora_quality.py::test_fig5a_mlrmcl \
 		benchmarks/test_fig7_wiki_quality.py::test_fig7a_mlrmcl

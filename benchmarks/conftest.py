@@ -8,7 +8,8 @@ returned machine-readable data.
 
 Scale is controlled by the ``REPRO_BENCH_SCALE`` environment variable
 (default 1.0): the default sizes are laptop-friendly stand-ins for the
-paper's datasets; raise the scale for sharper curves.
+paper's datasets; raise the scale for sharper curves. Only scale-1
+runs write ``benchmarks/results/``; other scales just print.
 
 Run with::
 
@@ -33,11 +34,14 @@ BUNDLE = DatasetBundle(scale=SCALE, seed=0)
 
 
 def emit(name: str, text: str) -> None:
-    """Print a result block and persist it under benchmarks/results/."""
+    """Print a result block; at scale 1 also persist it under
+    benchmarks/results/, whose committed files are full-scale runs
+    that another scale must not overwrite."""
     banner = f"\n===== {name} =====\n{text}\n"
     print(banner)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    if SCALE == 1.0:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
 
 # Dataset fixtures, kept for benchmarks that go beyond the predefined

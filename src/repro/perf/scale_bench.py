@@ -373,7 +373,7 @@ def _differential_block(
 def run_scale_bench(
     sizes: Sequence[int] | None = None,
     threshold: float = DEFAULT_SCALE_THRESHOLD,
-    n_jobs: int | None = 2,
+    n_jobs: int | None = None,
     block_size: int = 4096,
     shard_jobs: int = 4,
     d_max: int | None = DEFAULT_SCALE_D_MAX,
@@ -393,7 +393,8 @@ def run_scale_bench(
     threshold:
         Prune threshold for every point.
     n_jobs:
-        Shard workers for the timing points (``None`` = serial).
+        Shard workers for the timing points; ``None`` (the default,
+        as in ``repro bench``) times them serially.
     block_size:
         Rows per shard block — the knob that bounds worker RSS.
     shard_jobs:

@@ -1,10 +1,11 @@
 """Stdlib-only hardened client for the clustering service daemon.
 
 One :class:`http.client.HTTPConnection` per request (the server is
-``Connection: close``), JSON in/out, typed errors re-raised from the
-server's structured error bodies. Thread-safe by construction — every
-call opens its own connection — which is exactly what the multi-client
-integration test leans on.
+``Connection: close``), JSON in/out (graph uploads go out as binary
+edge columns), typed errors re-raised from the server's structured
+error bodies. Thread-safe by construction — every call opens its own
+connection — which is exactly what the multi-client integration test
+leans on.
 
 Hardening (the PR 10 contract):
 
@@ -36,6 +37,7 @@ import http.client
 import json
 import time
 from typing import Any, Iterator
+from urllib.parse import urlencode
 
 import numpy as np
 
@@ -150,10 +152,11 @@ class ServiceClient:
         self,
         method: str,
         path: str,
-        payload: dict[str, Any] | None,
+        payload: dict[str, Any] | bytes | memoryview | None,
     ) -> tuple[int, dict[str, str], dict[str, Any]]:
         """One connect / request / read cycle; returns
-        ``(status, lowercase headers, parsed body)``."""
+        ``(status, lowercase headers, parsed body)``. A dict payload
+        goes out as JSON, bytes as ``application/octet-stream``."""
         conn = http.client.HTTPConnection(
             self.host, self.port, timeout=self.connect_timeout
         )
@@ -162,11 +165,14 @@ class ServiceClient:
             if conn.sock is not None:
                 # Connected: the remaining budget is the read one.
                 conn.sock.settimeout(self.timeout)
-            body = None
+            body: bytes | memoryview | None = None
             headers = {"X-Repro-Client": self.client}
-            if payload is not None:
+            if isinstance(payload, dict):
                 body = json.dumps(payload).encode()
                 headers["Content-Type"] = "application/json"
+            elif payload is not None:
+                body = payload
+                headers["Content-Type"] = "application/octet-stream"
             conn.request(method, path, body=body, headers=headers)
             response = conn.getresponse()
             raw = response.read()
@@ -202,7 +208,7 @@ class ServiceClient:
         self,
         method: str,
         path: str,
-        payload: dict[str, Any] | None = None,
+        payload: dict[str, Any] | bytes | memoryview | None = None,
         idempotent: bool = True,
     ) -> dict[str, Any]:
         token = f"{method} {path}"
@@ -252,25 +258,20 @@ class ServiceClient:
     def register_graph(
         self, name: str, graph: DirectedGraph
     ) -> dict[str, Any]:
-        """Upload ``graph`` under ``name`` (idempotent per content)."""
+        """Upload ``graph`` under ``name`` (idempotent per content) as
+        its CSR-ordered edges in three little-endian columns: ``m``
+        int64 sources, ``m`` int64 targets, ``m`` float64 weights."""
         adjacency = graph.adjacency
-        src = np.repeat(
+        m = adjacency.data.size
+        columns = np.empty(3 * m, dtype="<i8")
+        columns[:m] = np.repeat(
             np.arange(graph.n_nodes), np.diff(adjacency.indptr)
         )
-        edges = list(
-            map(
-                list,
-                zip(
-                    src.tolist(),
-                    adjacency.indices.tolist(),
-                    adjacency.data.tolist(),
-                ),
-            )
-        )
+        columns[m : 2 * m] = adjacency.indices
+        columns[2 * m :].view("<f8")[:] = adjacency.data
+        query = urlencode({"name": name, "n_nodes": graph.n_nodes})
         return self._request(
-            "POST",
-            "/graphs",
-            {"name": name, "n_nodes": graph.n_nodes, "edges": edges},
+            "POST", f"/graphs?{query}", memoryview(columns)
         )
 
     def graphs(self) -> list[dict[str, Any]]:

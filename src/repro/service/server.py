@@ -13,7 +13,7 @@ Endpoints
 - ``GET  /livez``             bare liveness probe (always 200)
 - ``GET  /readyz``            readiness probe (503 while draining)
 - ``GET  /stats``             job/client/cache/metrics counters
-- ``POST /graphs``            register a graph (name + edge list)
+- ``POST /graphs``            register a graph (binary edge columns)
 - ``GET  /graphs``            list registered graphs
 - ``POST /jobs``              submit a job (dedup-aware)
 - ``GET  /jobs``              list jobs
@@ -63,10 +63,11 @@ from repro.service.store import ServiceStore
 
 __all__ = ["ServiceServer", "serve"]
 
-#: Protocol marker returned by ``/health`` and asserted by the client.
-SERVICE_SCHEMA = "repro-service/v1"
+#: Protocol marker returned by ``/health``.
+SERVICE_SCHEMA = "repro-service/v2"
 
 _MAX_BODY = 256 * 1024 * 1024  # uploads are edge lists; be generous
+_EDGE_BYTES = 24  # per upload edge: int64 source and target, float64 weight
 _EVENTS_POLL_S = 0.05
 
 
@@ -104,54 +105,38 @@ def _status_for(exc: Exception) -> int:
     return 500
 
 
-def _uploaded_graph(edges: list[Any], n_nodes: Any) -> DirectedGraph:
-    """The graph a ``POST /graphs`` body describes: ``edges`` rows
-    ``[u, v]`` or ``[u, v, w]``, ids integral. Anything malformed is a
-    :class:`ServiceError` (HTTP 400), never a truncated id."""
-    if n_nodes is not None:
-        if isinstance(n_nodes, float) and n_nodes.is_integer():
-            n_nodes = int(n_nodes)
-        if not isinstance(n_nodes, int) or n_nodes < 0:
-            raise ServiceError(
-                f"'n_nodes' must be a non-negative integer, got {n_nodes!r}"
-            )
-    try:
-        rows = np.asarray(edges, dtype=np.float64)
-    except (TypeError, ValueError):
-        # Mixed 2- and 3-entry rows are legal; anything else is not.
-        if not all(isinstance(e, list) and len(e) in (2, 3) for e in edges):
-            raise ServiceError(
-                "'edges' must be [u, v] or [u, v, w] rows of numbers"
-            ) from None
-        try:
-            rows = np.asarray(
-                [e if len(e) == 3 else [*e, 1.0] for e in edges],
-                dtype=np.float64,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ServiceError(f"'edges' must hold numbers: {exc}") from None
-    if not edges:
-        rows = rows.reshape(0, 3)
-    if rows.ndim != 2 or rows.shape[1] not in (2, 3):
-        raise ServiceError(
-            "'edges' must be [u, v] or [u, v, w] rows of numbers, "
-            f"got an array of shape {rows.shape}"
+def _uploaded_graph(body: bytes, declared: str | None) -> DirectedGraph:
+    """The graph a ``POST /graphs`` body describes: ``m`` little-endian
+    int64 sources, ``m`` int64 targets, ``m`` float64 weights, on the
+    query's ``n_nodes`` (``declared``) or the largest id + 1 nodes.
+    A bad ``n_nodes`` or length (400) or a row pointer over
+    :data:`_MAX_BODY` (413) is refused before anything is built."""
+    if declared is not None and not declared.isdecimal():
+        raise _HttpError(
+            400, f"'n_nodes' must be a non-negative integer, got {declared!r}"
         )
-    ids = rows[:, :2]
-    # Below 2**53 every integer is exact in float64.
-    bad = ~((ids == np.trunc(ids)) & (np.abs(ids) < 2**53))
-    if bad.any():
-        row = int(bad.any(axis=1).argmax())
-        raise ServiceError(
-            f"edge {row} needs integer node ids below 2**53, "
-            f"got {edges[row]!r}"
+    m, ragged = divmod(len(body), _EDGE_BYTES)
+    if ragged:
+        raise _HttpError(
+            400,
+            f"upload body of {len(body)} bytes is not a whole number of "
+            f"{_EDGE_BYTES}-byte edges",
         )
-    weights = rows[:, 2] if rows.shape[1] == 3 else np.ones(len(rows))
+    ids = np.frombuffer(body, dtype="<i8", count=2 * m)
+    weights = np.frombuffer(body, dtype="<f8", offset=16 * m)
+    # float() reads any digit string (int() refuses 4,300+ digits).
+    nodes = ids.max(initial=-1) + 1.0 if declared is None else float(declared)
+    if 8 * nodes > _MAX_BODY:
+        raise _HttpError(
+            413,
+            f"{nodes:.0f} nodes need a {8 * nodes:.0f}-byte row pointer, "
+            f"over the {_MAX_BODY}-byte limit",
+        )
     return DirectedGraph.from_edge_arrays(
-        ids[:, 0].astype(np.int64),
-        ids[:, 1].astype(np.int64),
+        ids[:m],
+        ids[m:],
         weights,
-        n_nodes=n_nodes,
+        n_nodes=None if declared is None else int(nodes),
     )
 
 
@@ -327,7 +312,9 @@ class ServiceServer:
         path = unquote(split.path).rstrip("/") or "/"
         query = {
             key: values[-1]
-            for key, values in parse_qs(split.query).items()
+            for key, values in parse_qs(
+                split.query, keep_blank_values=True
+            ).items()
         }
         route = (method, path)
         if route == ("GET", "/health"):
@@ -345,7 +332,7 @@ class ServiceServer:
                 writer, 200, {"graphs": self.manager.graphs()}
             )
         if route == ("POST", "/graphs"):
-            return await self._post_graph(writer, body)
+            return await self._post_graph(writer, headers, query, body)
         if route == ("GET", "/jobs"):
             return await self._respond(
                 writer, 200, {"jobs": self.manager.jobs()}
@@ -409,20 +396,28 @@ class ServiceServer:
         return payload
 
     async def _post_graph(
-        self, writer: asyncio.StreamWriter, body: bytes
+        self,
+        writer: asyncio.StreamWriter,
+        headers: dict[str, str],
+        query: dict[str, str],
+        body: bytes,
     ) -> None:
-        payload = self._parse_json(body)
-        name = payload.get("name")
-        edges = payload.get("edges")
-        if not isinstance(name, str) or not isinstance(edges, list):
+        content_type = headers.get("content-type", "").partition(";")[0]
+        if content_type.strip().lower() != "application/octet-stream":
             raise _HttpError(
-                400, "graph upload needs 'name' and 'edges' [[u, v, w], ...]"
+                400,
+                "graph uploads are POST /graphs?name=<name>[&n_nodes=<n>] "
+                "with an application/octet-stream body of m int64 "
+                "sources, m int64 targets and m float64 weights, "
+                f"little-endian; got Content-Type {content_type!r}",
             )
-        # Build off-loop: converting a large edge list is CPU-bound.
+        # Build off-loop: the checks and the CSR build are CPU-bound.
         graph = await asyncio.get_running_loop().run_in_executor(
-            None, _uploaded_graph, edges, payload.get("n_nodes")
+            None, _uploaded_graph, body, query.get("n_nodes")
         )
-        registered = self.manager.register_graph(name, graph)
+        registered = self.manager.register_graph(
+            query.get("name", ""), graph
+        )
         await self._respond(writer, 201, registered.summary())
 
     async def _post_job(

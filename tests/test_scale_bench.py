@@ -307,8 +307,11 @@ class TestScaleBenchCli:
     "(REPRO_SCALE_SMOKE=1)",
 )
 def test_scale_smoke_under_budget(tmp_path):
-    """The CI-grade smoke: ~50k nodes through the mmap + shard path,
-    metered against wall/memory ceilings, regression floor enforced."""
+    """The CI-grade smoke: one ~50k-node mmap-backed graph timed
+    serially, as ``repro bench`` times the committed
+    ``BENCH_scale.json``, then the 4-worker shard-vs-serial identity
+    check, metered against wall/memory ceilings, regression floor
+    enforced."""
     from repro.engine.policy import Budget, BudgetMeter
 
     budget = Budget(wall_s=1200.0, mem_bytes=MAX_PEAK_RSS_BYTES)

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.datasets import make_cora_like
+from repro.datasets import make_cora_like, make_wikipedia_like
 from repro.engine import (
     ArtifactCache,
     JournalTailer,
@@ -27,6 +27,7 @@ from repro.engine import (
 )
 from repro.exceptions import BudgetExceeded, ReproError
 from repro.graph import DirectedGraph
+from repro.obs.manifest import fingerprint_graph
 from repro.obs.metrics import MetricsRegistry, current_metrics
 from repro.obs.trace import Tracer, current_tracer
 from repro.pipeline.pipeline import SymmetrizeClusterPipeline
@@ -36,12 +37,22 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     ServiceServer,
+    ServiceStore,
 )
 
 
 @pytest.fixture
 def small_graph() -> DirectedGraph:
     return make_cora_like(n_nodes=120, n_categories=4, seed=3).graph
+
+
+def _edge_body(src, dst, weights) -> bytes:
+    """A ``POST /graphs`` body: int64 sources, int64 targets, float64
+    weights, little-endian."""
+    return (
+        np.asarray([*src, *dst], dtype="<i8").tobytes()
+        + np.asarray(weights, dtype="<f8").tobytes()
+    )
 
 
 # ----------------------------------------------------------------------
@@ -710,22 +721,109 @@ class TestServiceIntegration:
 
 
     @pytest.mark.parametrize(
-        "body",
+        ("path", "body"),
         [
-            {"name": "g", "edges": [["x", 1, 1.0]]},
-            {"name": "g", "edges": [5]},
-            {"name": "g", "n_nodes": "abc", "edges": [[0, 1, 1.0]]},
-            {"name": "g", "edges": [[1.7, 2, 1.0]]},
+            ("/graphs?name=g", _edge_body([0], [1], [1.0]) + b"\0"),
+            ("/graphs", _edge_body([0], [1], [1.0])),
+            ("/graphs?name=a/b", _edge_body([0], [1], [1.0])),
+            ("/graphs?name=g&n_nodes=abc", _edge_body([0], [1], [1.0])),
+            ("/graphs?name=g&n_nodes=", _edge_body([0], [1], [1.0])),
+            ("/graphs?name=g", _edge_body([-1], [1], [1.0])),
+            ("/graphs?name=g&n_nodes=2", _edge_body([0], [2], [1.0])),
+            ("/graphs?name=g", _edge_body([0], [1], [float("nan")])),
+            ("/graphs?name=g", _edge_body([0], [1], [float("inf")])),
+            ("/graphs?name=g", _edge_body([0], [1], [-1.0])),
+            ("/graphs?name=g", {"name": "g", "edges": [[0, 1, 1.0]]}),
         ],
-        ids=["string-id", "bare-entry", "string-n-nodes", "fractional-id"],
+        ids=[
+            "ragged-length",
+            "missing-name",
+            "slash-in-name",
+            "string-n-nodes",
+            "empty-n-nodes",
+            "negative-id",
+            "id-past-n-nodes",
+            "nan-weight",
+            "inf-weight",
+            "negative-weight",
+            "json-edges",
+        ],
     )
-    def test_malformed_upload_is_rejected(self, tmp_path, body) -> None:
+    def test_malformed_upload_is_rejected(
+        self, tmp_path, path, body
+    ) -> None:
         with live_server(tmp_path, max_workers=1) as server:
             client = ServiceClient("127.0.0.1", server.port)
-            status, _, reply = client._once("POST", "/graphs", body)
+            status, _, reply = client._once("POST", path, body)
             assert status == 400, reply
             assert reply["code"] == "invalid_request"
+            if isinstance(body, dict):
+                assert "application/octet-stream" in reply["error"]
             assert client.graphs() == []
+
+    @pytest.mark.parametrize(
+        "query",
+        ["", "&n_nodes=100000001", "&n_nodes=" + "9" * 5000],
+        ids=["inferred", "declared", "declared-5000-digits"],
+    )
+    def test_upload_past_the_row_pointer_bound_is_refused(
+        self, tmp_path, query
+    ) -> None:
+        """One edge to node 10**8 would make the daemon allocate an
+        800 MB row pointer: it is a 413 before anything is built or
+        persisted. Node 10**6 (an 8 MB row pointer) still registers."""
+        state = tmp_path / "state"
+        with live_server(
+            tmp_path, max_workers=1, store=ServiceStore(state)
+        ) as server:
+            client = ServiceClient("127.0.0.1", server.port)
+            started = time.monotonic()
+            status, _, reply = client._once(
+                "POST",
+                f"/graphs?name=big{query}",
+                _edge_body([0], [10**8], [1.0]),
+            )
+            assert time.monotonic() - started < 1.0
+            assert status == 413, reply
+            assert client.graphs() == []
+            assert not list(state.glob("graphs/*"))
+            status, _, reply = client._once(
+                "POST", "/graphs?name=wide", _edge_body([0], [10**6], [1.0])
+            )
+            assert status == 201, reply
+            assert reply["n_nodes"] == 10**6 + 1
+            assert [g["name"] for g in client.graphs()] == ["wide"]
+
+    @pytest.mark.parametrize("which", ["small_graph", "wikipedia_like"])
+    def test_upload_round_trips_the_graph(
+        self, tmp_path, small_graph, which
+    ) -> None:
+        """A client upload registers the graph ``from_edge_arrays``
+        builds from the same columns: same sha, CSR bytes and index
+        dtypes."""
+        graph = (
+            small_graph
+            if which == "small_graph"
+            else make_wikipedia_like(1000, 16, seed=8).graph
+        )
+        adjacency = graph.adjacency
+        expected = DirectedGraph.from_edge_arrays(
+            np.repeat(np.arange(graph.n_nodes), np.diff(adjacency.indptr)),
+            adjacency.indices,
+            adjacency.data,
+            n_nodes=graph.n_nodes,
+        )
+        with live_server(tmp_path, max_workers=1) as server:
+            client = ServiceClient("127.0.0.1", server.port)
+            client.register_graph("g", graph)
+            [listed] = client.graphs()
+            assert listed["sha"] == fingerprint_graph(expected)["sha256"]
+            assert listed["n_edges"] == graph.n_edges
+            got = server.manager.graph("g").graph.adjacency
+        for field in ("indptr", "indices", "data"):
+            want = getattr(expected.adjacency, field)
+            assert getattr(got, field).dtype == want.dtype, field
+            assert getattr(got, field).tobytes() == want.tobytes(), field
 
 
 # ----------------------------------------------------------------------
