@@ -54,7 +54,7 @@ bench-smoke:
 		benchmarks/test_fig7_wiki_quality.py::test_fig7a_mlrmcl
 
 scale-smoke:
-	REPRO_SCALE_SMOKE=1 $(PYTHON) -m pytest -m scale_smoke -q
+	$(PYTHON) -m pytest -m scale_smoke -q
 
 cache-smoke:
 	$(PYTHON) tools/cache_smoke.py

@@ -463,15 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max concurrently executing jobs (default 2)",
     )
     p.add_argument(
-        "--worker-mode", choices=("thread", "process"),
-        default="thread",
-        help=(
-            "'process' supervises jobs in worker processes: a "
-            "crashing job is retried and quarantined, never the "
-            "daemon (default thread)"
-        ),
-    )
-    p.add_argument(
         "--max-queue", type=int, default=None,
         help=(
             "admission bound on queued jobs; beyond it new "
@@ -1165,7 +1156,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         job_budget=job_budget,
         client_wall_s=args.client_wall_s,
         store=store,
-        worker_mode=args.worker_mode,
         max_queue_depth=args.max_queue,
         max_jobs=args.max_jobs,
         max_job_age_s=args.max_job_age,

@@ -35,8 +35,8 @@ The fault-tolerant runtime layers on top:
   ``Executor(resume_from=...)`` and ``sweep_*(..., resume=...)`` so an
   interrupted run recomputes only its unfinished tail;
 - :class:`~repro.engine.pool.WorkerPool` — a crash-tolerant process
-  pool, one per sharded kernel call or service supervisor, with lost
-  payloads re-executed in-process;
+  pool, one per sharded kernel call, with lost payloads re-executed
+  in-process;
 - :mod:`~repro.engine.chaos` — deterministic fault injection
   (:func:`inject_faults`) for proving the recovery paths work.
 

@@ -17,9 +17,7 @@ execution, ``journal.append`` before a journal write,
 ``cache.disk_put`` before persisting an artifact, ``allpairs.worker``
 when submitting pool chunks, ``sweep.point`` after each grid point,
 ``service.store_put`` before the service store persists a graph or
-result, ``service.worker`` when the supervisor dispatches a job to a
-worker process — ``kill_worker`` faults here kill that worker —
-``service.accept`` at job admission in the HTTP layer).
+result, ``service.accept`` at job admission in the HTTP layer).
 With no plan installed the call is a single contextvar read — the
 harness costs nothing in normal runs and is invisible outside tests.
 

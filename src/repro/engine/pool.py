@@ -1,9 +1,8 @@
-"""A crash-tolerant process pool for the sharded kernel and the service.
+"""A crash-tolerant process pool for the sharded kernel.
 
 The sharded all-pairs kernel (:mod:`repro.linalg.allpairs`) creates
 one :class:`WorkerPool` per fanned-out call and closes it when the
-call returns; the service's process worker mode
-(:mod:`repro.service.supervisor`) keeps one for the daemon's lifetime.
+call returns.
 
 The pool carries the crash-recovery contract the kernels rely on:
 
@@ -16,7 +15,7 @@ The pool carries the crash-recovery contract the kernels rely on:
   surfaced as an :class:`~repro.exceptions.ExecutionWarning` with code
   ``worker_crash``;
 - a broken executor is discarded and lazily rebuilt, so one crash does
-  not poison the pool's later runs (the daemon's next job);
+  not poison the pool's later runs;
 - environments that cannot fork/spawn at all (sandboxes) make
   :meth:`WorkerPool.run` return ``None`` and callers fall back to
   their serial path.
@@ -40,9 +39,9 @@ from repro.obs.metrics import metric_inc
 __all__ = ["WorkerPool"]
 
 #: Every pool that ever created an executor, so the atexit guard can
-#: close stragglers a long-lived process (the service daemon) failed
-#: to close explicitly. Weak references: a garbage-collected pool has
-#: already shut its executor down via ProcessPoolExecutor's finalizer.
+#: close stragglers their owner failed to close explicitly. Weak
+#: references: a garbage-collected pool has already shut its executor
+#: down via ProcessPoolExecutor's finalizer.
 _LIVE_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
 _ATEXIT_REGISTERED = False
 

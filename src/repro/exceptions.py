@@ -28,7 +28,6 @@ __all__ = [
     "StorageError",
     "PipelineError",
     "TransientError",
-    "WorkerCrashError",
     "FaultInjected",
     "BudgetExceeded",
     "ServiceOverloaded",
@@ -103,15 +102,6 @@ class TransientError(ReproError):
     The default :class:`repro.engine.RetryPolicy` retries exactly this
     class; deterministic failures (bad input, misconfiguration) derive
     from other :class:`ReproError` branches and are never retried.
-    """
-
-
-class WorkerCrashError(TransientError):
-    """A parallel worker process died (OOM-killed, SIGKILL, segfault)
-    before returning its result.
-
-    Raised by :mod:`repro.linalg.allpairs` when a process-pool worker
-    disappears and in-process re-execution of its blocks also fails.
     """
 
 

@@ -162,10 +162,8 @@ class RunManifest:
     timings:
         Headline stage durations in seconds.
     job:
-        Service-daemon provenance (``job_id``, ``key``, the
-        ``clients`` that joined the job, and the ``worker_mode`` —
-        ``"thread"`` for in-process execution, ``"process"`` when a
-        supervised worker ran the job) when the run executed as a
+        Service-daemon provenance (``job_id``, ``key`` and the
+        ``clients`` that joined the job) when the run executed as a
         ``repro serve`` job; empty — and omitted from the serialized
         record — for library and CLI runs, so pre-service manifests
         are byte-identical.

@@ -42,14 +42,13 @@ finishes in CI time; that mode is exercised by
 from __future__ import annotations
 
 import json
-import os
 import platform
 import shutil
 import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 import scipy
@@ -59,7 +58,6 @@ from repro.obs.metrics import MetricsRegistry, metrics_active
 
 __all__ = [
     "SCALE_SCHEMA",
-    "SCALE_SMOKE_ENV",
     "DEFAULT_SCALE_SIZES",
     "SMOKE_SCALE_SIZES",
     "DEFAULT_SCALE_THRESHOLD",
@@ -69,7 +67,6 @@ __all__ = [
     "CERTIFICATE_ROWS",
     "calibration_seconds",
     "exactness_certificate",
-    "scale_smoke_enabled",
     "run_scale_bench",
     "write_bench",
     "scale_manifest",
@@ -80,24 +77,6 @@ __all__ = [
 #: per-point exactness ``"certificate"``, v3 each point's
 #: ``"calibration_seconds"``.
 SCALE_SCHEMA = "repro-bench-scale/v3"
-
-#: Environment gate for the minutes-long scale smoke (see
-#: ``docs/performance.md``): tests and CI jobs marked ``scale_smoke``
-#: only run when this variable is ``"1"``.
-SCALE_SMOKE_ENV = "REPRO_SCALE_SMOKE"
-
-
-def scale_smoke_enabled(
-    environ: Mapping[str, str] | None = None,
-) -> bool:
-    """Whether the opt-in scale smoke should run in this process.
-
-    The single authority for the :data:`SCALE_SMOKE_ENV` gate —
-    ``tests/test_scale_bench.py``'s skip marks and the CI/Makefile
-    smoke targets all route through the same convention.
-    """
-    env = os.environ if environ is None else environ
-    return env.get(SCALE_SMOKE_ENV) == "1"
 
 #: Full-run sizes: the two operating points the paper's timing figures
 #: report (DBLP-scale and LiveJournal-order-of-magnitude).

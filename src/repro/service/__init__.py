@@ -21,21 +21,15 @@ from many concurrent clients:
   job tombstones (a write-ahead service journal), so a SIGKILLed
   daemon recovers its state byte-identically and re-runs exactly the
   incomplete jobs;
-- ``worker_mode="process"`` supervises jobs in
-  :class:`~repro.engine.pool.WorkerPool` workers — a crashing job
-  costs a worker, not the daemon, and is quarantined (``crashed``)
-  after repeated deaths;
 - admission control sheds load (503 + ``Retry-After``) at a bounded
   queue depth, and the hardened :class:`ServiceClient` rides it out
   with deterministic exponential backoff.
 
 :class:`~repro.service.jobs.JobManager` is the HTTP-free core,
 :class:`~repro.service.server.ServiceServer` the asyncio front end,
-:class:`~repro.service.store.ServiceStore` the durability layer,
-:class:`~repro.service.supervisor.WorkerSupervisor` the process-worker
-harness, and :class:`~repro.service.client.ServiceClient` a
-stdlib-only client. See ``docs/service.md`` for the protocol and
-deployment notes.
+:class:`~repro.service.store.ServiceStore` the durability layer, and
+:class:`~repro.service.client.ServiceClient` a stdlib-only client.
+See ``docs/service.md`` for the protocol and deployment notes.
 """
 
 from repro.service.client import ServiceClient, ServiceHTTPError
@@ -52,7 +46,6 @@ from repro.service.jobs import (
 )
 from repro.service.server import ServiceServer, serve
 from repro.service.store import ServiceStore
-from repro.service.supervisor import WorkerSupervisor
 
 __all__ = [
     "JOB_KINDS",
@@ -66,7 +59,6 @@ __all__ = [
     "ServiceServer",
     "ServiceClient",
     "ServiceStore",
-    "WorkerSupervisor",
     "error_code_for",
     "execute_spec",
     "serve",

@@ -25,8 +25,7 @@ Hardening (the PR 10 contract):
   back to the real exceptions — ``budget_exceeded`` →
   :class:`~repro.exceptions.BudgetExceeded` (structured fields
   intact), ``overloaded`` →
-  :class:`~repro.exceptions.ServiceOverloaded`, ``worker_crashed`` →
-  :class:`~repro.exceptions.WorkerCrashError`, ``transient`` →
+  :class:`~repro.exceptions.ServiceOverloaded`, ``transient`` →
   :class:`~repro.exceptions.TransientError` — with
   :class:`ServiceHTTPError` only for anything unmapped.
 """
@@ -47,7 +46,6 @@ from repro.exceptions import (
     ReproError,
     ServiceOverloaded,
     TransientError,
-    WorkerCrashError,
 )
 from repro.graph.digraph import DirectedGraph
 from repro.service.jobs import ServiceError
@@ -92,8 +90,6 @@ def _raise_for(status: int, payload: dict[str, Any]) -> None:
             message,
             retry_after_s=float(payload.get("retry_after_s", 1.0)),
         )
-    if code == "worker_crashed":
-        raise WorkerCrashError(message)
     if code == "transient":
         raise TransientError(message)
     if (
@@ -317,7 +313,7 @@ class ServiceClient:
                 f"job {job_id} still {job['state']} after {timeout}s",
                 "Timeout",
             )
-        if job["state"] in ("failed", "crashed"):
+        if job["state"] == "failed":
             raise self._job_failure(job_id, job)
         return job["result"]
 
@@ -332,8 +328,6 @@ class ServiceClient:
         )
         if code == "budget_exceeded" or error_type == "BudgetExceeded":
             return ServiceHTTPError(429, message, "BudgetExceeded")
-        if code == "worker_crashed" or job["state"] == "crashed":
-            return WorkerCrashError(message)
         if code == "transient":
             return TransientError(message)
         return ServiceError(message)

@@ -28,12 +28,6 @@ many concurrent clients cheap:
   content-addressed JSON, and submissions as write-ahead tombstones.
   A manager constructed over the same state dir after a SIGKILL
   recovers all of it and re-runs exactly the incomplete jobs.
-- **Supervised execution.** ``worker_mode="process"`` runs each job
-  in a :class:`~repro.engine.pool.WorkerPool` worker under a
-  supervisor: a crashed worker is detected, the job retried under
-  the manager's :class:`~repro.engine.RetryPolicy`, and a job that
-  kills two workers is quarantined in the terminal ``crashed`` state
-  (never dedup-cached, so a later resubmission runs fresh).
 - **Per-job isolation and provenance.** Every job executes inside an
   isolated :func:`~repro.engine.ambient_scope` carrying the shared
   cache, a fresh tracer + metrics registry, and the job's own
@@ -78,7 +72,6 @@ from repro.exceptions import (
     ReproError,
     ServiceOverloaded,
     TransientError,
-    WorkerCrashError,
 )
 from repro.graph.digraph import DirectedGraph
 from repro.obs.manifest import (
@@ -110,12 +103,9 @@ __all__ = [
 #: Request kinds the daemon executes.
 JOB_KINDS = ("symmetrize", "cluster", "sweep")
 
-#: Lifecycle of a job. ``queued -> running -> done | failed |
-#: crashed`` (``crashed`` = quarantined after repeated worker death).
-JOB_STATES = ("queued", "running", "done", "failed", "crashed")
-
-#: Terminal states that never dedup-cache: a retry gets a fresh job.
-_RETRYABLE_TERMINAL = ("failed", "crashed")
+#: Lifecycle of a job: ``queued -> running -> done | failed``. A
+#: ``failed`` job never dedup-caches: a retry gets a fresh job.
+JOB_STATES = ("queued", "running", "done", "failed")
 
 
 class ServiceError(ReproError):
@@ -151,8 +141,6 @@ def error_code_for(exc: BaseException) -> str:
     """
     if isinstance(exc, BudgetExceeded):
         return "budget_exceeded"
-    if isinstance(exc, WorkerCrashError):
-        return "worker_crashed"
     if isinstance(exc, ServiceOverloaded):
         return "overloaded"
     if isinstance(exc, TransientError):
@@ -274,9 +262,7 @@ class RegisteredGraph:
     """A directed graph the daemon holds in memory for jobs.
 
     ``store_path`` points at the persisted MmapCSR directory when a
-    :class:`ServiceStore` (or process-worker spill) backs the graph —
-    it is what lets worker processes open the adjacency zero-copy
-    instead of unpickling it over the pipe.
+    :class:`ServiceStore` backs the graph.
     """
 
     name: str
@@ -357,7 +343,7 @@ class Job:
 
 
 # ---------------------------------------------------------------------------
-# Spec execution (shared by worker threads and worker processes)
+# Spec execution
 # ---------------------------------------------------------------------------
 
 
@@ -372,14 +358,11 @@ def execute_spec(
     tracer: Tracer | None = None,
     job_metrics: MetricsRegistry | None = None,
 ) -> tuple[dict[str, Any], list[dict[str, str]], RunManifest | None]:
-    """Run one job spec against ``graph``; the one execution path
-    both the in-thread and the supervised-process workers share.
+    """Run one job spec against ``graph``.
 
     Returns ``(result_payload, warnings, manifest)``. The caller is
     responsible for installing the ambient scope (cache / tracer /
-    metrics / journal) around this call — in process-worker mode that
-    happens inside the worker, with the journal appending to the same
-    file the parent's event streams tail.
+    metrics / journal) around this call.
     """
     tracer = tracer if tracer is not None else Tracer()
     job_metrics = (
@@ -580,16 +563,14 @@ class JobManager:
         queue (up to ``max_queue_depth``).
     job_budget:
         Per-job :class:`Budget` ceiling (wall / memory), enforced by
-        the engine as the plan budget of every execution — including
-        inside worker processes in ``worker_mode="process"``.
+        the engine as the plan budget of every execution.
     client_wall_s:
         Cumulative per-client wall-clock allowance across all their
         completed jobs; ``None`` disables tenant budgeting. Clients
         over the allowance are denied with
         :class:`~repro.exceptions.BudgetExceeded`.
     retry:
-        :class:`RetryPolicy` applied to every job's stages, and by
-        the supervisor to worker-crash re-runs.
+        :class:`RetryPolicy` applied to every job's stages.
     metrics:
         Server-level registry for service counters (jobs, dedup
         hits, denials, sheds, evictions). A private one is created
@@ -600,12 +581,6 @@ class JobManager:
         incomplete jobs from it at construction, and persists new
         ones as it goes. ``data_dir`` should be the store's state
         dir so journals and manifests live under the same root.
-    worker_mode:
-        ``"thread"`` (default) executes jobs on the manager's thread
-        pool; ``"process"`` adds a supervised
-        :class:`~repro.engine.pool.WorkerPool` so a hard-crashing
-        job cannot take the daemon down. Falls back to threads when
-        the sandbox forbids process pools.
     max_queue_depth:
         Admission bound: new submissions beyond this many *queued*
         jobs are shed with :class:`ServiceOverloaded` (HTTP 503).
@@ -629,17 +604,11 @@ class JobManager:
         retry: RetryPolicy | None = None,
         metrics: MetricsRegistry | None = None,
         store: ServiceStore | None = None,
-        worker_mode: str = "thread",
         max_queue_depth: int | None = None,
         shed_retry_after_s: float = 1.0,
         max_jobs: int | None = None,
         max_job_age_s: float | None = None,
     ) -> None:
-        if worker_mode not in ("thread", "process"):
-            raise ServiceError(
-                f"unknown worker_mode {worker_mode!r}; expected "
-                "'thread' or 'process'"
-            )
         check_bounds(max_workers, max_queue_depth, max_jobs, max_job_age_s)
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
@@ -653,7 +622,6 @@ class JobManager:
         self.store = store
         if store is not None:
             store.metrics = self.metrics
-        self.worker_mode = worker_mode
         self.max_queue_depth = max_queue_depth
         self.shed_retry_after_s = shed_retry_after_s
         self.max_jobs = max_jobs
@@ -670,15 +638,6 @@ class JobManager:
             thread_name_prefix="repro-job",
         )
         self._closed = False
-        self._supervisor = None
-        if worker_mode == "process":
-            from repro.service.supervisor import WorkerSupervisor
-
-            self._supervisor = WorkerSupervisor(
-                max_workers=max_workers,
-                retry=retry,
-                metrics=self.metrics,
-            )
         if store is not None:
             self._recover()
 
@@ -795,8 +754,6 @@ class JobManager:
                 store_path = (
                     str(persisted) if persisted is not None else None
                 )
-            elif self._supervisor is not None:
-                store_path = self._spill_graph(name, graph)
             registered = RegisteredGraph(
                 name=name,
                 graph=graph,
@@ -807,21 +764,6 @@ class JobManager:
             self._graphs[name] = registered
             self.metrics.inc("service_graphs_registered_total")
         return registered
-
-    def _spill_graph(
-        self, name: str, graph: DirectedGraph
-    ) -> str | None:
-        """Process workers open graphs from disk; without a durable
-        store, spill the adjacency under the data dir."""
-        from repro.linalg.mmcsr import MmapCSR
-
-        directory = self.data_dir / "graphs" / name / "adjacency"
-        try:
-            if not directory.exists():
-                MmapCSR.from_scipy(graph.adjacency, directory)
-        except OSError:
-            return None
-        return str(directory)
 
     def graph(self, name: str) -> RegisteredGraph:
         with self._lock:
@@ -925,10 +867,7 @@ class JobManager:
             self._check_client_budget(client)
             key = self.job_key(spec)
             existing = self._by_key.get(key)
-            if (
-                existing is not None
-                and existing.state not in _RETRYABLE_TERMINAL
-            ):
+            if existing is not None and existing.state != "failed":
                 # Identical request: share the computation (or its
                 # recorded result). The rider is not charged.
                 if client not in existing.clients:
@@ -1004,7 +943,6 @@ class JobManager:
                     for j in self._jobs.values()
                     if j.state == "queued"
                 ),
-                "worker_mode": self.worker_mode,
                 "store": (
                     self.store.status()
                     if self.store is not None
@@ -1041,7 +979,7 @@ class JobManager:
                     job
                     for job in self._jobs.values()
                     if job.done.is_set()
-                    and job.state in ("done", "failed", "crashed")
+                    and job.state in ("done", "failed")
                 ),
                 key=lambda j: j.finished_unix or j.created_unix,
             )
@@ -1082,7 +1020,7 @@ class JobManager:
             shutil.rmtree(job.journal_path.parent)
 
     # ------------------------------------------------------------------
-    # Execution (worker threads, optionally worker processes)
+    # Execution (worker threads)
     # ------------------------------------------------------------------
     def _execute(self, job: Job, client: str) -> None:
         job.state = "running"
@@ -1094,41 +1032,26 @@ class JobManager:
         try:
             registered = self.graph(job.spec.graph)
             self.metrics.inc("service_job_executions_total")
-            supervised: dict[str, Any] | None = None
-            if (
-                self._supervisor is not None
-                and registered.store_path is not None
+            # Isolated scope: the job sees the shared cache, its own
+            # tracer/metrics/journal, and nothing from whatever ran
+            # on this pooled thread before it.
+            with ambient_scope(
+                cache=self.cache,
+                tracer=tracer,
+                metrics=job_metrics,
+                journal=journal,
+                isolate=True,
             ):
-                supervised = self._supervisor.run_job(
-                    self._worker_payload(job, registered)
-                )
-            if supervised is not None:
-                result, recorded, manifest = self._absorb_worker(
-                    job, supervised
-                )
-            else:
-                # In-thread path: thread mode, sandboxes without
-                # process pools, or graphs that never hit disk.
-                # Isolated scope: the job sees the shared cache, its
-                # own tracer/metrics/journal, and nothing from
-                # whatever ran on this pooled thread before it.
-                with ambient_scope(
+                result, recorded, manifest = execute_spec(
+                    job.spec,
+                    registered.graph,
+                    dataset_sha=registered.sha,
                     cache=self.cache,
+                    budget=self.job_budget,
+                    retry=self.retry,
                     tracer=tracer,
-                    metrics=job_metrics,
-                    journal=journal,
-                    isolate=True,
-                ):
-                    result, recorded, manifest = execute_spec(
-                        job.spec,
-                        registered.graph,
-                        dataset_sha=registered.sha,
-                        cache=self.cache,
-                        budget=self.job_budget,
-                        retry=self.retry,
-                        tracer=tracer,
-                        job_metrics=job_metrics,
-                    )
+                    job_metrics=job_metrics,
+                )
             job.warnings = recorded
             journal.finish("complete")
             job.result = result
@@ -1142,21 +1065,10 @@ class JobManager:
         except Exception as exc:  # noqa: BLE001 - job boundary
             journal.finish("failed")
             job.error = str(exc)
-            job.error_type = getattr(
-                exc, "remote_type", None
-            ) or type(exc).__name__
-            job.error_code = getattr(
-                exc, "remote_code", None
-            ) or error_code_for(exc)
-            job.state = (
-                "crashed"
-                if isinstance(exc, WorkerCrashError)
-                and getattr(exc, "quarantined", False)
-                else "failed"
-            )
+            job.error_type = type(exc).__name__
+            job.error_code = error_code_for(exc)
+            job.state = "failed"
             self.metrics.inc("service_jobs_failed_total")
-            if job.state == "crashed":
-                self.metrics.inc("service_jobs_crashed_total")
             if job.error_code == "budget_exceeded":
                 self.metrics.inc("service_job_budget_overruns_total")
         finally:
@@ -1174,7 +1086,6 @@ class JobManager:
                     "job_id": job.job_id,
                     "key": job.key,
                     "clients": list(job.clients),
-                    "worker_mode": self.worker_mode,
                 }
                 try:
                     append_manifest(manifest, self.manifest_log)
@@ -1185,83 +1096,6 @@ class JobManager:
             job.done.set()
             with contextlib.suppress(Exception):
                 self.evict_jobs()
-
-    def _worker_payload(
-        self, job: Job, registered: RegisteredGraph
-    ) -> dict[str, Any]:
-        budget = self.job_budget
-        retry = self.retry
-        return {
-            "job_id": job.job_id,
-            "graph_path": registered.store_path,
-            "dataset_sha": registered.sha,
-            "spec": job.spec.as_dict(),
-            "journal_path": str(job.journal_path),
-            "cache_dir": (
-                str(self.cache.directory)
-                if self.cache.directory is not None
-                else None
-            ),
-            "budget": (
-                {
-                    "wall_s": budget.wall_s,
-                    "mem_bytes": budget.mem_bytes,
-                }
-                if budget is not None
-                else None
-            ),
-            "retry": (
-                {
-                    "max_attempts": retry.max_attempts,
-                    "backoff_s": retry.backoff_s,
-                    "backoff_factor": retry.backoff_factor,
-                    "max_backoff_s": retry.max_backoff_s,
-                    "jitter": retry.jitter,
-                }
-                if retry is not None
-                else None
-            ),
-        }
-
-    def _absorb_worker(
-        self, job: Job, outcome: dict[str, Any]
-    ) -> tuple[
-        dict[str, Any], list[dict[str, str]], RunManifest | None
-    ]:
-        """Translate a worker process's outcome dict back into the
-        in-thread execution contract (result or typed raise)."""
-        if outcome.get("ok"):
-            manifest = None
-            if outcome.get("manifest") is not None:
-                with contextlib.suppress(ReproError, KeyError):
-                    manifest = RunManifest.from_dict(
-                        outcome["manifest"]
-                    )
-            return (
-                outcome.get("result") or {},
-                list(outcome.get("warnings") or []),
-                manifest,
-            )
-        code = outcome.get("code") or "internal"
-        message = str(outcome.get("error") or "worker failure")
-        if code == "budget_exceeded" and outcome.get("budget"):
-            fields = outcome["budget"]
-            raise BudgetExceeded(
-                str(fields.get("scope", "job")),
-                str(fields.get("resource", "wall_s")),
-                float(fields.get("limit", 0.0)),
-                float(fields.get("spent", 0.0)),
-            )
-        error: ReproError
-        if code == "transient":
-            error = TransientError(message)
-        elif code == "worker_crashed":
-            error = WorkerCrashError(message)
-        else:
-            error = ServiceError(message)
-        error.remote_type = outcome.get("error_type")  # type: ignore[attr-defined]
-        error.remote_code = code  # type: ignore[attr-defined]
-        raise error
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -1291,8 +1125,6 @@ class JobManager:
             timeout=timeout,
         )
         self._executor.shutdown(wait=False, cancel_futures=True)
-        if self._supervisor is not None:
-            self._supervisor.close()
         if self.store is not None:
             self.store.close()
         return not not_done

@@ -23,9 +23,9 @@ Endpoints
 
 Error bodies are structured: ``{"error", "error_type", "code"}`` with
 ``code`` from the failure taxonomy (``budget_exceeded``,
-``overloaded``, ``worker_crashed``, ``transient``,
-``invalid_request``, ``internal``), plus the structured budget fields
-for :class:`~repro.exceptions.BudgetExceeded` and ``retry_after_s``
+``overloaded``, ``transient``, ``invalid_request``, ``internal``),
+plus the structured budget fields for
+:class:`~repro.exceptions.BudgetExceeded` and ``retry_after_s``
 (mirrored in a ``Retry-After`` header) for 503/429s. Status mapping:
 "no graph"/"no job" :class:`~repro.service.jobs.ServiceError` → 404,
 name conflicts → 409, other validation failures → 400, budget
@@ -56,6 +56,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.service.jobs import (
     JobManager,
     JobSpec,
+    RegisteredGraph,
     ServiceError,
     error_code_for,
 )
@@ -72,14 +73,15 @@ _EVENTS_POLL_S = 0.05
 
 
 class _HttpError(Exception):
-    """Internal: carries an HTTP status to the response writer."""
+    """Internal: carries an HTTP status to the response writer. Its
+    bodies name the public :class:`ServiceError` as their
+    ``error_type``, as the manager's own refusals do."""
 
-    def __init__(
-        self, status: int, message: str, error_type: str = ""
-    ) -> None:
+    error_type = ServiceError.__name__
+
+    def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
-        self.error_type = error_type or type(self).__name__
 
 
 def _json_bytes(payload: Any) -> bytes:
@@ -161,7 +163,6 @@ class ServiceServer:
         retry: RetryPolicy | None = None,
         metrics: MetricsRegistry | None = None,
         store: ServiceStore | None = None,
-        worker_mode: str = "thread",
         max_queue_depth: int | None = None,
         shed_retry_after_s: float = 1.0,
         max_jobs: int | None = None,
@@ -179,7 +180,6 @@ class ServiceServer:
             retry=retry,
             metrics=metrics,
             store=store,
-            worker_mode=worker_mode,
             max_queue_depth=max_queue_depth,
             shed_retry_after_s=shed_retry_after_s,
             max_jobs=max_jobs,
@@ -379,7 +379,6 @@ class ServiceServer:
         payload: dict[str, Any] = {
             "ready": True,
             "queue_depth": self.manager.queue_depth(),
-            "worker_mode": self.manager.worker_mode,
         }
         if store is not None:
             payload["store"] = store.status()
@@ -411,12 +410,15 @@ class ServiceServer:
                 "sources, m int64 targets and m float64 weights, "
                 f"little-endian; got Content-Type {content_type!r}",
             )
-        # Build off-loop: the checks and the CSR build are CPU-bound.
-        graph = await asyncio.get_running_loop().run_in_executor(
-            None, _uploaded_graph, body, query.get("n_nodes")
-        )
-        registered = self.manager.register_graph(
-            query.get("name", ""), graph
+
+        def build_and_register() -> RegisteredGraph:
+            graph = _uploaded_graph(body, query.get("n_nodes"))
+            return self.manager.register_graph(query.get("name", ""), graph)
+
+        # Off-loop: the checks, the CSR build, the content hash and the
+        # store's publish would stall every other connection.
+        registered = await asyncio.get_running_loop().run_in_executor(
+            None, build_and_register
         )
         await self._respond(writer, 201, registered.summary())
 

@@ -55,7 +55,6 @@ from repro.exceptions import (
     FaultInjected,
     ReproError,
     TransientError,
-    WorkerCrashError,
 )
 from repro.graph.generators import power_law_digraph
 from repro.graph.io import write_edge_list
@@ -161,7 +160,6 @@ class TestChaosHarness:
 class TestTaxonomy:
     def test_transient_hierarchy(self):
         assert issubclass(TransientError, ReproError)
-        assert issubclass(WorkerCrashError, TransientError)
         assert issubclass(FaultInjected, TransientError)
 
     def test_budget_exceeded_is_structured(self):
@@ -179,7 +177,7 @@ class TestTaxonomy:
     def test_default_retry_policy_scope(self):
         policy = RetryPolicy(max_attempts=3)
         assert policy.should_retry(TransientError("x"), 1)
-        assert policy.should_retry(WorkerCrashError("x"), 2)
+        assert policy.should_retry(FaultInjected("x"), 2)
         assert not policy.should_retry(TransientError("x"), 3)
         assert not policy.should_retry(ReproError("x"), 1)
         assert not policy.should_retry(ValueError("x"), 1)

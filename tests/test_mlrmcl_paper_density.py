@@ -22,7 +22,6 @@ import scipy.sparse as sp
 
 from repro.cluster import MLRMCL
 from repro.graph.generators import power_law_mmcsr
-from repro.perf.scale_bench import scale_smoke_enabled
 from repro.symmetrize import DegreeDiscountedSymmetrization
 from tests.conftest import PEAK_KB
 
@@ -72,11 +71,6 @@ def test_paper_density_5k_clusters_in_bounded_memory(tmp_path):
 
 
 @pytest.mark.scale_smoke
-@pytest.mark.skipif(
-    not scale_smoke_enabled(),
-    reason="tens of seconds; run via `make scale-smoke` "
-    "(REPRO_SCALE_SMOKE=1)",
-)
 def test_paper_density_20k_clusters_under_budget(tmp_path):
     """The 20k graph at ``k = 1000`` once ran out of memory on an 8 GB
     machine; it must now cluster within 1 GiB of allocations."""

@@ -25,7 +25,6 @@ from repro.perf.scale_bench import (
     format_scale_summary,
     run_scale_bench,
     scale_manifest,
-    scale_smoke_enabled,
     write_bench,
 )
 
@@ -301,11 +300,6 @@ class TestScaleBenchCli:
 
 
 @pytest.mark.scale_smoke
-@pytest.mark.skipif(
-    not scale_smoke_enabled(),
-    reason="~10 s; run via `make scale-smoke` "
-    "(REPRO_SCALE_SMOKE=1)",
-)
 def test_scale_smoke_under_budget(tmp_path):
     """The CI-grade smoke: one ~50k-node mmap-backed graph timed
     serially, as ``repro bench`` times the committed

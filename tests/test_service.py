@@ -794,6 +794,40 @@ class TestServiceIntegration:
             assert reply["n_nodes"] == 10**6 + 1
             assert [g["name"] for g in client.graphs()] == ["wide"]
 
+    def test_registration_leaves_the_event_loop_free(
+        self, tmp_path, small_graph, monkeypatch
+    ) -> None:
+        """An upload held inside ``register_graph`` (the content hash
+        and, with a store, the MmapCSR publish) does not stall other
+        connections: ``GET /livez`` answers while it waits."""
+        entered, release = threading.Event(), threading.Event()
+        register = JobManager.register_graph
+
+        def held(manager, name, graph):
+            entered.set()
+            release.wait(5)
+            return register(manager, name, graph)
+
+        monkeypatch.setattr(JobManager, "register_graph", held)
+        with live_server(tmp_path, max_workers=1) as server:
+            client = ServiceClient("127.0.0.1", server.port)
+            upload = threading.Thread(
+                target=client.register_graph, args=("g", small_graph)
+            )
+            upload.start()
+            try:
+                assert entered.wait(15), "upload never registered"
+                started = time.monotonic()
+                assert client._request("GET", "/livez") == {
+                    "status": "alive"
+                }
+                assert time.monotonic() - started < 2.0
+            finally:
+                release.set()
+                upload.join(30)
+            assert not upload.is_alive()
+            assert [g["name"] for g in client.graphs()] == ["g"]
+
     @pytest.mark.parametrize("which", ["small_graph", "wikipedia_like"])
     def test_upload_round_trips_the_graph(
         self, tmp_path, small_graph, which

@@ -7,9 +7,10 @@ Four claims under test:
    re-runs exactly the incomplete jobs (parametrized kill-point
    differential in :class:`TestKillPoints`, via a subprocess driver
    that arms ``kill_process`` chaos faults).
-2. **Supervised execution** — a job that kills its worker process is
-   retried, and quarantined in the terminal ``crashed`` state after
-   two deaths (:class:`TestSupervisor`).
+2. **Job isolation** — a job whose stage raises an error outside the
+   library's taxonomy ends ``failed`` with code ``internal``, and the
+   same manager runs the resubmitted spec to ``done``
+   (:class:`TestJobFailure`).
 3. **Graceful degradation** — bounded-queue admission control sheds
    with :class:`ServiceOverloaded` / HTTP 503 + ``Retry-After``; the
    ENOSPC path flips the store read-only instead of dying
@@ -43,7 +44,6 @@ import pytest
 from repro.datasets import make_cora_like
 from repro.engine import RetryPolicy
 from repro.engine.chaos import Fault, FaultPlan, inject_faults
-from repro.engine.pool import WorkerPool
 from repro.exceptions import ServiceOverloaded
 from repro.graph import DirectedGraph
 from repro.pipeline.pipeline import SymmetrizeClusterPipeline
@@ -86,14 +86,6 @@ def reference_sha(small_graph) -> str:
     from repro.service.jobs import _labels_sha
 
     return _labels_sha(result.clustering.labels)
-
-
-def _pool_available() -> bool:
-    pool = WorkerPool(1)
-    try:
-        return pool.run(abs, [-1]) is not None
-    finally:
-        pool.close()
 
 
 @contextlib.contextmanager
@@ -497,90 +489,41 @@ class TestKillPoints:
 
 
 # ----------------------------------------------------------------------
-# Supervised process workers: crash retry and quarantine
+# Job isolation: an unexpected error fails one job, not the manager
 # ----------------------------------------------------------------------
-class TestSupervisor:
-    pytestmark = pytest.mark.skipif(
-        not _pool_available(),
-        reason="no process pool in this environment",
-    )
-
-    def _manager(self, tmp_path, **kwargs) -> JobManager:
-        state = tmp_path / "state"
-        return JobManager(
-            state,
-            store=ServiceStore(state),
-            max_workers=1,
-            worker_mode="process",
-            retry=RetryPolicy(backoff_s=0.01, max_backoff_s=0.05),
-            **kwargs,
-        )
-
-    def test_worker_crash_retried_to_completion(
+class TestJobFailure:
+    def test_unexpected_error_fails_the_job_then_rerun_completes(
         self, tmp_path, small_graph, reference_sha
     ) -> None:
-        """One worker death: the supervisor re-runs the job and it
-        completes with the reference bytes."""
-        manager = self._manager(tmp_path)
+        """A stage raising an error outside the library's taxonomy
+        ends its job ``failed`` with code ``internal``; the same
+        manager runs the resubmitted spec to ``done`` with the
+        reference bytes."""
+        state = tmp_path / "state"
+        manager = JobManager(state, store=ServiceStore(state), max_workers=1)
         try:
             manager.register_graph("cora", small_graph)
             plan = FaultPlan(
-                [
-                    Fault(
-                        site="service.worker",
-                        kind="kill_worker",
-                        at=1,
-                    )
-                ]
+                [Fault(site="stage:symmetrize", exc=MemoryError)]
             )
-            with inject_faults(plan), pytest.warns(Warning):
+            with inject_faults(plan):
                 job, _ = manager.submit(
                     JobSpec.from_dict(dict(CLUSTER_SPEC)), "t"
                 )
                 assert job.done.wait(180)
-            assert job.state == "done"
-            assert job.result["labels_sha256"] == reference_sha
+            assert plan.triggered_count("stage:symmetrize") == 1
+            assert job.state == "failed"
+            assert job.error_type == "MemoryError"
+            assert job.error_code == "internal"
             counters = manager.metrics.as_dict()["counters"]
-            assert counters["service_worker_crashes_total"] == 1
-        finally:
-            manager.close()
-
-    def test_double_crash_quarantines_not_cached(
-        self, tmp_path, small_graph
-    ) -> None:
-        """Two worker deaths: terminal ``crashed`` state, worker_crashed
-        code, and a resubmission starts a fresh job instead of
-        dedup-joining the quarantined one."""
-        manager = self._manager(tmp_path)
-        try:
-            manager.register_graph("cora", small_graph)
-            plan = FaultPlan(
-                [
-                    Fault(
-                        site="service.worker",
-                        kind="kill_worker",
-                        at=1,
-                        times=2,
-                    )
-                ]
-            )
-            with inject_faults(plan), pytest.warns(Warning):
-                job, _ = manager.submit(
-                    JobSpec.from_dict(dict(CLUSTER_SPEC)), "t"
-                )
-                assert job.done.wait(180)
-            assert job.state == "crashed"
-            assert job.error_code == "worker_crashed"
-            counters = manager.metrics.as_dict()["counters"]
-            assert counters["service_worker_crashes_total"] == 2
-            assert counters["service_jobs_crashed_total"] == 1
-            # Never sticky-cached: the same spec gets a new job.
-            retry_job, deduped = manager.submit(
+            assert counters["service_jobs_failed_total"] == 1
+            rerun, deduped = manager.submit(
                 JobSpec.from_dict(dict(CLUSTER_SPEC)), "t"
             )
-            assert not deduped
-            assert retry_job.done.wait(180)
-            assert retry_job.state == "done"
+            assert not deduped and rerun is not job
+            assert rerun.done.wait(180)
+            assert rerun.state == "done"
+            assert rerun.result["labels_sha256"] == reference_sha
         finally:
             manager.close()
 
@@ -733,18 +676,13 @@ class TestOverload:
 # ----------------------------------------------------------------------
 class TestErrorTaxonomy:
     def test_error_code_mapping(self) -> None:
-        from repro.exceptions import (
-            BudgetExceeded,
-            TransientError,
-            WorkerCrashError,
-        )
+        from repro.exceptions import BudgetExceeded, TransientError
         from repro.service import ServiceError
 
         assert (
             error_code_for(BudgetExceeded("s", "wall_s", 1, 2))
             == "budget_exceeded"
         )
-        assert error_code_for(WorkerCrashError("x")) == "worker_crashed"
         assert error_code_for(ServiceOverloaded()) == "overloaded"
         assert error_code_for(TransientError("x")) == "transient"
         assert error_code_for(ServiceError("x")) == "invalid_request"
@@ -753,26 +691,39 @@ class TestErrorTaxonomy:
     def test_http_error_bodies_are_structured(
         self, tmp_path
     ) -> None:
+        """The manager's refusals and the server's own (bad upload
+        body, no route) name the same public ``error_type``."""
+        cases = [
+            # (method, path, JSON body, status, code)
+            ("POST", "/jobs", {"kind": "cluster", "graph": "missing"},
+             404, "not_found"),
+            ("POST", "/graphs?name=g", {"edges": [[0, 1, 1.0]]},
+             400, "invalid_request"),
+            ("GET", "/no-such-route", None, 404, "not_found"),
+        ]
         with live_server(tmp_path) as server:
-            conn = http.client.HTTPConnection(
-                "127.0.0.1", server.port, timeout=30
-            )
-            try:
-                conn.request(
-                    "POST",
-                    "/jobs",
-                    body=json.dumps(
-                        {"kind": "cluster", "graph": "missing"}
-                    ),
-                    headers={"Content-Type": "application/json"},
+            for method, path, payload, status, code in cases:
+                conn = http.client.HTTPConnection(
+                    "127.0.0.1", server.port, timeout=30
                 )
-                response = conn.getresponse()
-                body = json.loads(response.read().decode())
-            finally:
-                conn.close()
-            assert response.status == 404
-            assert body["code"] == "not_found"
-            assert body["error_type"] == "ServiceError"
+                try:
+                    conn.request(
+                        method,
+                        path,
+                        body=(
+                            json.dumps(payload)
+                            if payload is not None
+                            else None
+                        ),
+                        headers={"Content-Type": "application/json"},
+                    )
+                    response = conn.getresponse()
+                    body = json.loads(response.read().decode())
+                finally:
+                    conn.close()
+                assert response.status == status, (path, body)
+                assert body["code"] == code, (path, body)
+                assert body["error_type"] == "ServiceError", (path, body)
 
     def test_probes(self, tmp_path) -> None:
         with live_server(tmp_path) as server:
@@ -780,7 +731,6 @@ class TestErrorTaxonomy:
             assert client._request("GET", "/livez")["status"] == "alive"
             ready = client.ready()
             assert ready["ready"] is True
-            assert ready["worker_mode"] == "thread"
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ import scipy.sparse as sp
 
 from repro.exceptions import SymmetrizationError
 from repro.graph import DirectedGraph, UndirectedGraph
-from repro.perf.scale_bench import scale_smoke_enabled
 from repro.symmetrize import (
     BibliometricSymmetrization,
     DegreeDiscountedSymmetrization,
@@ -304,11 +303,6 @@ class TestRowSpanRoute:
 
 
 @pytest.mark.scale_smoke
-@pytest.mark.skipif(
-    not scale_smoke_enabled(),
-    reason="seconds-scale subprocess; run via `make scale-smoke` "
-    "(REPRO_SCALE_SMOKE=1)",
-)
 def test_wikipedia_like_10k_prunes_under_256_mb():
     """The 10k Wikipedia-like graph at ``t = 0.03``, which ran out of
     memory when ``apply`` built the whole ``U_d`` (~100M entries)
