@@ -53,12 +53,12 @@ and each candidate pair goes through one funnel:
    on prefix columns out as a dense table and reads it at every
    ``P`` entry of their partners. Pairs whose gate score stays below
    the threshold (minus a rounding pad) are dropped.
-4. **Exact score**: the gate's survivors are scored once from both
-   whole rows, gathered and multiplied elementwise, and each
-   (pair, column segment) run is summed in stored order with
-   ``np.add.reduceat`` — the arithmetic of ``csr.sum(axis=1)``. One
-   segment gives the plain dot product; ``apply_pruned`` passes one
-   segment per factor.
+4. **Exact score**: :func:`thresholded_gram_matrix` scores the
+   gate's survivors once from both whole rows, gathered and
+   multiplied elementwise, each pair's products summed in stored
+   order by ``np.add.reduceat`` — the arithmetic of
+   ``csr.sum(axis=1)``. ``apply_pruned`` re-scores them instead, in
+   ``apply``'s own arithmetic (:func:`pruned_pairs`).
 
 Blocks are independent, so an opt-in ``n_jobs`` fans them out over
 worker processes and merges the per-block triplets exactly;
@@ -74,9 +74,9 @@ prefixes and the per-row prefix bounds are spilled once to
 disk (:class:`~repro.linalg.mmcsr.MmapCSR` stores plus one ``.npy``)
 and workers receive only shard descriptors (paths plus a chunk index
 — a few hundred bytes), mapping the rows they need instead of
-unpickling whole matrices; each worker runs the same funnel and
-spills its kept triplets back as a per-shard artifact the parent
-concatenates. With an ambient disk
+unpickling whole matrices; each worker runs the same funnel up to
+the prefix gate and spills the gate's survivors back as a per-shard
+artifact the parent concatenates and scores. With an ambient disk
 :class:`~repro.engine.cache.ArtifactCache`, spills and finished
 shards are content-addressed under ``<cache>/shards/`` and reused on
 resume. Each fanned-out call creates its own
@@ -85,7 +85,8 @@ resume. Each fanned-out call creates its own
 :meth:`repro.symmetrize.DegreeDiscountedSymmetrization` exposes this
 through ``apply_pruned``, which searches the stacked factor
 ``W = [Y | Z]`` once: ``U_d = B_d + C_d = W Wᵀ`` with
-``Y = Do^-α A Di^-β/2`` and ``Z = Di^-β Aᵀ Do^-α/2``.
+``Y = Do^-α A Di^-β/2`` and ``Z = Di^-β Aᵀ Do^-α/2``, and uses the
+search only to find the pairs it re-scores.
 """
 
 from __future__ import annotations
@@ -105,6 +106,7 @@ from repro.engine.chaos import chaos
 from repro.engine.pool import WorkerPool
 from repro.exceptions import StorageError, SymmetrizationError
 from repro.linalg.mmcsr import MmapCSR
+from repro.linalg.sparse_utils import prune_mask
 from repro.obs.metrics import (
     metric_inc,
     metric_observe,
@@ -122,12 +124,12 @@ BACKENDS = ("vectorized", "python")
 #: setup while bounding the candidate matrix held at once).
 DEFAULT_BLOCK_SIZE = 512
 
-#: Row entries gathered per batch by the prefix gate and the exact
-#: score: both rows' nnz, summed over the batch's pairs. Counting
-#: entries rather than pairs bounds the gathered row selections (and
-#: their elementwise product) on hub rows too; a single pair above the
-#: budget runs alone. Scores are per pair, so batch edges change no
-#: output byte.
+#: Row entries gathered per batch by the prefix gate, the exact score
+#: and :func:`pruned_pairs`: both rows' nnz, summed over the batch's
+#: pairs. Counting entries rather than pairs bounds the gathered row
+#: selections (and their elementwise product) on hub rows too; a
+#: single pair above the budget runs alone. Scores are per pair, so
+#: batch edges change no output byte.
 _GATHER_BUDGET = 1 << 21
 
 #: Ceiling on the estimated candidate count materialized by one sparse
@@ -165,7 +167,7 @@ _BOUNDARY_SLACK = 1e-9
 #: what a shard dir holds changes meaning (index order, bound arrays,
 #: the counts a shard result carries), so a dir written by an older
 #: layout under a persistent cache is never adopted.
-_SHARD_LAYOUT = b"allpairs-shards/v4: prefix gate, segmented scores"
+_SHARD_LAYOUT = b"allpairs-shards/v5: gate survivors, unscored"
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +204,8 @@ class _Found(NamedTuple):
     and partner row — and the pair funnel's counts.
 
     ``values`` holds the pairs' exact scores when the engine already
-    kept them (the oracle, shard workers), and ``None`` while they
-    still await :func:`_score_and_keep`.
+    kept them (the oracle), and ``None`` for the prefix gate's
+    survivors, which still await a score.
     """
 
     left: np.ndarray
@@ -212,14 +214,6 @@ class _Found(NamedTuple):
     candidates: int
     verified: int
     scored: int
-
-
-def _symmetric(
-    n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
-) -> sp.csr_array:
-    """The symmetric ``(n, n)`` CSR matrix of one triangle's triplets."""
-    result = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return (result + result.T).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +243,7 @@ def _exact_dot(
     return total
 
 
-def _python_engine(
-    csr: sp.csr_array, threshold: float, include_diagonal: bool
-) -> _Found:
+def _python_engine(csr: sp.csr_array, threshold: float) -> _Found:
     """The WWW'07 inverted-index scheme, one row at a time; every
     candidate is scored, so its funnel counts are all equal."""
     n = csr.shape[0]
@@ -289,13 +281,6 @@ def _python_engine(
                 out_rows.append(i)
                 out_cols.append(k)
                 out_vals.append(score)
-
-        if include_diagonal:
-            self_score = float((vals_i**2).sum())
-            if self_score >= threshold:
-                out_rows.append(i)
-                out_cols.append(i)
-                out_vals.append(self_score / 2.0)  # symmetrized later
 
         # --- prefix filtering: find the indexing boundary ------------
         # Largest prefix whose max possible contribution stays below
@@ -486,51 +471,111 @@ def _gather_batches(
     return [slice(a, b) for a, b in _budget_spans(cum, _GATHER_BUDGET)]
 
 
-def _segment_sums(product: sp.csr_array, ends: np.ndarray) -> np.ndarray:
-    """Per row of ``product``, ``0.0 + s_0 + s_1 + …`` where ``s_k`` is
-    the sum of the row's entries in columns ``[ends[k], ends[k+1])``.
-
-    Each (row, segment) run is summed in stored order by one
-    ``np.add.reduceat`` — what ``csr.sum(axis=1)`` runs on a column
-    slice — so segment ``(0, d)`` reproduces a row sum bit for bit, and
-    the segments of ``apply_pruned``'s factors reproduce summing each
-    factor's column slice separately.
-    """
-    n_rows = product.shape[0]
-    n_seg = len(ends) - 1
-    total = np.zeros(n_rows)
-    if product.nnz == 0:
-        return total
-    counts = np.diff(product.indptr)
-    run = np.repeat(np.arange(n_rows, dtype=np.int64) * n_seg, counts)
-    if n_seg > 1:
-        run += np.searchsorted(ends[1:-1], product.indices, side="right")
-    starts = np.flatnonzero(np.diff(run, prepend=-1))
-    sums = np.zeros(n_rows * n_seg)
-    sums[run[starts]] = np.add.reduceat(product.data, starts)
-    for k in range(n_seg):
-        total += sums[k::n_seg]
-    return total
-
-
 def _score_and_keep(
     csr: sp.csr_array,
     left: np.ndarray,
     right: np.ndarray,
-    ends: np.ndarray,
-    keep: float,
+    threshold: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact-score the pairs ``(left[k], right[k])`` over the column
-    segments ``ends`` (see :func:`_segment_sums`) and keep those
-    reaching ``keep`` — both rows gathered once per batch and
-    multiplied elementwise, no per-pair Python work."""
+    """Exact-score the pairs ``(left[k], right[k])`` and keep those
+    reaching ``threshold`` — both rows gathered once per batch and
+    multiplied elementwise, each pair's products summed as
+    ``csr.sum(axis=1)`` sums a row, no per-pair Python work."""
     values = np.empty(left.size)
     for sl in _gather_batches(csr.indptr, left, right):
-        values[sl] = _segment_sums(
-            csr[left[sl]].multiply(csr[right[sl]]), ends
-        )
-    kept = np.flatnonzero(values >= keep)
+        values[sl] = csr[left[sl]].multiply(csr[right[sl]]).sum(axis=1)
+    kept = np.flatnonzero(values >= threshold)
     return left.take(kept), right.take(kept), values.take(kept)
+
+
+def pruned_pairs(
+    lhs: sp.csr_array,
+    rt_values: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    threshold: float,
+) -> sp.csr_array:
+    """The entries of ``U = Σ_t L_t @ R_t`` at ``(left, right)`` and at
+    ``(right, left)`` that :func:`~repro.linalg.sparse_utils
+    .prune_matrix` keeps at ``threshold``, as a canonical ``(n, n)``
+    CSR matrix.
+
+    ``lhs`` holds the ``(n, n)`` factors ``L_t`` side by side (term
+    ``t`` on columns ``[t·n, (t+1)·n)``) with sorted rows, and
+    ``rt_values`` the ``R_tᵀ`` on its stored pattern. Entries take the
+    arithmetic of SciPy's ``L_t @ R_t`` summed term by term, which
+    :meth:`~repro.symmetrize.Symmetrization.apply` prunes: per term
+    the products ``L_t[i, k] · R_tᵀ[j, k]`` over the shared columns
+    ``k``, ascending, are summed sequentially by a CSR mat-vec
+    (``reduceat`` and ``.sum`` sum pairwise and round differently),
+    then the terms' sums left to right. Both orientations are scored:
+    their roundings of one similarity can fall either side of the
+    threshold. Batches gather at most :data:`_GATHER_BUDGET` entries.
+    """
+    n = lhs.shape[0]
+    n_terms = lhs.shape[1] // max(n, 1)
+    # The pattern with each entry's stored position + 1 as its value.
+    at = sp.csr_array(
+        (np.arange(1.0, lhs.nnz + 1), lhs.indices, lhs.indptr),
+        shape=lhs.shape,
+    )
+    degree = np.diff(lhs.indptr)
+    cum = np.zeros(left.size + 1, dtype=np.int64)
+    np.cumsum(degree[left] + degree[right], out=cum[1:])
+    forward = np.empty(left.size)
+    backward = np.empty(left.size)
+    spans = _budget_spans(cum, _GATHER_BUDGET)
+    ones = np.ones(max((cum[b] - cum[a] for a, b in spans), default=0))
+    for a, b in spans:
+        partner = at[right[a:b]]
+        # Each pair's common columns, ascending, at their positions in
+        # the probe's row, then looked up in the partner's.
+        mine = at[left[a:b]].multiply(
+            sp.csr_array(
+                (ones[: partner.nnz], partner.indices, partner.indptr),
+                shape=partner.shape,
+            )
+        )
+        p_i = mine.data.astype(np.int64) - 1
+        pair = np.repeat(np.arange(b - a), np.diff(mine.indptr))
+        p_j = partner[pair, mine.indices].astype(np.int64) - 1
+        # Each (pair, term) run of common columns is contiguous.
+        run = pair * n_terms + mine.indices // n
+        lengths = np.bincount(run, minlength=(b - a) * n_terms)
+        sums = _sequential_sums(
+            np.concatenate(
+                (
+                    lhs.data[p_i] * rt_values[p_j],
+                    lhs.data[p_j] * rt_values[p_i],
+                )
+            ),
+            np.concatenate((lengths, lengths)),
+        ).reshape(2, b - a, n_terms)
+        forward[a:b], backward[a:b] = sums[..., 0]
+        for t in range(1, n_terms):
+            forward[a:b] += sums[0, :, t]
+            backward[a:b] += sums[1, :, t]
+    fwd = prune_mask(forward, threshold)
+    bwd = prune_mask(backward, threshold)
+    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    rows = np.concatenate((left[fwd], right[bwd])).astype(dtype)
+    cols = np.concatenate((right[fwd], left[bwd])).astype(dtype)
+    values = np.concatenate((forward[fwd], backward[bwd]))
+    del forward, backward
+    return sp.coo_array((values, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _sequential_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per run of ``lengths`` consecutive ``values``, ``0 + v_0 + v_1 +
+    …`` added in order: SciPy's CSR mat-vec with ones, which sums as
+    its sparse product accumulates an entry."""
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    rows = sp.csr_array(
+        (values, np.zeros(values.size, dtype=np.int64), indptr),
+        shape=(lengths.size, 1),
+    )
+    return rows @ np.ones(1)
 
 
 class _GateScratch:
@@ -842,19 +887,13 @@ def _chunk_starts(
 
 
 def _content_key(
-    csr: sp.csr_array,
-    threshold: float,
-    block_size: int,
-    n_chunks: int,
-    ends: np.ndarray,
-    keep: float,
+    csr: sp.csr_array, threshold: float, block_size: int, n_chunks: int
 ) -> str:
     """Content address of a shard scratch dir: hash of exact inputs.
 
     ``n_chunks`` is part of the key because shard artifacts are per
     chunk of a specific partition — a run with a different worker
-    count must not adopt another partition's shards; ``ends`` and
-    ``keep`` are, because shards hold scores and keep decisions; the
+    count must not adopt another partition's shards; the
     :data:`_SHARD_LAYOUT` tag keeps dirs of an older layout out.
     """
     digest = hashlib.sha256(_SHARD_LAYOUT)
@@ -862,8 +901,6 @@ def _content_key(
     digest.update(np.float64(threshold).tobytes())
     digest.update(np.int64(block_size).tobytes())
     digest.update(np.int64(n_chunks).tobytes())
-    digest.update(np.asarray(ends, dtype=np.int64).tobytes())
-    digest.update(np.float64(keep).tobytes())
     for arr in (csr.indptr, csr.indices, csr.data):
         digest.update(np.ascontiguousarray(arr).tobytes())
     return digest.hexdigest()[:32]
@@ -906,21 +943,15 @@ def _spill_bounds(bounds: np.ndarray, path: Path) -> None:
     os.replace(tmp, path)
 
 
-def _save_shard(
-    path: Path,
-    triplets: tuple[np.ndarray, np.ndarray, np.ndarray],
-    found: _Found,
-) -> None:
+def _save_shard(path: Path, found: _Found) -> None:
     """Write one shard artifact atomically (tmp + rename), so a shard
     file either exists complete or not at all — resumed runs can trust
     any artifact they find."""
-    rows, cols, vals = triplets
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
     np.savez(
         tmp,
-        rows=rows,
-        cols=cols,
-        vals=vals,
+        rows=found.left,
+        cols=found.right,
         n_candidates=np.int64(found.candidates),
         n_verified=np.int64(found.verified),
         n_scored=np.int64(found.scored),
@@ -934,29 +965,23 @@ _SPILLED = ("suffix", "prefix")
 
 
 def _run_chunk(csr: sp.csr_array, index: _Index, spec: dict) -> str:
-    """Run one shard descriptor's blocks through the whole funnel and
-    spill the kept triplets; returns the artifact path."""
-    threshold = spec["threshold"]
+    """Run one shard descriptor's blocks up to the prefix gate and
+    spill the gate's survivors; returns the artifact path."""
     block_size = spec["block_size"]
     starts = _chunk_starts(
         csr.shape[0], block_size, spec["chunk_index"], spec["n_chunks"]
     )
-    found = _process_blocks(csr, index, threshold, starts, block_size)
-    triplets = _score_and_keep(
-        csr,
-        found.left,
-        found.right,
-        np.asarray(spec["ends"], dtype=np.int64),
-        spec["keep"],
+    found = _process_blocks(
+        csr, index, spec["threshold"], starts, block_size
     )
     out_path = Path(spec["out_path"])
-    _save_shard(out_path, triplets, found)
+    _save_shard(out_path, found)
     return str(out_path)
 
 
 def _shard_worker(spec: dict) -> str:
     """Process-pool task: open the stores named by the descriptor,
-    run this chunk's blocks, spill the kept triplets.
+    run this chunk's blocks, spill the gate's survivors.
 
     The payload is a small dict of paths and ints (asserted < 1 KB in
     the tests) — workers map the inputs from disk instead of receiving
@@ -992,8 +1017,6 @@ def _fan_out_shards(
     block_starts: list[int],
     block_size: int,
     n_jobs: int,
-    ends: np.ndarray,
-    keep: float,
 ) -> _Found | None:
     """Run blocks across a process pool via memory-mapped shard
     descriptors; ``None`` if pooling is unavailable (serial fallback).
@@ -1002,11 +1025,10 @@ def _fan_out_shards(
     :class:`MmapCSR` stores (reused when a prior call already spilled
     identical content under the ambient cache) and the prefix bounds
     to one ``.npy``; each worker receives only a descriptor — the
-    scratch path plus ``(chunk_index, n_chunks)``, the score segments
-    and the keep level — and spills its kept triplets to a per-shard
-    ``.npz`` artifact the parent concatenates. Shard artifacts are
-    atomic and content-addressed, so an interrupted run resumes by
-    re-opening finished shards.
+    scratch path plus ``(chunk_index, n_chunks)`` — and spills the
+    prefix gate's survivors to a per-shard ``.npz`` artifact the parent
+    concatenates. Shard artifacts are atomic and content-addressed, so
+    an interrupted run resumes by re-opening finished shards.
 
     Crash isolation is the worker pool's: a worker that dies
     mid-chunk (OOM killer, segfault, injected ``kill_worker`` fault)
@@ -1014,12 +1036,12 @@ def _fan_out_shards(
     the in-RAM inputs (blocks are pure functions of shared read-only
     inputs, so re-execution is exact), counted in
     ``worker_crashes_total``. The merge is deterministic — each row
-    lands in exactly one chunk, so triplet sets are disjoint and COO
-    assembly canonicalizes order.
+    lands in exactly one chunk, so pair sets are disjoint, and the
+    caller's assembly canonicalizes order.
     """
     workers = min(n_jobs, len(block_starts))
     scratch, ephemeral = _shard_scratch(
-        _content_key(csr, threshold, block_size, workers, ends, keep)
+        _content_key(csr, threshold, block_size, workers)
     )
     pool = WorkerPool(workers)
     try:
@@ -1037,8 +1059,6 @@ def _fan_out_shards(
                     "block_size": int(block_size),
                     "chunk_index": chunk,
                     "n_chunks": workers,
-                    "ends": [int(e) for e in ends],
-                    "keep": float(keep),
                     "out_path": str(scratch / f"shard-{chunk:04d}.npz"),
                     "chaos_exit": (
                         flag is not None and flag.kind == "kill_worker"
@@ -1064,11 +1084,7 @@ def _fan_out_shards(
             )
             if results is None:
                 return None
-        parts: dict[str, list[np.ndarray]] = {
-            "rows": [],
-            "cols": [],
-            "vals": [],
-        }
+        parts: dict[str, list[np.ndarray]] = {"rows": [], "cols": []}
         counts = np.zeros(3, dtype=np.int64)
         bytes_spilled = 0
         for spec in specs:
@@ -1087,6 +1103,7 @@ def _fan_out_shards(
         metric_set("peak_rss_bytes", peak_rss_bytes())
         return _Found(
             *(np.concatenate(chunks) for chunks in parts.values()),
+            None,
             *(int(c) for c in counts),
         )
     finally:
@@ -1100,11 +1117,9 @@ def _vectorized_engine(
     threshold: float,
     block_size: int,
     n_jobs: int | None,
-    ends: np.ndarray,
-    keep: float,
 ) -> _Found:
     """Blocked array-native engine; see the module docstring. Returns
-    the survivors, already scored and kept when shards ran."""
+    the prefix gate's survivors, not yet scored."""
     n = csr.shape[0]
     with span("suffix_index") as sp_:
         col_max = _column_maxima(csr)
@@ -1115,37 +1130,13 @@ def _vectorized_engine(
     found: _Found | None = None
     if n_jobs is not None and n_jobs > 1 and len(block_starts) > 1:
         found = _fan_out_shards(
-            csr,
-            index,
-            threshold,
-            block_starts,
-            block_size,
-            n_jobs,
-            ends,
-            keep,
+            csr, index, threshold, block_starts, block_size, n_jobs
         )
     if found is None:
         found = _process_blocks(
             csr, index, threshold, block_starts, block_size
         )
     return found
-
-
-def _self_scores(
-    csr: sp.csr_array, threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows whose squared norm reaches ``threshold``, with half of it:
-    the final symmetrization doubles the diagonal (matching the
-    oracle's convention)."""
-    counts = np.diff(csr.indptr)
-    self_scores = np.zeros(csr.shape[0])
-    nonempty = np.flatnonzero(counts)
-    if nonempty.size:
-        self_scores[nonempty] = np.add.reduceat(
-            csr.data**2, csr.indptr[nonempty]
-        )
-    keep = np.flatnonzero(self_scores >= threshold)
-    return keep, self_scores[keep] / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -1155,12 +1146,11 @@ def _self_scores(
 def thresholded_gram_matrix(
     rows: sp.csr_array,
     threshold: float,
-    include_diagonal: bool = False,
     backend: str = "vectorized",
     block_size: int = DEFAULT_BLOCK_SIZE,
     n_jobs: int | None = None,
 ) -> sp.csr_array:
-    """Entries of ``rows @ rows.T`` that are ``>= threshold``.
+    """Off-diagonal entries of ``rows @ rows.T`` that are ``>= threshold``.
 
     Parameters
     ----------
@@ -1173,8 +1163,6 @@ def thresholded_gram_matrix(
         Positive similarity cut-off. The result is exact: it contains
         every off-diagonal pair with dot product at least
         ``threshold`` and nothing below it.
-    include_diagonal:
-        Also emit the self-similarities (row norms squared).
     backend:
         ``"vectorized"`` (default) — the blocked array-native engine;
         ``"python"`` — the row-at-a-time reference oracle. Both apply
@@ -1202,25 +1190,18 @@ def thresholded_gram_matrix(
     product.
     """
     csr = _validated_csr(rows, threshold)
-    whole = np.array([0, csr.shape[1]], dtype=np.int64)
     with span(f"allpairs:{backend}") as sp_:
-        found = _search(
-            csr,
-            threshold,
-            backend,
-            block_size,
-            n_jobs,
-            whole,
-            threshold,
-            include_diagonal=include_diagonal,
-        )
-        left, right, values = _select(csr, found, whole, threshold)
-        if include_diagonal and backend == "vectorized":
-            diag, halves = _self_scores(csr, threshold)
-            left = np.concatenate((left, diag))
-            right = np.concatenate((right, diag))
-            values = np.concatenate((values, halves))
-        result = _symmetric(csr.shape[0], left, right, values)
+        found = _search(csr, threshold, backend, block_size, n_jobs)
+        if found.values is None:
+            left, right, values = _score_and_keep(
+                csr, found.left, found.right, threshold
+            )
+        else:
+            left, right, values = found.left, found.right, found.values
+        count_funnel(found, left.size)
+        n = csr.shape[0]
+        result = sp.coo_array((values, (left, right)), shape=(n, n)).tocsr()
+        result = (result + result.T).tocsr()
         sp_.set(rows=csr.shape[0], threshold=threshold, nnz_out=result.nnz)
     return result
 
@@ -1231,55 +1212,25 @@ def _search(
     backend: str,
     block_size: int,
     n_jobs: int | None,
-    ends: np.ndarray,
-    keep: float,
-    *,
-    include_diagonal: bool = False,
 ) -> _Found:
     """Run one engine on a matrix that passed ``_validated_csr``; returns
-    its surviving pairs.
-
-    ``ends`` (column segments scored separately) and ``keep`` (the
-    level scores must reach) only matter where the engine scores
-    survivors itself — shard workers. The oracle scores whole rows
-    at ``threshold`` its own way; asked for anything else, its pairs
-    are left for :func:`_select` to re-score.
-    """
+    its surviving pairs, scored only by the oracle."""
     if backend == "vectorized":
         if block_size < 1:
             raise SymmetrizationError("block_size must be >= 1")
-        return _vectorized_engine(
-            csr, threshold, block_size, n_jobs, ends, keep
-        )
+        return _vectorized_engine(csr, threshold, block_size, n_jobs)
     if backend == "python":
-        found = _python_engine(csr, threshold, include_diagonal)
-        if len(ends) > 2 or keep != threshold:
-            found = found._replace(values=None)
-        return found
+        return _python_engine(csr, threshold)
     raise SymmetrizationError(
         f"unknown backend {backend!r}; expected one of {BACKENDS}"
     )
 
 
-def _select(
-    csr: sp.csr_array,
-    found: _Found,
-    ends: np.ndarray,
-    keep: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kept triplets ``(probe, partner, score)`` of a search: its
-    survivors exact-scored over ``ends`` and cut at ``keep``, unless
-    the engine already did. Counts the pair funnel: generated by the
-    candidate product ≥ verified (left after the bound) ≥ scored
-    exactly (left after the prefix gate) ≥ kept."""
-    if found.values is None:
-        left, right, values = _score_and_keep(
-            csr, found.left, found.right, ends, keep
-        )
-    else:
-        left, right, values = found.left, found.right, found.values
+def count_funnel(found: _Found, kept: int) -> None:
+    """Count a search's pair funnel, ending in the ``kept`` pairs:
+    generated by the candidate product ≥ verified (left after the
+    bound) ≥ scored exactly (left after the prefix gate) ≥ kept."""
     metric_inc("allpairs_candidate_pairs_total", found.candidates)
     metric_inc("allpairs_pairs_verified_total", found.verified)
     metric_inc("allpairs_pairs_scored_total", found.scored)
-    metric_inc("allpairs_pairs_pruned_total", found.candidates - left.size)
-    return left, right, values
+    metric_inc("allpairs_pairs_pruned_total", found.candidates - kept)

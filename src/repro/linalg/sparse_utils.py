@@ -19,16 +19,19 @@ __all__ = [
     "degree_scale",
     "degree_power",
     "prune_matrix",
+    "prune_mask",
     "drop_diagonal",
+    "symmetric_average",
     "top_k_entries",
     "sample_rows_similarity",
 ]
 
 #: Relative tolerance for threshold comparisons: a value within
 #: ``threshold * TIE_RTOL`` below the threshold counts as a tie and is
-#: kept. Differently-ordered computations of the same mathematical
-#: similarity drift by a few ULPs; without the tolerance the exact and
-#: pruned all-pairs paths can disagree on edges that tie the threshold.
+#: kept. A similarity meant to equal the threshold — one of the graph's
+#: own similarities, or a threshold computed from the degrees — lands
+#: a few ULPs either side of it once summed in floating point, so an
+#: exact comparison would drop such a tie or keep it by rounding luck.
 TIE_RTOL = 1e-12
 
 
@@ -90,10 +93,9 @@ def prune_matrix(
     """Drop entries with value strictly below ``threshold`` (§3.5).
 
     Values within a relative tolerance of :data:`TIE_RTOL` below the
-    threshold count as ties and are kept, so float drift between
-    differently-ordered computations of the same similarity cannot
-    flip a keep/drop decision (the exact and §3.6 pruned paths must
-    agree edge-for-edge).
+    threshold count as ties and are kept (:func:`prune_mask`), so a
+    similarity that ties the threshold is kept whichever way its last
+    bits rounded.
 
     A threshold of 0 only removes explicit zeros. With
     ``keep_diagonal=True`` diagonal entries survive regardless of value
@@ -110,7 +112,7 @@ def prune_matrix(
         csr = csr.copy()
         csr.eliminate_zeros()
         return csr
-    keep = csr.data >= threshold * (1.0 - TIE_RTOL)
+    keep = prune_mask(csr.data, threshold)
     if keep_diagonal:
         rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
         keep |= csr.indices == rows
@@ -142,6 +144,12 @@ def prune_matrix(
     return pruned
 
 
+def prune_mask(values: np.ndarray, threshold: float) -> np.ndarray:
+    """Which ``values`` :func:`prune_matrix` keeps at a positive
+    ``threshold``: those at least ``threshold · (1 − TIE_RTOL)``."""
+    return values >= threshold * (1.0 - TIE_RTOL)
+
+
 def drop_diagonal(matrix: sp.csr_array) -> sp.csr_array:
     """``matrix`` without its diagonal and its stored zeros, canonical.
 
@@ -167,6 +175,19 @@ def drop_diagonal(matrix: sp.csr_array) -> sp.csr_array:
         ),
         shape=csr.shape,
     )
+
+
+def symmetric_average(
+    matrix: sp.csr_array, drop_self_loops: bool = True
+) -> sp.csr_array:
+    """``(M + Mᵀ) · 0.5`` of a pruned similarity ``M`` (without its
+    diagonal unless ``drop_self_loops`` is off), which cleans the tiny
+    asymmetries of floating-point products: the last step of
+    ``apply`` and ``apply_pruned``, in :func:`drop_diagonal`'s index
+    dtype."""
+    if drop_self_loops:
+        matrix = drop_diagonal(matrix)
+    return ((matrix + matrix.T) * 0.5).tocsr()
 
 
 def top_k_entries(

@@ -330,6 +330,8 @@ class ServiceClient:
             return ServiceHTTPError(429, message, "BudgetExceeded")
         if code == "transient":
             return TransientError(message)
+        if code == "internal":
+            return ServiceHTTPError(500, message, error_type or "")
         return ServiceError(message)
 
     def events(self, job_id: str) -> Iterator[dict[str, Any]]:

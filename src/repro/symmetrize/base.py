@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from repro.exceptions import SymmetrizationError
 from repro.graph.digraph import DirectedGraph
 from repro.graph.ugraph import UndirectedGraph
-from repro.linalg.sparse_utils import drop_diagonal, prune_matrix
+from repro.linalg.sparse_utils import prune_matrix, symmetric_average
 from repro.obs.metrics import metric_inc, metric_set
 from repro.obs.trace import span
 from repro.validate.invariants import (
@@ -191,10 +191,7 @@ class Symmetrization(abc.ABC):
                 metric_inc(
                     "edges_pruned_total", nnz_raw - matrix.nnz
                 )
-            if drop_self_loops:
-                matrix = drop_diagonal(matrix)
-            # Clean tiny asymmetries from floating-point products.
-            matrix = ((matrix + matrix.T) * 0.5).tocsr()
+            matrix = symmetric_average(matrix, drop_self_loops)
             sp_.set(
                 n_nodes=graph.n_nodes,
                 nnz_in=graph.adjacency.nnz,

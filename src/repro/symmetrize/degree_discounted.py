@@ -26,12 +26,18 @@ log-degree insufficient.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import SymmetrizationError
 from repro.graph.digraph import DirectedGraph
-from repro.linalg.sparse_utils import TIE_RTOL, degree_power
+from repro.linalg.sparse_utils import (
+    TIE_RTOL,
+    degree_power,
+    symmetric_average,
+)
 from repro.symmetrize.base import (
     Symmetrization,
     register_symmetrization,
@@ -123,7 +129,8 @@ class DegreeDiscountedSymmetrization(Symmetrization):
         Do^-α (A Di^-β))`` for ``C_d``, as included, with
         ``X = (Do^-α A) Di^-β``. Each factor is built by SciPy's
         diagonal products in the association written, which fixes the
-        last bits of its weighted entries."""
+        last bits of its weighted entries; :meth:`_factor_terms`
+        computes the same bits for :meth:`apply_pruned`."""
         adj = graph.adjacency.tocsr()
         d_out = graph.out_degrees(weighted=self.weighted_degrees)
         d_in = graph.in_degrees(weighted=self.weighted_degrees)
@@ -154,86 +161,78 @@ class DegreeDiscountedSymmetrization(Symmetrization):
             sp.csr_array(
                 (data, indices.copy(), indptr.copy()), shape=(n, n)
             )
-            for indptr, indices, data in self._factor_arrays(graph)
+            for data, indices, indptr in map(
+                _nonzero, self._factor_terms(graph)
+            )
         ]
 
-    def _factor_arrays(
-        self, graph: DirectedGraph
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """CSR arrays ``(indptr, indices, data)`` of ``Y = Do^-α A
-        Di^-β/2`` and ``Z = Di^-β Aᵀ Do^-α/2``, as included.
+    def _factor_terms(self, graph: DirectedGraph) -> list["_Term"]:
+        """``B_d`` on the stored pattern of ``A`` and ``C_d`` on that of
+        ``Aᵀ``, as included, with the values of :meth:`product_terms`'
+        ``L`` and ``Rᵀ`` and of the square-root factor there.
 
-        Each is an elementwise scaling of the stored entries of ``A``
-        or ``Aᵀ``, ``(d[row] * a) * d'[col]``: the multiplication
-        order of SciPy's diagonal products ``diag @ A @ diag``, whose
-        bytes (sorted indices, zero products dropped, the adjacency's
-        index dtype) these arrays reproduce.
+        Each entry is ``(d[row] * a) * d'[col]``, the multiplications of
+        SciPy's diagonal products in the association
+        :meth:`product_terms` writes, so the values are its factors'
+        bits. A product that rounds to zero stays stored, adding
+        nothing to a sum; :func:`_nonzero` drops it from ``Y``/``Z``.
         """
         if isinstance(self.alpha, str) or isinstance(self.beta, str):
             raise SymmetrizationError(
                 "apply_pruned requires numeric alpha/beta"
             )
         adj = graph.adjacency.tocsr()
-        d_out = graph.out_degrees(weighted=self.weighted_degrees)
-        d_in = graph.in_degrees(weighted=self.weighted_degrees)
+        d_o = graph.out_degrees(weighted=self.weighted_degrees)
+        d_i = graph.in_degrees(weighted=self.weighted_degrees)
         alpha, beta = float(self.alpha), float(self.beta)
-        factors = []
+        out_disc = self._discount(d_o, alpha)
+        in_disc = self._discount(d_i, beta)
+        terms = []
         if self.include_coupling:
-            factors.append(
-                _scaled(
-                    adj,
-                    self._discount(d_out, alpha),
-                    self._discount(d_in, beta / 2.0),
-                )
-            )
+            # Do^-α A is Rᵀ; L scales it by Di^-β, Y by Di^-β/2.
+            half = self._discount(d_i, beta / 2)
+            terms.append(_term(adj, out_disc, in_disc, half, True))
         if self.include_cocitation:
-            factors.append(
-                _scaled(
-                    adj.T.tocsr(),
-                    self._discount(d_in, beta),
-                    self._discount(d_out, alpha / 2.0),
-                )
-            )
-        return factors
+            # Di^-β Aᵀ is L; Rᵀ scales it by Do^-α, Z by Do^-α/2.
+            half = self._discount(d_o, alpha / 2)
+            terms.append(_term(adj.T.tocsr(), in_disc, out_disc, half, False))
+        return terms
 
     def _stacked_factor(
         self, graph: DirectedGraph
-    ) -> tuple[sp.csr_array, np.ndarray]:
-        """``W = [Y | Z]`` (or the one included factor) and the column
-        range of each factor inside it.
+    ) -> tuple["_Term", sp.csr_array]:
+        """:meth:`_factor_terms` laid side by side, and ``W = [Y | Z]``.
 
-        Each row of ``W`` is the factors' rows laid side by side, so
-        ``W``'s bytes equal ``sp.hstack(pruning_factors(graph),
-        format="csr")``; the factors' arrays are written into ``W`` in
-        one pass and not kept.
+        Term ``t`` takes columns ``[t·n, (t+1)·n)`` of one ``(n,
+        terms·n)`` pattern, each row the terms' rows in order, with all
+        three value arrays moved along in one pass. ``W`` is its
+        nonzero square-root values, so its bytes equal
+        ``sp.hstack(pruning_factors(graph), format="csr")``.
         """
         n = graph.n_nodes
-        factors = self._factor_arrays(graph)
-        ends = np.arange(len(factors) + 1, dtype=np.int64) * n
-        counts = [np.diff(indptr) for indptr, _, _ in factors]
-        nnz = sum(indices.size for _, indices, _ in factors)
-        dtype = np.result_type(*(indptr for indptr, _, _ in factors))
-        if max(nnz, int(ends[-1]) - 1) > np.iinfo(np.int32).max:
+        terms = self._factor_terms(graph)
+        counts = [np.diff(term.indptr) for term in terms]
+        nnz = sum(term.indices.size for term in terms)
+        width = len(terms) * n
+        dtype = np.result_type(*(term.indptr for term in terms))
+        if max(nnz, width - 1) > np.iinfo(np.int32).max:
             dtype = np.int64
         indptr = np.zeros(n + 1, dtype=dtype)
         np.cumsum(sum(counts), out=indptr[1:])
         indices = np.empty(nnz, dtype=dtype)
-        data = np.empty(nnz)
-        # Next free slot of each W row, advanced past each factor.
+        values = [np.empty(nnz) for _ in range(3)]
+        # Next free slot of each row, advanced past each term.
         offset = indptr[:-1].astype(np.int64)
-        for (f_indptr, f_indices, f_data), count, col0 in zip(
-            factors, counts, ends
-        ):
-            dest = np.arange(f_indices.size) + np.repeat(
-                offset - f_indptr[:-1], count
+        for k, (term, count) in enumerate(zip(terms, counts)):
+            dest = np.arange(term.indices.size) + np.repeat(
+                offset - term.indptr[:-1], count
             )
-            indices[dest] = f_indices + col0
-            data[dest] = f_data
+            indices[dest] = term.indices + np.int64(k * n)
+            for out, part in zip(values, term[2:]):
+                out[dest] = part
             offset += count
-        stacked = sp.csr_array(
-            (data, indices, indptr), shape=(n, int(ends[-1]))
-        )
-        return stacked, ends
+        stacked = _Term(indptr, indices, *values)
+        return stacked, sp.csr_array(_nonzero(stacked), shape=(n, width))
 
     def apply_pruned(
         self,
@@ -243,22 +242,22 @@ class DegreeDiscountedSymmetrization(Symmetrization):
         block_size: int | None = None,
         n_jobs: int | None = None,
     ):
-        """Compute the symmetrized graph *directly at* a prune
-        threshold, never materializing the full similarity matrix.
+        """``apply(graph, threshold=threshold)``, byte for byte, through
+        the §3.6 kernel, which never materializes the full similarity
+        matrix.
 
         Uses the §3.6 idea (Bayardo et al.'s threshold-aware all-pairs
         similarity) via the factorizations ``B_d = Y Yᵀ`` with
         ``Y = Do^-α A Di^-β/2`` and ``C_d = Z Zᵀ`` with
         ``Z = Di^-β Aᵀ Do^-α/2``: the stacked factor ``W = [Y | Z]``
         has ``W Wᵀ = B_d + C_d = U_d``, so one all-pairs search of
-        ``W`` finds every pair reaching the threshold. The search runs
-        ``2 · TIE_RTOL`` below the keep level; the pairs left after
-        its prefix gate are then scored exactly once per factor (both
-        rows of ``W`` gathered and multiplied once, each factor's
-        column range summed, ``Y`` then ``Z``) and kept at
-        ``threshold · (1 − TIE_RTOL)``. Every row gather is batched by
-        gathered entries, not pairs, so hub rows cannot blow up a
-        batch.
+        ``W``, run ``2 · TIE_RTOL`` below the threshold, finds every
+        pair either orientation of ``apply``'s ``U_d`` could keep. The
+        pairs the prefix gate leaves are re-scored from
+        :meth:`product_terms`' factors in ``apply``'s arithmetic
+        (:func:`~repro.linalg.allpairs.pruned_pairs`) and finished by
+        ``apply``'s last step (:func:`~repro.linalg.sparse_utils
+        .symmetric_average`), after ``apply``'s input validation.
 
         Requires numeric ``alpha``/``beta`` (the ``"log"`` discount
         has no symmetric square-root factorization) and a positive
@@ -266,27 +265,17 @@ class DegreeDiscountedSymmetrization(Symmetrization):
         to :func:`~repro.linalg.allpairs.thresholded_gram_matrix`'s
         engines (``block_size=None`` means its default, and a
         ``block_size`` below 1 raises :class:`SymmetrizationError`);
-        with ``n_jobs > 1`` the search and the exact score run in
-        worker processes (``W`` is spilled to memory-mapped CSR stores
-        and workers receive shard descriptors, not matrices). ``W``,
-        its suffix index and the merged output are still built in
-        this process, so peak RSS grows with the graph either way.
-        Output matches ``apply(graph, threshold=threshold)``
-        edge-for-edge. Shared entries differ by a few ULP, because the
-        two paths sum in other orders: at most 3 on the paper-prune
-        graphs, 9 on other power-law graphs and 13 on Wikipedia-like
-        graphs, as measured. The final filter uses a relative
-        tolerance of ``1e-12``, so pairs whose similarity ties the
-        threshold exactly land on the *keep* side in both paths
-        instead of falling either way with summation order.
+        with ``n_jobs > 1`` the search runs in worker processes that
+        map ``W`` from spilled stores, and the re-score in this one,
+        so peak RSS grows with the graph either way.
         """
         from repro.graph.ugraph import UndirectedGraph
         from repro.linalg.allpairs import (
             DEFAULT_BLOCK_SIZE,
             _search,
-            _select,
-            _symmetric,
             _validated_csr,
+            count_funnel,
+            pruned_pairs,
         )
         from repro.obs.metrics import (
             metric_inc,
@@ -300,22 +289,23 @@ class DegreeDiscountedSymmetrization(Symmetrization):
                 "apply_pruned requires a positive threshold; "
                 "use apply() for threshold 0"
             )
+        graph = self._validated_input(graph)
+        n = graph.n_nodes
         with span("symmetrize:degree_discounted_pruned") as root:
             root.set(
                 threshold=threshold,
                 backend=backend,
-                n_nodes=graph.n_nodes,
+                n_nodes=n,
                 nnz_in=graph.adjacency.nnz,
             )
             with span("pruning_factors"):
-                stacked, ends = self._stacked_factor(graph)
-            # The gate and the per-factor scores below sum in other
-            # orders than apply()'s products and can differ in the last
-            # bits; searching TIE_RTOL below the keep level's own
-            # tolerance keeps every pair the keep level could keep.
+                terms, stacked = self._stacked_factor(graph)
+            # The search sums each pair's products in another order
+            # than apply()'s products; 2·TIE_RTOL below the threshold
+            # it keeps every pair prune_matrix's rule could keep.
             search = threshold * (1.0 - 2.0 * TIE_RTOL)
-            keep_level = threshold * (1.0 - TIE_RTOL)
             csr = _validated_csr(stacked, search)
+            del stacked
             with span(f"allpairs:{backend}") as sp_:
                 found = _search(
                     csr,
@@ -323,18 +313,26 @@ class DegreeDiscountedSymmetrization(Symmetrization):
                     backend,
                     DEFAULT_BLOCK_SIZE if block_size is None else block_size,
                     n_jobs,
-                    ends,
-                    keep_level,
                 )
                 sp_.set(rows=csr.shape[0], threshold=search)
-            with span("verify_candidates") as sp_:
-                left, right, values = _select(csr, found, ends, keep_level)
-                n_kept = int(left.size)
-                sp_.set(candidate_pairs=found.scored, kept_pairs=n_kept)
+            with span("verify_candidates") as verify:
+                kept = pruned_pairs(
+                    sp.csr_array(
+                        (terms.left, terms.indices, terms.indptr),
+                        shape=csr.shape,
+                    ),
+                    terms.right,
+                    found.left,
+                    found.right,
+                    threshold,
+                )
+            total = symmetric_average(kept)
+            n_kept = total.nnz // 2
+            verify.set(candidate_pairs=found.scored, kept_pairs=n_kept)
+            count_funnel(found, n_kept)
             # Every pair the threshold cut after scoring it: the gate
             # scores each verified pair in full (suffix plus prefix).
             metric_inc("edges_pruned_total", found.verified - n_kept)
-            total = _symmetric(graph.n_nodes, left, right, values)
             root.set(nnz_out=total.nnz)
             metric_set("symmetrize_nnz_out", total.nnz)
             metric_set("peak_rss_bytes", peak_rss_bytes())
@@ -349,21 +347,45 @@ class DegreeDiscountedSymmetrization(Symmetrization):
         )
 
 
-def _scaled(
-    csr: sp.csr_array, row_scale: np.ndarray, col_scale: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR arrays of ``diag(row_scale) @ csr @ diag(col_scale)``, each
-    stored entry ``(row_scale[row] * a) * col_scale[col]``; products
-    that round to zero are dropped, as SciPy's sparse product drops
-    them. The index arrays may be ``csr``'s own."""
-    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
-    data = row_scale[rows] * csr.data
-    data *= col_scale[csr.indices]
+class _Term(NamedTuple):
+    """One product term of ``U_d`` on a stored pattern ``(indptr,
+    indices)``: the values of :meth:`~DegreeDiscountedSymmetrization
+    .product_terms`' ``L`` and ``Rᵀ`` there, and of the square-root
+    factor (``Y`` or ``Z``)."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    half: np.ndarray
+
+
+def _term(
+    csr: sp.csr_array,
+    row_scale: np.ndarray,
+    col_scale: np.ndarray,
+    half_scale: np.ndarray,
+    scaled_left: bool,
+) -> _Term:
+    """The term on ``csr``'s pattern whose base values are
+    ``row_scale[row] * a``: one of ``L``/``Rᵀ`` is the base, the other
+    (``L`` when ``scaled_left``) the base times ``col_scale[col]``, and
+    the square-root factor the base times ``half_scale[col]``."""
+    base = np.repeat(row_scale, np.diff(csr.indptr)) * csr.data
+    scaled = base * col_scale[csr.indices]
+    left, right = (scaled, base) if scaled_left else (base, scaled)
+    half = base * half_scale[csr.indices]
+    return _Term(csr.indptr, csr.indices, left, right, half)
+
+
+def _nonzero(term: _Term) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(data, indices, indptr)`` of ``term``'s square-root factor
+    without the products that rounded to zero, as SciPy's sparse
+    product drops them. The index arrays may be the pattern's own."""
+    data = term.half
     if data.all():
-        return csr.indptr, csr.indices, data
+        return data, term.indices, term.indptr
     nonzero = data != 0
-    indptr = np.zeros_like(csr.indptr)
-    np.cumsum(
-        np.bincount(rows[nonzero], minlength=csr.shape[0]), out=indptr[1:]
-    )
-    return indptr, csr.indices[nonzero], data[nonzero]
+    kept_before = np.zeros(data.size + 1, dtype=term.indptr.dtype)
+    np.cumsum(nonzero, out=kept_before[1:])
+    return data[nonzero], term.indices[nonzero], kept_before[term.indptr]

@@ -78,15 +78,6 @@ class TestThresholdedGram:
         assert result.diagonal().sum() == 0.0
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_include_diagonal(self, backend):
-        rows = sp.csr_array(np.array([[2.0, 0.0], [0.0, 1.0]]))
-        result = thresholded_gram_matrix(
-            rows, 0.5, include_diagonal=True, backend=backend
-        )
-        assert result[[0], [0]] == 4.0
-        assert result[[1], [1]] == 1.0
-
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_exact_pair_value(self, backend):
         rows = sp.csr_array(
             np.array([[1.0, 2.0, 0.0], [3.0, 0.0, 1.0]])
@@ -235,25 +226,6 @@ class TestThresholdedGram:
             )
             _assert_same_pattern(vectorized, oracle)
 
-    @given(st.integers(0, 1_000_000))
-    @settings(max_examples=15, deadline=None)
-    def test_property_diagonal_parity(self, seed):
-        rng = np.random.default_rng(seed)
-        rows = sp.random_array(
-            (12, 6), density=0.5, rng=rng, format="csr"
-        )
-        oracle = thresholded_gram_matrix(
-            rows, 0.3, include_diagonal=True, backend="python"
-        )
-        vectorized = thresholded_gram_matrix(
-            rows,
-            0.3,
-            include_diagonal=True,
-            backend="vectorized",
-            block_size=5,
-        )
-        _assert_same_pattern(vectorized, oracle)
-
 
 class TestCandidateBudget:
     """The per-span candidate cap and the per-batch gather budget must
@@ -342,33 +314,23 @@ class TestCandidateBudget:
         ) == []
 
 
+def _assert_same_bytes(got, want):
+    """Equal CSR arrays, byte for byte, index dtypes included."""
+    for part in ("indptr", "indices", "data"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert g.dtype == w.dtype, part
+        assert g.tobytes() == w.tobytes(), part
+
+
 class TestApplyPruned:
     def test_matches_apply(self, rng):
         g = power_law_digraph(120, rng)
         sym = DegreeDiscountedSymmetrization()
         for threshold in (0.05, 0.15):
-            ref = sym.apply(g, threshold=threshold)
-            fast = sym.apply_pruned(g, threshold=threshold)
-            # Agreement is exact up to float summation order: entries
-            # present in both match to ~1 ULP, and the edge sets may
-            # differ only by pairs whose value ties the threshold.
-            ref_pattern = ref.adjacency.astype(bool)
-            fast_pattern = fast.adjacency.astype(bool)
-            shared = ref_pattern.multiply(fast_pattern)
-            diff = abs(
-                ref.adjacency.multiply(shared)
-                - fast.adjacency.multiply(shared)
-            ).tocsr()
-            assert (diff.max() if diff.nnz else 0.0) < 1e-12
-            disagreement = (ref_pattern != fast_pattern).tocoo()
-            for i, j in zip(disagreement.row, disagreement.col):
-                value = max(
-                    ref.edge_weight(int(i), int(j)),
-                    fast.edge_weight(int(i), int(j)),
-                )
-                assert abs(value - threshold) < 1e-9 * max(
-                    threshold, 1.0
-                ), (i, j, value)
+            _assert_same_bytes(
+                sym.apply_pruned(g, threshold=threshold).adjacency,
+                sym.apply(g, threshold=threshold).adjacency,
+            )
 
     @pytest.mark.parametrize("backend,n_jobs", ENGINES)
     def test_backends_agree(self, rng, backend, n_jobs):
@@ -384,10 +346,10 @@ class TestApplyPruned:
     def test_coupling_only_variant(self, rng):
         g = power_law_digraph(80, rng)
         sym = DegreeDiscountedSymmetrization(include_cocitation=False)
-        ref = sym.apply(g, threshold=0.1)
-        fast = sym.apply_pruned(g, threshold=0.1)
-        diff = abs(ref.adjacency - fast.adjacency).tocsr()
-        assert (diff.max() if diff.nnz else 0.0) < 1e-12
+        _assert_same_bytes(
+            sym.apply_pruned(g, threshold=0.1).adjacency,
+            sym.apply(g, threshold=0.1).adjacency,
+        )
 
     def test_pruning_factors_square(self, rng):
         # Y Yᵀ + Z Zᵀ must reproduce the full similarity matrix.
@@ -419,6 +381,20 @@ class TestApplyPruned:
                 triangle_digraph, 0.1
             )
 
+    def test_validates_input_like_apply(self):
+        """A NaN weight fails ``apply``'s input validation in strict
+        mode; in lenient mode both routes repair it alike (the
+        Hypothesis differential covers that)."""
+        from repro.graph import DirectedGraph
+
+        adjacency = sp.coo_array(
+            (np.array([1.0, np.nan, 1.0]), ([0, 1, 2], [1, 2, 1])),
+            shape=(3, 3),
+        ).tocsr()
+        graph = DirectedGraph(adjacency, validate=False)
+        with pytest.raises(SymmetrizationError, match="invalid input"):
+            DegreeDiscountedSymmetrization().apply_pruned(graph, 0.1)
+
     def test_preserves_node_names(self):
         from repro.graph import DirectedGraph
 
@@ -441,12 +417,12 @@ class TestApplyPruned:
                 14,
                 0.1,
                 (
-                    "88ef42c8ce23daeaf4c9f1f38f4754f7"
-                    "077e846cb4ff4d2f1db53ca5ce388ef3",
-                    "f7913616795c24df689bc1d84d437023"
-                    "0014de818605b52e509aa609bc60335c",
-                    "1acbe98e8d9b4f287b0570f6d0881b7c"
-                    "5ab2b47cf5f8bb1aba4e150b92c6f4d8",
+                    "7eae64883557e3f7f88e78d93b535b53"
+                    "d7cd1a87fd20498584128a0f67a6e16f",
+                    "3a09cdac49eb31bf2c5a5409f3805155"
+                    "9d631844187ba8c39194f30c22c9bc24",
+                    "31c347acb7b858e15467047aeffae422"
+                    "923ac1536a4c7aa6db05ba003e8a9f83",
                 ),
             ),
             (
@@ -454,21 +430,21 @@ class TestApplyPruned:
                 2026,
                 0.2,
                 (
-                    "75817085501231a38188aad45be752db"
-                    "b62b6f3964732928ea2ab178223d3f9a",
-                    "fff0eaef02102eb59dda06b9e121ee2f"
-                    "fbd1be1be5f6de8f53ce425f84a6434e",
-                    "867fa8267325cc8840de4622d668cacf"
-                    "312850b63794c269e4d762df452e8dd6",
+                    "7e164c19fb298cd5ae8df0bd3827371f"
+                    "76db7ed6f153a35186e44b1d0278405d",
+                    "6ac07c8d4758db644f8245038fb2b9ec"
+                    "3ad80b5b3d7b0e5afbad53ac02a51bbd",
+                    "44597d50ece9dbbe4232bab0194cfa8b"
+                    "1e837fa02417aba5591c3a7dd01bb931",
                 ),
             ),
         ],
     )
     def test_output_bytes_pinned(self, n_nodes, seed, threshold, digests):
-        """indptr/indices/data sha256 digests recorded from the earlier
-        search design (``Y`` and ``Z`` searched separately at
-        ``threshold / 2``, candidates unioned): bounds, search order and
-        stacking may change how pairs are found, never an output byte."""
+        """indptr/indices/data sha256 digests of ``apply(graph,
+        threshold)``, recorded from ``apply``'s row-span route: bounds,
+        search order and stacking may change how ``apply_pruned`` finds
+        pairs, never an output byte."""
         import hashlib
 
         graph = power_law_digraph(n_nodes, np.random.default_rng(seed))
@@ -518,14 +494,14 @@ class TestApplyPruned:
         assert reg.counters["allpairs_candidate_pairs_total"] == 56_534
         assert reg.counters["allpairs_pairs_verified_total"] <= 21_642 // 3
 
-    #: sha256 of ``apply_pruned``'s indptr/indices/data on the
-    #: serve-jobs graph ``make_wikipedia_like(1000, 16, seed=40)`` at
-    #: ``t = 0.05``, recorded before the prefix gate and the one-pass
-    #: factor build (17,094 stored entries, int64 indices).
+    #: sha256 of ``apply(graph, 0.05)``'s indptr/indices/data on the
+    #: serve-jobs graph ``make_wikipedia_like(1000, 16, seed=40)``,
+    #: recorded from ``apply``'s row-span route (17,094 stored entries,
+    #: int32 indices).
     SERVE_JOBS_DIGESTS = (
-        "18cae9935b83be03b1b63d11254f20cf0a47fafbb432abdf81cfa7fceeeada19",
-        "4a778ca25de416858bb430664820254412108bca084cb1be42dadea894a35b4a",
-        "5c2758ad1ea2823dbf2e47aeeb5eaf07181304f822a7ee997d65cde6f4d6fdd8",
+        "ce8b3f6fcaa91ceb4ec1647ecc371e2df28ecd35f1a8e0af2d8cd3cb04394ac7",
+        "f9a04a367b1d567efe59a1d3dfea328154c5045c0aac5c63a30a47a79e835e5d",
+        "c9513fd26d3cb6fc9c4d007ca4a455b28fea761da14eb1d3380dc286e9f8d2e8",
     )
 
     @pytest.fixture(scope="class")
@@ -558,8 +534,8 @@ class TestApplyPruned:
     def test_shard_path_bytes_pinned_on_serve_jobs_graph(
         self, serve_jobs_graph
     ):
-        """Shard workers run the same gate and per-factor score and
-        keep the same pairs."""
+        """Shard workers run the same search and gate and hand back the
+        same pairs to re-score."""
         out = DegreeDiscountedSymmetrization().apply_pruned(
             serve_jobs_graph, 0.05, n_jobs=2
         ).adjacency
@@ -744,7 +720,9 @@ class TestShardDescriptors:
         (column-id prefixes, no bound arrays, no verified counts); one
         carries the v2 tag (bounds row 2 held the whole row's norm);
         one carries the v3 tag (triplets verified over whole rows at
-        the search threshold, no prefix gate, no scored counts)."""
+        the search threshold, no prefix gate, no scored counts); one
+        carries the v4 tag and keys its score segments and keep level
+        (triplets scored and kept in the workers)."""
         import hashlib
 
         from repro.engine.cache import ArtifactCache, artifact_cache
@@ -758,15 +736,26 @@ class TestShardDescriptors:
         )
         cache_dir = tmp_path / "cache"
         planted = {}
-        for tag, counts in (
-            (b"", {}),
+        v4_score = (
+            np.array([0, rows.shape[1]], dtype=np.int64).tobytes()
+            + np.float64(threshold).tobytes()
+        )
+        for tag, counts, keyed in (
+            (b"", {}, b""),
             (
                 b"allpairs-shards/v2: frequency-ordered prefix, bounds",
                 {"n_verified": np.int64(1)},
+                b"",
             ),
             (
                 b"allpairs-shards/v3: probe norm on prefix columns",
                 {"n_verified": np.int64(1)},
+                b"",
+            ),
+            (
+                b"allpairs-shards/v4: prefix gate, segmented scores",
+                {"n_verified": np.int64(1), "n_scored": np.int64(1)},
+                v4_score,
             ),
         ):
             digest = hashlib.sha256(tag)
@@ -776,6 +765,7 @@ class TestShardDescriptors:
             digest.update(np.float64(threshold).tobytes())
             digest.update(np.int64(block_size).tobytes())
             digest.update(np.int64(n_jobs).tobytes())
+            digest.update(keyed)
             for arr in (rows.indptr, rows.indices, rows.data):
                 digest.update(np.ascontiguousarray(arr).tobytes())
             old = cache_dir / "shards" / digest.hexdigest()[:32]
@@ -806,15 +796,16 @@ class TestShardDescriptors:
         assert "shard_spills_reused_total" not in reg.counters
         for old, files in planted.items():
             assert {p.name: p.read_bytes() for p in old.iterdir()} == files
-        assert len(list((cache_dir / "shards").iterdir())) == 4
+        assert len(list((cache_dir / "shards").iterdir())) == 5
 
 
 def test_shards_equal_serial_at_paper_density(tmp_path):
     """Two shard workers return serial's bytes and dtypes at the
     paper's operating point: ``power_law_mmcsr(20k, seed 0,
     d_max=100)`` at ``t = 0.03`` with 4096-row blocks, about 1.06M
-    stored entries. The ``shard_count`` gauge proves the fan-out ran;
-    the test skips only where no process pool can start."""
+    stored entries, and serial returns ``apply``'s. The
+    ``shard_count`` gauge proves the fan-out ran; the test skips only
+    where no process pool can start."""
     from repro.engine.pool import WorkerPool
     from repro.graph.generators import power_law_mmcsr
     from repro.obs import metrics_active
@@ -825,6 +816,7 @@ def test_shards_equal_serial_at_paper_density(tmp_path):
     )
     sym = DegreeDiscountedSymmetrization()
     serial = sym.apply_pruned(graph, 0.03, block_size=4096).adjacency
+    _assert_same_bytes(serial, sym.apply(graph, 0.03).adjacency)
     with metrics_active() as reg:
         sharded = sym.apply_pruned(
             graph, 0.03, block_size=4096, n_jobs=2

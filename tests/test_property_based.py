@@ -27,6 +27,7 @@ from repro.eval.significance import sign_test
 from repro.graph import DirectedGraph, UndirectedGraph
 from repro.graph.generators import power_law_digraph
 from repro.linalg import thresholded_gram_matrix
+from repro.linalg.allpairs import BACKENDS
 from repro.linalg.sparse_utils import drop_diagonal, prune_matrix
 from repro.symmetrize import (
     BibliometricSymmetrization,
@@ -179,17 +180,12 @@ def test_lenient_apply_is_total(graph, name):
 @given(directed_graphs(), st.floats(0.01, 1.0))
 @settings(max_examples=30, deadline=None)
 def test_degree_discounted_pruned_matches_exact(graph, threshold):
-    """The §3.6 pruned fast path agrees with the exact path
-    edge-for-edge at arbitrary thresholds."""
+    """The §3.6 pruned fast path returns the exact path's bytes at
+    arbitrary thresholds."""
     dd = get_symmetrization("degree_discounted")
     exact = dd.apply(graph, threshold=threshold).adjacency
     fast = dd.apply_pruned(graph, threshold=threshold).adjacency
-    assert exact.indptr.tolist() == fast.indptr.tolist()
-    assert exact.indices.tolist() == fast.indices.tolist()
-    if exact.nnz:
-        np.testing.assert_allclose(
-            fast.data, exact.data, rtol=1e-12, atol=0.0
-        )
+    _assert_same_bytes(fast, exact)
 
 
 @given(tied_pruning_inputs())
@@ -244,32 +240,21 @@ def test_allpairs_knobs_exact_at_ties(
         )
 
 
-def _reference_verify(csr, left, right, threshold, ends):
+def _reference_verify(csr, left, right, threshold):
     """The kernel's scoring before the prefix gate, kept as the oracle:
     every verified pair's whole rows multiplied and row-summed
-    (``_verify_pairs``), kept at ``threshold``; with more than one
-    segment, the survivors are then re-scored one column slice at a
-    time (``apply_pruned``'s per-factor re-score)."""
+    (``_verify_pairs``), kept at ``threshold``."""
     scores = np.asarray(csr[left].multiply(csr[right]).sum(axis=1)).ravel()
     keep = scores >= threshold
-    left, right, scores = left[keep], right[keep], scores[keep]
-    if len(ends) == 2:
-        return left, right, scores
-    values = np.zeros(left.size)
-    rows_l, rows_r = csr[left], csr[right]
-    for a, b in zip(ends[:-1], ends[1:]):
-        values += np.asarray(
-            rows_l[:, a:b].multiply(rows_r[:, a:b]).sum(axis=1)
-        ).ravel()
-    return left, right, values
+    return left[keep], right[keep], scores[keep]
 
 
 @st.composite
 def gate_inputs(draw):
     """A non-negative ``(n, d)`` matrix with hub columns and empty
     rows, a threshold (often one of its own pair similarities, so
-    pairs tie it exactly), column segments, a gather budget, a gate
-    table size and a block size."""
+    pairs tie it exactly), a gather budget, a gate table size and a
+    block size."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 70))
     d = draw(st.integers(2, 24))
@@ -288,28 +273,22 @@ def gate_inputs(draw):
         threshold = float(draw(st.sampled_from(sorted(set(similarities)))))
     else:
         threshold = draw(st.floats(0.05, 2.0))
-    cut = draw(st.integers(0, d))
-    ends = np.array([0, d] if cut in (0, d) else [0, cut, d])
     budget = draw(st.sampled_from([1, 3, 17, 1 << 21]))
     cells = draw(st.sampled_from([1, 30, 1 << 16]))
-    return rows, threshold, ends, budget, cells, draw(st.integers(1, n))
+    return rows, threshold, budget, cells, draw(st.integers(1, n))
 
 
 @given(gate_inputs())
 @settings(max_examples=150, deadline=None)
-def test_gate_and_segmented_score_equal_full_row_verification(inputs):
+def test_gate_and_exact_score_equal_full_row_verification(inputs):
     """The prefix gate drops no pair the whole-row score keeps, and the
-    segmented exact score keeps exactly the oracle's pairs with the
-    oracle's bytes: at the search threshold with whole rows
-    (``thresholded_gram_matrix``), and ``apply_pruned``-style with a
-    lower search threshold, per-segment scores and a keep level."""
-    rows, threshold, ends, budget, cells, block_size = inputs
+    exact score keeps exactly the oracle's pairs with the oracle's
+    bytes, at the threshold and at ``apply_pruned``'s lower search
+    level."""
+    rows, threshold, budget, cells, block_size = inputs
     csr = allpairs._validated_csr(rows, threshold)
-    n, d = csr.shape
-    for search, keep, segments in (
-        (threshold, threshold, np.array([0, d])),
-        (threshold * (1 - 2e-12), threshold * (1 - 1e-12), ends),
-    ):
+    n = csr.shape[0]
+    for search in (threshold, threshold * (1 - 2e-12)):
         index = allpairs._suffix_index(
             csr, allpairs._column_maxima(csr), search
         )
@@ -322,10 +301,7 @@ def test_gate_and_segmented_score_equal_full_row_verification(inputs):
         ]
         left = np.concatenate([v[0] for v in verified])
         right = np.concatenate([v[1] for v in verified])
-        want = _reference_verify(csr, left, right, search, segments)
-        if len(segments) > 2:
-            kept = want[2] >= keep
-            want = tuple(part[kept] for part in want)
+        want = _reference_verify(csr, left, right, search)
         with mock.patch.object(
             allpairs, "_GATHER_BUDGET", budget
         ), mock.patch.object(allpairs, "_TABLE_CELLS", cells):
@@ -333,7 +309,7 @@ def test_gate_and_segmented_score_equal_full_row_verification(inputs):
                 csr, index, search, list(range(0, n, block_size)), block_size
             )
             got = allpairs._score_and_keep(
-                csr, found.left, found.right, segments, keep
+                csr, found.left, found.right, search
             )
         assert found.verified == left.size
         order_got = np.lexsort((got[1], got[0]))
@@ -398,9 +374,7 @@ def test_stacked_factor_equals_diagonal_products(inputs):
             (diag(d_in, beta) @ adj.T.tocsr() @ diag(d_out, alpha / 2)).tocsr()
         )
     factors = sym.pruning_factors(graph)
-    stacked, ends = sym._stacked_factor(graph)
-    n = graph.n_nodes
-    assert ends.tolist() == [k * n for k in range(len(reference) + 1)]
+    _, stacked = sym._stacked_factor(graph)
     for got, want in zip(
         factors + [stacked], reference + [sp.hstack(reference, format="csr")]
     ):
@@ -409,6 +383,108 @@ def test_stacked_factor_equals_diagonal_products(inputs):
             g, w = getattr(got, part), getattr(want, part)
             assert g.dtype == w.dtype
             assert g.tobytes() == w.tobytes()
+
+
+def _assert_same_bytes(got, want):
+    """Equal CSR arrays, byte for byte, index dtypes included."""
+    for part in ("indptr", "indices", "data"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert g.dtype == w.dtype, part
+        assert g.tobytes() == w.tobytes(), part
+
+
+@st.composite
+def hub_digraphs(draw):
+    """A digraph of 1,001–1,040 nodes where node 0 links to every other
+    node and every other node links to node 1, so both degree tails
+    hold a row of over 1,000 entries, plus a sparse random rest."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1001, 1040))
+    extra = rng.integers(0, n, (2, 3 * n))
+    hub = np.zeros(n - 2, dtype=np.int64)
+    rows = np.concatenate((hub, [0], np.arange(2, n), extra[0]))
+    cols = np.concatenate((np.arange(2, n), [1], hub + 1, extra[1]))
+    keep = rows != cols
+    adjacency = sp.csr_array(
+        (np.ones(keep.sum()), (rows[keep], cols[keep])), shape=(n, n)
+    )
+    adjacency.data[:] = 1.0  # duplicate draws are one edge
+    return DirectedGraph(adjacency)
+
+
+@st.composite
+def pruned_route_inputs(draw):
+    """A weighted, unweighted (power-law) or hub-bearing digraph, a
+    degree-discounted symmetrization (α, β from {0, 0.25, 0.5, 1},
+    every ablation switch), a threshold (often one of ``U``'s own
+    values, so pairs tie it), the kernel's knobs and whether one
+    weight is NaN."""
+    kind = draw(st.sampled_from(["weighted", "unweighted", "hub"]))
+    graph = draw(
+        {
+            "weighted": directed_graphs(min_nodes=3, max_nodes=30),
+            "unweighted": power_law_digraphs(),
+            "hub": hub_digraphs(),
+        }[kind]
+    )
+    exponent = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    coupling, cocitation = draw(
+        st.sampled_from([(True, True), (True, False), (False, True)])
+    )
+    sym = DegreeDiscountedSymmetrization(
+        alpha=draw(exponent),
+        beta=draw(exponent),
+        include_coupling=coupling,
+        include_cocitation=cocitation,
+        weighted_degrees=draw(st.booleans()),
+    )
+    # Low thresholds keep most of a hub graph's 500k pairs.
+    lowest = 0.05 if kind == "hub" else 0.01
+    values = sym.compute_matrix(graph).data
+    values = values[values >= lowest]
+    if values.size and draw(st.booleans()):
+        threshold = float(draw(st.sampled_from(sorted(set(values.tolist())))))
+    else:
+        threshold = draw(st.floats(lowest, 1.0))
+    knobs = dict(
+        backend=draw(
+            st.sampled_from(["vectorized"] if kind == "hub" else BACKENDS)
+        ),
+        block_size=draw(st.integers(1, 64)),
+        n_jobs=draw(st.sampled_from([None, 2])),
+    )
+    nan_weight = kind != "hub" and graph.n_edges and draw(st.booleans())
+    if nan_weight:
+        adjacency = graph.adjacency.copy()
+        adjacency.data[draw(st.integers(0, adjacency.nnz - 1))] = np.nan
+        graph = DirectedGraph(adjacency, validate=False)
+    # A 1-entry budget scores one pair per batch, too slow for a hub
+    # graph; 2,048 entries still make each hub pair a batch alone.
+    budget = draw(st.sampled_from([2048 if kind == "hub" else 1, 1 << 21]))
+    return graph, sym, threshold, knobs, budget
+
+
+@given(pruned_route_inputs())
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_apply_pruned_equals_apply_bytes(inputs):
+    """``apply_pruned`` is ``apply(threshold)`` through the §3.6
+    kernel: its indptr, indices and data bytes and index dtypes equal
+    ``apply``'s for every backend, block size, worker count and gather
+    budget (down to one pair per batch), on weighted and unweighted
+    graphs, hub rows of over 1,000 entries, thresholds that tie one of
+    ``U``'s values, and (in lenient mode, where both repair it) a NaN
+    weight."""
+    graph, sym, threshold, knobs, budget = inputs
+    with lenient(), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = sym.apply(graph, threshold=threshold).adjacency
+        with mock.patch.object(allpairs, "_GATHER_BUDGET", budget):
+            got = sym.apply_pruned(graph, threshold, **knobs).adjacency
+    _assert_same_bytes(got, want)
 
 
 def _whole_matrix_apply(sym, graph, threshold, drop_self_loops):

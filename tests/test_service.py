@@ -663,6 +663,32 @@ class TestServiceIntegration:
             assert excinfo.value.resource == "wall_s"
             assert excinfo.value.limit == 1e-9
 
+    def test_internal_job_failure_is_http_500(
+        self, tmp_path, small_graph, monkeypatch
+    ) -> None:
+        """A job whose execution raises outside the library's taxonomy
+        fails with ``error_code: "internal"``, and ``result`` raises it
+        as the 500 docs/service.md maps ``internal`` to, with the
+        exception's name, not as a bad request."""
+        import repro.service.jobs as jobs
+        from repro.service import ServiceHTTPError
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(jobs, "execute_spec", out_of_memory)
+        with live_server(tmp_path, max_workers=1) as server:
+            client = ServiceClient("127.0.0.1", server.port)
+            client.register_graph("cora", small_graph)
+            sub = client.submit(kind="cluster", graph="cora", n_clusters=4)
+            with pytest.raises(ServiceHTTPError) as excinfo:
+                client.result(sub["job_id"], timeout=60)
+            job = client.job(sub["job_id"])
+        assert job["error_code"] == "internal"
+        assert excinfo.value.status == 500
+        assert excinfo.value.error_type == "MemoryError"
+        assert not isinstance(excinfo.value, ServiceError)
+
     def test_jobs_listing_and_wait(
         self, tmp_path, small_graph
     ) -> None:
