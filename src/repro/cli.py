@@ -292,9 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help=(
             "out-of-core scale bench: mmap-backed power-law graphs "
-            "(default 100k and 1M nodes) through the sharded "
-            "symmetrize->prune path, with a peak-RSS regression "
-            "floor; writes BENCH_scale.json"
+            "(default 100k and 1M nodes) through the all-pairs "
+            "symmetrize->prune kernel, checked against apply's "
+            "route, with a peak-RSS regression floor; writes "
+            "BENCH_scale.json"
         ),
     )
     p.add_argument(
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--block-size",
         type=int,
         default=4096,
-        help="rows per shard block",
+        help="rows per block of the all-pairs candidate search",
     )
     p.add_argument(
         "--d-max",
@@ -331,12 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="prune threshold for every point (default 0.5)",
-    )
-    p.add_argument(
-        "--n-jobs",
-        type=int,
-        default=None,
-        help="shard workers for each timing point (default: serial)",
     )
     p.add_argument(
         "--smoke",
@@ -911,7 +906,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             if args.threshold is not None
             else DEFAULT_SCALE_THRESHOLD
         ),
-        n_jobs=args.n_jobs,
         block_size=args.block_size,
         d_max=(
             args.d_max if args.d_max is not None else DEFAULT_SCALE_D_MAX

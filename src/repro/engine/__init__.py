@@ -34,9 +34,6 @@ The fault-tolerant runtime layers on top:
   :class:`~repro.engine.journal.JournalReplay` feeds
   ``Executor(resume_from=...)`` and ``sweep_*(..., resume=...)`` so an
   interrupted run recomputes only its unfinished tail;
-- :class:`~repro.engine.pool.WorkerPool` — a crash-tolerant process
-  pool, one per sharded kernel call, with lost payloads re-executed
-  in-process;
 - :mod:`~repro.engine.chaos` — deterministic fault injection
   (:func:`inject_faults`) for proving the recovery paths work.
 
@@ -82,7 +79,6 @@ from repro.engine.journal import (
 from repro.engine.ambient import AmbientState, ambient_scope
 from repro.engine.plan import Plan
 from repro.engine.policy import Budget, BudgetMeter, RetryPolicy
-from repro.engine.pool import WorkerPool
 from repro.engine.stage import Stage, StageContext
 from repro.engine.stages import (
     ClusterStage,
@@ -128,8 +124,6 @@ __all__ = [
     "Budget",
     "BudgetMeter",
     "RetryPolicy",
-    # worker pool
-    "WorkerPool",
     # journal / resume
     "JOURNAL_SCHEMA",
     "RunJournal",

@@ -1,7 +1,7 @@
 """Chaos harness: deterministic fault injection for recovery testing.
 
-A production claim like "a crashed worker cannot cost the sweep" is
-only as good as the test that kills a worker. This module makes every
+A production claim like "a crashed stage cannot cost the sweep" is
+only as good as the test that crashes a stage. This module makes every
 failure the fault-tolerance layer recovers from *injectable*:
 
 >>> from repro.engine.chaos import Fault, FaultPlan, inject_faults
@@ -14,10 +14,10 @@ failure the fault-tolerance layer recovers from *injectable*:
 Production code declares *chaos sites* by calling :func:`chaos` at the
 point where a real fault would surface (``stage:<name>`` around stage
 execution, ``journal.append`` before a journal write,
-``cache.disk_put`` before persisting an artifact, ``allpairs.worker``
-when submitting pool chunks, ``sweep.point`` after each grid point,
-``service.store_put`` before the service store persists a graph or
-result, ``service.accept`` at job admission in the HTTP layer).
+``cache.disk_put`` before persisting an artifact, ``sweep.point``
+after each grid point, ``service.store_put`` before the service store
+persists a graph or result, ``service.accept`` at job admission in
+the HTTP layer).
 With no plan installed the call is a single contextvar read — the
 harness costs nothing in normal runs and is invisible outside tests.
 
@@ -30,10 +30,9 @@ Fault kinds
 - ``"enospc"`` — raise ``OSError(ENOSPC)`` as a full disk would.
 - ``"kill_process"`` — SIGKILL the current process (crash/resume
   testing from a parent process).
-- ``"kill_worker"`` / ``"corrupt"`` — *flag* faults: :func:`chaos`
-  returns the triggered :class:`Fault` instead of raising, and the
-  call site implements the failure itself (kill a pool worker,
-  garble a cache entry) because only it can.
+- ``"corrupt"`` — a *flag* fault: :func:`chaos` returns the
+  triggered :class:`Fault` instead of raising, and the call site
+  garbles its entry itself, because only it can.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ FAULT_KINDS = (
     "sleep",
     "enospc",
     "kill_process",
-    "kill_worker",
     "corrupt",
 )
 
@@ -151,8 +149,8 @@ class FaultPlan:
     def hit(self, site: str) -> Fault | None:
         """Register one call at ``site`` and apply any armed fault.
 
-        Raising/sleeping/killing kinds are executed here; flag kinds
-        (``kill_worker``, ``corrupt``) are returned to the caller.
+        Raising/sleeping/killing kinds are executed here; the flag
+        kind ``corrupt`` is returned to the caller.
         """
         count = self.calls.get(site, 0) + 1
         self.calls[site] = count
@@ -177,7 +175,7 @@ class FaultPlan:
                 )
             if fault.kind == "kill_process":
                 os.kill(os.getpid(), signal.SIGKILL)
-            return fault  # kill_worker / corrupt: caller implements
+            return fault  # corrupt: the caller implements it
         return None
 
     def __repr__(self) -> str:
@@ -213,8 +211,8 @@ def inject_faults(
 def chaos(site: str) -> Fault | None:
     """Declare a chaos site; a no-op unless a fault plan is ambient.
 
-    Returns a triggered flag-kind :class:`Fault` (``kill_worker`` /
-    ``corrupt``) for the call site to act on, and ``None`` otherwise.
+    Returns a triggered flag-kind :class:`Fault` (``corrupt``) for
+    the call site to act on, and ``None`` otherwise.
     """
     plan = _FAULTS.get()
     if plan is None:

@@ -211,14 +211,12 @@ class ExecutionWarning(ReproWarning):
 
     Codes in use: ``stage_retried`` (a transient stage failure was
     retried), ``point_failed`` (a lenient sweep skipped a failed grid
-    point), ``worker_crash`` (a dead process-pool worker's blocks were
-    re-executed in-process), ``journal_write_failed`` (journaling was
-    disabled after an unwritable append, e.g. ENOSPC),
-    ``journal_truncated`` (a partial trailing record from a crash
-    mid-append was skipped on read), ``cache_orphan`` (a
-    meta-without-artifact cache entry from a crash mid-put was
-    dropped), ``resume_mismatch`` (a journal record did not match the
-    plan being resumed and was ignored), ``store_degraded`` (the
+    point), ``journal_write_failed`` (journaling was disabled after an
+    unwritable append, e.g. ENOSPC), ``journal_truncated`` (a partial
+    trailing record from a crash mid-append was skipped on read),
+    ``cache_orphan`` (a meta-without-artifact cache entry from a crash
+    mid-put was dropped), ``resume_mismatch`` (a journal record did not
+    match the plan being resumed and was ignored), ``store_degraded`` (the
     service store flipped read-only after a write failure or the
     disk-space watchdog tripped), ``job_rerun`` (a recovering service
     daemon re-submitted an incomplete job from its tombstone).

@@ -262,8 +262,8 @@ class DirectedGraph:
         once without materializing it.
 
         The store handle is kept on the graph (:attr:`mmap_store`),
-        so out-of-core-aware kernels can hand workers the store path
-        instead of pickled matrices.
+        so callers can reach the backing files (their directory and
+        size).
         """
         from repro.linalg.mmcsr import MmapCSR
         from repro.validate.invariants import (

@@ -4,8 +4,9 @@
   (§3.6): the blocked vectorized engine and the pure-Python reference
   oracle behind the degree-discounted fast path.
 - :mod:`~repro.linalg.mmcsr` — out-of-core CSR storage: chunk-built,
-  memory-mapped matrices that the sharded kernels and streaming graph
-  readers use to reach paper-scale graphs without RAM-resident edges.
+  memory-mapped matrices that the streaming graph readers, the scale
+  generators and the service store use to reach paper-scale graphs
+  without RAM-resident edges.
 - :mod:`~repro.linalg.pagerank` — transition matrices and stationary
   distributions of random walks (used by the Random-walk symmetrization
   and the directed spectral baselines).

@@ -60,27 +60,8 @@ and each candidate pair goes through one funnel:
    ``csr.sum(axis=1)``. ``apply_pruned`` re-scores them instead, in
    ``apply``'s own arithmetic (:func:`pruned_pairs`).
 
-Blocks are independent, so an opt-in ``n_jobs`` fans them out over
-worker processes and merges the per-block triplets exactly;
-environments that cannot fork fall back to the serial path. Processes,
-not threads: SciPy's sparse kernels do release the GIL (SciPy 1.17.1
-on a 2-vCPU VM: six 20k × 20k sparse products took 2.68 s serially
-and 1.47 s on two threads, six elementwise multiplies plus ``tocsc``
-0.58 s and 0.30 s), but the four gram blocks of a paper-prune graph
-took 11.5 ms serially and 11.2 ms on two threads, because the
-per-block NumPy work around the products holds the GIL. The fan-out
-is *out-of-core*: the matrix, its suffix index, its
-prefixes and the per-row prefix bounds are spilled once to
-disk (:class:`~repro.linalg.mmcsr.MmapCSR` stores plus one ``.npy``)
-and workers receive only shard descriptors (paths plus a chunk index
-— a few hundred bytes), mapping the rows they need instead of
-unpickling whole matrices; each worker runs the same funnel up to
-the prefix gate and spills the gate's survivors back as a per-shard
-artifact the parent concatenates and scores. With an ambient disk
-:class:`~repro.engine.cache.ArtifactCache`, spills and finished
-shards are content-addressed under ``<cache>/shards/`` and reused on
-resume. Each fanned-out call creates its own
-:class:`~repro.engine.pool.WorkerPool` and closes it on return.
+Blocks only read shared inputs, so :func:`_process_blocks` is safe to
+call concurrently; the kernel walks them serially.
 
 :meth:`repro.symmetrize.DegreeDiscountedSymmetrization` exposes this
 through ``apply_pruned``, which searches the stacked factor
@@ -91,28 +72,14 @@ search only to find the pairs it re-scores.
 
 from __future__ import annotations
 
-import hashlib
-import os
-import shutil
-import tempfile
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.engine.cache import current_cache
-from repro.engine.chaos import chaos
-from repro.engine.pool import WorkerPool
-from repro.exceptions import StorageError, SymmetrizationError
-from repro.linalg.mmcsr import MmapCSR
+from repro.exceptions import SymmetrizationError
 from repro.linalg.sparse_utils import prune_mask
-from repro.obs.metrics import (
-    metric_inc,
-    metric_observe,
-    metric_set,
-    peak_rss_bytes,
-)
+from repro.obs.metrics import metric_inc, metric_observe
 from repro.obs.trace import span
 
 __all__ = ["thresholded_gram_matrix", "BACKENDS"]
@@ -162,12 +129,6 @@ _TABLE_CELLS = 1 << 16
 #: missed index entry or a wrongly dropped candidate could lose a
 #: qualifying pair.
 _BOUNDARY_SLACK = 1e-9
-
-#: Layout tag hashed into every shard scratch key. Bump it whenever
-#: what a shard dir holds changes meaning (index order, bound arrays,
-#: the counts a shard result carries), so a dir written by an older
-#: layout under a persistent cache is never adopted.
-_SHARD_LAYOUT = b"allpairs-shards/v5: gate survivors, unscored"
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +273,7 @@ def _python_engine(csr: sp.csr_array, threshold: float) -> _Found:
 
 
 # ---------------------------------------------------------------------------
-# Production engine: blocked, vectorized, optionally parallel
+# Production engine: blocked and vectorized
 
 
 class _Index(NamedTuple):
@@ -804,11 +765,10 @@ def _process_blocks(
     csr: sp.csr_array,
     index: _Index,
     threshold: float,
-    block_starts: list[int],
     block_size: int,
 ) -> _Found:
-    """Run candidate generation, the bound and the prefix gate for a
-    run of blocks; returns the gate's survivors, not yet scored.
+    """Run candidate generation, the bound and the prefix gate over
+    every row block; returns the gate's survivors, not yet scored.
 
     The gate compares against ``threshold`` padded like
     :func:`_suffix_index`'s boundary: it sums a pair's products in
@@ -827,7 +787,7 @@ def _process_blocks(
     n_candidates = n_verified = 0
     colcount = _suffix_column_counts(index.suffix)
     scratch = _GateScratch(index.prefix)
-    for start in block_starts:
+    for start in range(0, n, block_size):
         end = min(start + block_size, n)
         block = _row_window(csr, start, end)
         if block.nnz == 0:
@@ -872,271 +832,16 @@ def _process_blocks(
     return _Found(left, right, None, n_candidates, n_verified, left.size)
 
 
-def _chunk_starts(
-    n_rows: int, block_size: int, chunk_index: int, n_chunks: int
-) -> list[int]:
-    """The block starts of one worker chunk, derived from four ints.
-
-    Workers receive ``(chunk_index, n_chunks)`` instead of an explicit
-    start list so the pickled payload stays O(1) regardless of graph
-    size; chunks interleave (``starts[w::n_chunks]``) to balance the
-    denser early blocks (which face fewer earlier partners) across
-    workers, exactly as the in-RAM fan-out always has.
-    """
-    return list(range(0, n_rows, block_size))[chunk_index::n_chunks]
-
-
-def _content_key(
-    csr: sp.csr_array, threshold: float, block_size: int, n_chunks: int
-) -> str:
-    """Content address of a shard scratch dir: hash of exact inputs.
-
-    ``n_chunks`` is part of the key because shard artifacts are per
-    chunk of a specific partition — a run with a different worker
-    count must not adopt another partition's shards; the
-    :data:`_SHARD_LAYOUT` tag keeps dirs of an older layout out.
-    """
-    digest = hashlib.sha256(_SHARD_LAYOUT)
-    digest.update(np.asarray(csr.shape, dtype=np.int64).tobytes())
-    digest.update(np.float64(threshold).tobytes())
-    digest.update(np.int64(block_size).tobytes())
-    digest.update(np.int64(n_chunks).tobytes())
-    for arr in (csr.indptr, csr.indices, csr.data):
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    return digest.hexdigest()[:32]
-
-
-def _shard_scratch(key: str) -> tuple[Path, bool]:
-    """Pick the shard spill directory; returns ``(path, ephemeral)``.
-
-    With an ambient disk :class:`~repro.engine.cache.ArtifactCache`
-    the scratch lives under ``<cache>/shards/<content-key>`` and
-    survives the process, so a resumed run re-opens the spilled
-    inputs and any finished shard artifacts instead of recomputing
-    them. Without one, a tempdir is used and removed after the merge.
-    """
-    cache = current_cache()
-    if cache is not None and cache.directory is not None:
-        directory = cache.directory / "shards" / key
-        directory.mkdir(parents=True, exist_ok=True)
-        return directory, False
-    return Path(tempfile.mkdtemp(prefix="repro-shards-")), True
-
-
-def _spill_store(csr: sp.csr_array, directory: Path) -> MmapCSR:
-    """Persist ``csr`` as an :class:`MmapCSR`, reusing a prior spill."""
-    try:
-        store = MmapCSR.open(directory)
-        if store.shape == tuple(csr.shape) and store.nnz == csr.nnz:
-            metric_inc("shard_spills_reused_total")
-            return store
-    except StorageError:
-        pass
-    return MmapCSR.from_scipy(csr, directory)
-
-
-def _spill_bounds(bounds: np.ndarray, path: Path) -> None:
-    """Write the per-row prefix bounds atomically (tmp + rename), so
-    workers never map a half-written file."""
-    tmp = path.with_name(path.name + f".tmp-{os.getpid()}.npy")
-    np.save(tmp, bounds)
-    os.replace(tmp, path)
-
-
-def _save_shard(path: Path, found: _Found) -> None:
-    """Write one shard artifact atomically (tmp + rename), so a shard
-    file either exists complete or not at all — resumed runs can trust
-    any artifact they find."""
-    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    np.savez(
-        tmp,
-        rows=found.left,
-        cols=found.right,
-        n_candidates=np.int64(found.candidates),
-        n_verified=np.int64(found.verified),
-        n_scored=np.int64(found.scored),
-    )
-    # np.savez appends .npz to paths without it.
-    os.replace(str(tmp) + ".npz", path)
-
-
-#: The index matrices a shard dir spills, by store name.
-_SPILLED = ("suffix", "prefix")
-
-
-def _run_chunk(csr: sp.csr_array, index: _Index, spec: dict) -> str:
-    """Run one shard descriptor's blocks up to the prefix gate and
-    spill the gate's survivors; returns the artifact path."""
-    block_size = spec["block_size"]
-    starts = _chunk_starts(
-        csr.shape[0], block_size, spec["chunk_index"], spec["n_chunks"]
-    )
-    found = _process_blocks(
-        csr, index, spec["threshold"], starts, block_size
-    )
-    out_path = Path(spec["out_path"])
-    _save_shard(out_path, found)
-    return str(out_path)
-
-
-def _shard_worker(spec: dict) -> str:
-    """Process-pool task: open the stores named by the descriptor,
-    run this chunk's blocks, spill the gate's survivors.
-
-    The payload is a small dict of paths and ints (asserted < 1 KB in
-    the tests) — workers map the inputs from disk instead of receiving
-    pickled matrices, which is what lets the fan-out scale to graphs
-    that never fit in one process's RAM. SciPy keeps the mapped
-    buffers as views, so only the touched rows' pages are resident,
-    and row windows are views too.
-
-    ``chaos_exit`` is the chaos harness's kill-worker lever: the flag
-    is decided in the parent (fault plans do not cross process
-    boundaries) and makes the worker die the way an OOM kill or
-    segfault would — no exception, no return value, just a dead
-    process the pool reports as broken.
-    """
-    if spec.get("chaos_exit"):
-        os._exit(1)
-    scratch = Path(spec["scratch"])
-    suffix, prefix = (
-        MmapCSR.open(scratch / name).to_scipy() for name in _SPILLED
-    )
-    index = _Index(
-        suffix, np.load(scratch / "bounds.npy", mmap_mode="r"), prefix
-    )
-    return _run_chunk(
-        MmapCSR.open(scratch / "rows").to_scipy(), index, spec
-    )
-
-
-def _fan_out_shards(
-    csr: sp.csr_array,
-    index: _Index,
-    threshold: float,
-    block_starts: list[int],
-    block_size: int,
-    n_jobs: int,
-) -> _Found | None:
-    """Run blocks across a process pool via memory-mapped shard
-    descriptors; ``None`` if pooling is unavailable (serial fallback).
-
-    The matrix, its suffix index and its prefixes are spilled once to
-    :class:`MmapCSR` stores (reused when a prior call already spilled
-    identical content under the ambient cache) and the prefix bounds
-    to one ``.npy``; each worker receives only a descriptor — the
-    scratch path plus ``(chunk_index, n_chunks)`` — and spills the
-    prefix gate's survivors to a per-shard ``.npz`` artifact the parent
-    concatenates. Shard artifacts are atomic and content-addressed, so
-    an interrupted run resumes by re-opening finished shards.
-
-    Crash isolation is the worker pool's: a worker that dies
-    mid-chunk (OOM killer, segfault, injected ``kill_worker`` fault)
-    loses only its own chunks, which are re-executed *in-process* on
-    the in-RAM inputs (blocks are pure functions of shared read-only
-    inputs, so re-execution is exact), counted in
-    ``worker_crashes_total``. The merge is deterministic — each row
-    lands in exactly one chunk, so pair sets are disjoint, and the
-    caller's assembly canonicalizes order.
-    """
-    workers = min(n_jobs, len(block_starts))
-    scratch, ephemeral = _shard_scratch(
-        _content_key(csr, threshold, block_size, workers)
-    )
-    pool = WorkerPool(workers)
-    try:
-        _spill_store(csr, scratch / "rows")
-        for name in _SPILLED:
-            _spill_store(getattr(index, name), scratch / name)
-        _spill_bounds(index.bounds, scratch / "bounds.npy")
-        specs = []
-        for chunk in range(workers):
-            flag = chaos("allpairs.worker")
-            specs.append(
-                {
-                    "scratch": str(scratch),
-                    "threshold": float(threshold),
-                    "block_size": int(block_size),
-                    "chunk_index": chunk,
-                    "n_chunks": workers,
-                    "out_path": str(scratch / f"shard-{chunk:04d}.npz"),
-                    "chaos_exit": (
-                        flag is not None and flag.kind == "kill_worker"
-                    ),
-                }
-            )
-
-        def _rerun_in_process(spec: dict) -> str:
-            return _run_chunk(csr, index, spec)
-
-        todo = [
-            spec
-            for spec in specs
-            if not Path(spec["out_path"]).exists()
-        ]
-        if len(todo) < len(specs):
-            metric_inc(
-                "shard_results_reused_total", len(specs) - len(todo)
-            )
-        if todo:
-            results = pool.run(
-                _shard_worker, todo, fallback=_rerun_in_process
-            )
-            if results is None:
-                return None
-        parts: dict[str, list[np.ndarray]] = {"rows": [], "cols": []}
-        counts = np.zeros(3, dtype=np.int64)
-        bytes_spilled = 0
-        for spec in specs:
-            path = Path(spec["out_path"])
-            bytes_spilled += path.stat().st_size
-            with np.load(path) as shard:
-                for name, chunks in parts.items():
-                    chunks.append(shard[name])
-                counts += [
-                    int(shard["n_candidates"]),
-                    int(shard["n_verified"]),
-                    int(shard["n_scored"]),
-                ]
-        metric_set("shard_count", len(specs))
-        metric_inc("shard_bytes_spilled", bytes_spilled)
-        metric_set("peak_rss_bytes", peak_rss_bytes())
-        return _Found(
-            *(np.concatenate(chunks) for chunks in parts.values()),
-            None,
-            *(int(c) for c in counts),
-        )
-    finally:
-        pool.close()
-        if ephemeral:
-            shutil.rmtree(scratch, ignore_errors=True)
-
-
 def _vectorized_engine(
-    csr: sp.csr_array,
-    threshold: float,
-    block_size: int,
-    n_jobs: int | None,
+    csr: sp.csr_array, threshold: float, block_size: int
 ) -> _Found:
     """Blocked array-native engine; see the module docstring. Returns
     the prefix gate's survivors, not yet scored."""
-    n = csr.shape[0]
     with span("suffix_index") as sp_:
         col_max = _column_maxima(csr)
         index = _suffix_index(csr, col_max, threshold)
         sp_.set(indexed_nnz=index.suffix.nnz, nnz_in=csr.nnz)
-
-    block_starts = list(range(0, n, block_size))
-    found: _Found | None = None
-    if n_jobs is not None and n_jobs > 1 and len(block_starts) > 1:
-        found = _fan_out_shards(
-            csr, index, threshold, block_starts, block_size, n_jobs
-        )
-    if found is None:
-        found = _process_blocks(
-            csr, index, threshold, block_starts, block_size
-        )
-    return found
+    return _process_blocks(csr, index, threshold, block_size)
 
 
 # ---------------------------------------------------------------------------
@@ -1148,7 +853,6 @@ def thresholded_gram_matrix(
     threshold: float,
     backend: str = "vectorized",
     block_size: int = DEFAULT_BLOCK_SIZE,
-    n_jobs: int | None = None,
 ) -> sp.csr_array:
     """Off-diagonal entries of ``rows @ rows.T`` that are ``>= threshold``.
 
@@ -1171,10 +875,6 @@ def thresholded_gram_matrix(
         threshold to within floating-point rounding).
     block_size:
         Rows per block in the vectorized backend.
-    n_jobs:
-        Fan blocks out over this many worker processes (vectorized
-        backend only; ``None``/``1`` runs serially). Results are
-        merged exactly, so the output is independent of ``n_jobs``.
 
     Returns
     -------
@@ -1191,7 +891,7 @@ def thresholded_gram_matrix(
     """
     csr = _validated_csr(rows, threshold)
     with span(f"allpairs:{backend}") as sp_:
-        found = _search(csr, threshold, backend, block_size, n_jobs)
+        found = _search(csr, threshold, backend, block_size)
         if found.values is None:
             left, right, values = _score_and_keep(
                 csr, found.left, found.right, threshold
@@ -1211,14 +911,13 @@ def _search(
     threshold: float,
     backend: str,
     block_size: int,
-    n_jobs: int | None,
 ) -> _Found:
     """Run one engine on a matrix that passed ``_validated_csr``; returns
     its surviving pairs, scored only by the oracle."""
     if backend == "vectorized":
         if block_size < 1:
             raise SymmetrizationError("block_size must be >= 1")
-        return _vectorized_engine(csr, threshold, block_size, n_jobs)
+        return _vectorized_engine(csr, threshold, block_size)
     if backend == "python":
         return _python_engine(csr, threshold)
     raise SymmetrizationError(

@@ -72,9 +72,8 @@ class MmapCSR:
     files plus a ``meta.json`` manifest.
 
     Instances are cheap handles: opening maps the files lazily (the
-    OS pages data in on access) and pickles as just the directory
-    path, so worker processes can be handed a store for the cost of a
-    short string and re-open it locally.
+    OS pages data in on access), and a pickled store is just its
+    directory path, which the copy re-opens.
 
     Examples
     --------
@@ -259,7 +258,7 @@ class MmapCSR:
             stop = min(start + block_size, n_rows)
             yield start, stop, self.to_scipy(rows=(start, stop))
 
-    # -- pickling: workers re-open by path -------------------------
+    # -- pickling: a copy re-opens by path ------------------------
 
     def __reduce__(self):
         return (MmapCSR.open, (str(self.directory),))

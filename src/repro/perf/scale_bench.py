@@ -5,31 +5,27 @@ paper): generate power-law digraphs at 100k and 1M nodes straight
 into memory-mapped CSR stores
 (:func:`~repro.graph.generators.power_law_mmcsr`), run the
 degree-discounted symmetrize → prune pipeline end-to-end through the
-out-of-core sharded all-pairs engine, and emit ``BENCH_scale.json``
-with one timing point per size:
+§3.6 all-pairs kernel (``apply_pruned``), and emit
+``BENCH_scale.json`` with one timing point per size:
 
 - **generation** and **symmetrize** wall-clock per size — the fig-8/9
   timing curve;
-- **peak RSS** of the bench process *and* its pool workers
-  (``getrusage`` high-water marks), held under the 2 GiB floor below;
-  it grows with the graph and the output, because the parent builds
-  the stacked factor and its suffix index in RAM before it spills
-  them and merges every kept triplet (``docs/performance.md``, "When
-  sharding pays, measured");
-- the shard fan-out's own gauges (``shard_count``,
-  ``shard_bytes_spilled``, ``peak_rss_bytes``) captured from a
-  per-point metrics registry;
-- the all-pairs kernel's pair funnel (``allpairs_candidate_pairs_total``
-  generated, ``allpairs_pairs_verified_total`` left after the bound,
-  ``allpairs_pairs_scored_total`` left after the prefix gate) per
-  point;
+- **peak RSS** of the bench process (``getrusage``'s high-water
+  mark), held under the 2 GiB floor below; it grows with the graph
+  and the output, because the stacked factor, its suffix index and
+  the kept pairs are held in RAM;
+- a per-point metrics registry, which holds the all-pairs kernel's
+  pair funnel (``allpairs_candidate_pairs_total`` generated,
+  ``allpairs_pairs_verified_total`` left after the bound,
+  ``allpairs_pairs_scored_total`` left after the prefix gate) and the
+  ``peak_rss_bytes`` gauge;
 - an **exactness certificate** per point: seeded sample rows of the
   pruned output checked against a plain SciPy product of the
   :meth:`~repro.symmetrize.DegreeDiscountedSymmetrization
   .pruning_factors` — no all-pairs code — for missed and extra pairs;
-- a **shard-vs-monolithic differential** at the smallest benched
-  size: the sharded (``n_jobs > 1``) and serial paths must produce
-  byte-identical pruned adjacencies;
+- a **route differential** at the smallest benched size: the kernel
+  and ``apply(t)``'s row-span route must return the same indptr,
+  indices and data bytes and index dtypes;
 - a **regression block** asserting peak RSS stays under the 2 GB
   floor, every certificate is clean and the differential held, so
   scale regressions fail CI the same way perf regressions do.
@@ -44,7 +40,6 @@ from __future__ import annotations
 import json
 import platform
 import shutil
-import sys
 import tempfile
 import time
 from pathlib import Path
@@ -54,7 +49,11 @@ import numpy as np
 import scipy
 
 from repro.exceptions import ReproError
-from repro.obs.metrics import MetricsRegistry, metrics_active
+from repro.obs.metrics import (
+    MetricsRegistry,
+    metrics_active,
+    peak_rss_bytes,
+)
 
 __all__ = [
     "SCALE_SCHEMA",
@@ -75,14 +74,15 @@ __all__ = [
 
 #: Schema identifier embedded in ``BENCH_scale.json``. v2 added the
 #: per-point exactness ``"certificate"``, v3 each point's
-#: ``"calibration_seconds"``.
-SCALE_SCHEMA = "repro-bench-scale/v3"
+#: ``"calibration_seconds"``; v4 compares the kernel with ``apply``'s
+#: route in ``"differential"`` and has no worker-count fields.
+SCALE_SCHEMA = "repro-bench-scale/v4"
 
 #: Full-run sizes: the two operating points the paper's timing figures
 #: report (DBLP-scale and LiveJournal-order-of-magnitude).
 DEFAULT_SCALE_SIZES = (100_000, 1_000_000)
 
-#: Smoke-mode size: big enough that the mmap + shard path is actually
+#: Smoke-mode size: big enough that the mmap-backed path is actually
 #: exercised, small enough for CI.
 SMOKE_SCALE_SIZES = (50_000,)
 
@@ -110,8 +110,8 @@ DEFAULT_SCALE_D_MAX = 100
 #: (at the scale threshold almost every row is empty).
 CERTIFICATE_ROWS = 200
 
-#: Regression floor: the symmetrize → prune run must keep the resident
-#: high-water mark (parent and any pool worker) under this.
+#: Regression floor: the symmetrize → prune run must keep the
+#: process's resident high-water mark under this.
 MAX_PEAK_RSS_BYTES = 2 * 1024**3
 
 #: Keys every entry of ``results["points"]`` must carry (asserted by
@@ -121,14 +121,12 @@ REQUIRED_POINT_KEYS = frozenset(
         "n_nodes",
         "n_edges",
         "threshold",
-        "n_jobs",
         "block_size",
         "generate_seconds",
         "symmetrize_seconds",
         "edges_out",
         "store_bytes",
         "peak_rss_bytes",
-        "peak_rss_children_bytes",
         "metrics",
         "certificate",
         "calibration_seconds",
@@ -168,27 +166,9 @@ def calibration_seconds(repeats: int = 3) -> float:
     return best
 
 
-def _rusage_peak_bytes() -> tuple[int, int]:
-    """Lifetime RSS high-water of this process and reaped children.
-
-    ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; platforms
-    without the ``resource`` module report 0 (the regression block
-    then passes vacuously rather than failing on Windows).
-    """
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX
-        return 0, 0
-    scale = 1 if sys.platform == "darwin" else 1024
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale
-    kids = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * scale
-    return int(own), int(kids)
-
-
 def _scale_point(
     n_nodes: int,
     threshold: float,
-    n_jobs: int | None,
     block_size: int,
     d_max: int | None,
     seed: int,
@@ -213,10 +193,10 @@ def _scale_point(
     with metrics_active(registry):
         t0 = time.perf_counter()
         pruned = DegreeDiscountedSymmetrization().apply_pruned(
-            graph, threshold, block_size=block_size, n_jobs=n_jobs
+            graph, threshold, block_size=block_size
         )
         symmetrize_seconds = time.perf_counter() - t0
-    rss_self, rss_children = _rusage_peak_bytes()
+    peak = peak_rss_bytes()
     certificate = exactness_certificate(
         graph, pruned.adjacency, threshold, CERTIFICATE_ROWS, seed
     )
@@ -224,14 +204,12 @@ def _scale_point(
         "n_nodes": graph.n_nodes,
         "n_edges": graph.n_edges,
         "threshold": threshold,
-        "n_jobs": n_jobs,
         "block_size": block_size,
         "generate_seconds": generate_seconds,
         "symmetrize_seconds": symmetrize_seconds,
         "edges_out": pruned.n_edges,
         "store_bytes": int(store.nbytes) if store is not None else 0,
-        "peak_rss_bytes": rss_self,
-        "peak_rss_children_bytes": rss_children,
+        "peak_rss_bytes": peak,
         "metrics": registry.flat(),
         "certificate": certificate,
         "calibration_seconds": calibration,
@@ -297,18 +275,16 @@ def _differential_block(
     n_nodes: int,
     threshold: float,
     block_size: int,
-    shard_jobs: int,
     d_max: int | None,
     seed: int,
     workdir: Path,
 ) -> dict[str, Any]:
-    """Shard-vs-monolithic identity on one mmap-backed graph.
+    """Route differential on one mmap-backed graph.
 
-    Runs ``apply_pruned`` serially and through ``shard_jobs`` shard
-    workers on the same graph and compares the pruned adjacencies
-    byte-for-byte (indptr, indices *and* data) — the acceptance
-    criterion that the out-of-core fan-out is an execution strategy,
-    not an approximation.
+    Runs ``apply_pruned`` (the §3.6 kernel) and ``apply(t)`` (the
+    row-span route) on the same graph and compares the two outputs'
+    indptr, indices and data, bytes and index dtypes: two independent
+    routes to one pruned ``U_d``, compared whole.
     """
     from repro.graph.generators import power_law_mmcsr
     from repro.symmetrize.degree_discounted import (
@@ -321,30 +297,24 @@ def _differential_block(
     )
     sym = DegreeDiscountedSymmetrization()
     t0 = time.perf_counter()
-    mono = sym.apply_pruned(
-        graph, threshold, block_size=block_size, n_jobs=None
-    )
-    monolithic_seconds = time.perf_counter() - t0
+    kernel = sym.apply_pruned(graph, threshold, block_size=block_size)
+    kernel_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()
-    sharded = sym.apply_pruned(
-        graph, threshold, block_size=block_size, n_jobs=shard_jobs
-    )
-    sharded_seconds = time.perf_counter() - t0
-    a, b = mono.adjacency.tocsr(), sharded.adjacency.tocsr()
-    identical = (
-        a.shape == b.shape
-        and a.indptr.tobytes() == b.indptr.tobytes()
-        and a.indices.tobytes() == b.indices.tobytes()
-        and a.data.tobytes() == b.data.tobytes()
+    spans = sym.apply(graph, threshold)
+    span_seconds = time.perf_counter() - t0
+    a, b = kernel.adjacency.tocsr(), spans.adjacency.tocsr()
+    identical = a.shape == b.shape and all(
+        getattr(a, part).dtype == getattr(b, part).dtype
+        and getattr(a, part).tobytes() == getattr(b, part).tobytes()
+        for part in ("indptr", "indices", "data")
     )
     return {
         "n_nodes": graph.n_nodes,
         "n_edges": graph.n_edges,
         "threshold": threshold,
-        "shard_jobs": shard_jobs,
-        "monolithic_seconds": monolithic_seconds,
-        "sharded_seconds": sharded_seconds,
-        "edges_out": mono.n_edges,
+        "kernel_seconds": kernel_seconds,
+        "span_seconds": span_seconds,
+        "edges_out": kernel.n_edges,
         "identical": identical,
     }
 
@@ -352,9 +322,7 @@ def _differential_block(
 def run_scale_bench(
     sizes: Sequence[int] | None = None,
     threshold: float = DEFAULT_SCALE_THRESHOLD,
-    n_jobs: int | None = None,
     block_size: int = 4096,
-    shard_jobs: int = 4,
     d_max: int | None = DEFAULT_SCALE_D_MAX,
     seed: int = 0,
     smoke: bool = False,
@@ -371,13 +339,8 @@ def run_scale_bench(
         graph and one symmetrize → prune timing point.
     threshold:
         Prune threshold for every point.
-    n_jobs:
-        Shard workers for the timing points; ``None`` (the default,
-        as in ``repro bench``) times them serially.
     block_size:
-        Rows per shard block — the knob that bounds worker RSS.
-    shard_jobs:
-        Worker count for the differential's sharded leg.
+        Rows per block of the kernel's candidate search.
     d_max:
         Degree cap for the generated graphs (see
         :data:`DEFAULT_SCALE_D_MAX`; ``None`` = the generator's
@@ -387,8 +350,8 @@ def run_scale_bench(
     smoke:
         Bench one ~50k graph instead of 100k + 1M.
     with_differential:
-        Run the shard-vs-monolithic identity check at the smallest
-        benched size.
+        Run the route differential (kernel against ``apply``) at the
+        smallest benched size.
     workdir:
         Where the mmap stores are built (default: a temp directory,
         removed afterwards).
@@ -412,7 +375,6 @@ def run_scale_bench(
             _scale_point(
                 int(n),
                 float(threshold),
-                n_jobs,
                 block_size,
                 d_max,
                 seed,
@@ -425,7 +387,6 @@ def run_scale_bench(
                 min(int(n) for n in sizes),
                 float(threshold),
                 block_size,
-                shard_jobs,
                 d_max,
                 seed,
                 base,
@@ -443,9 +404,7 @@ def run_scale_bench(
         "config": {
             "sizes": [int(s) for s in sizes],
             "threshold": float(threshold),
-            "n_jobs": n_jobs,
             "block_size": block_size,
-            "shard_jobs": shard_jobs,
             "d_max": d_max,
             "seed": seed,
             "smoke": smoke,
@@ -469,10 +428,7 @@ def _regression_block(
 ) -> dict[str, Any]:
     """Pass/fail: RSS under the floor, every certificate clean,
     differential identical."""
-    observed = max(
-        max(p["peak_rss_bytes"], p["peak_rss_children_bytes"])
-        for p in points
-    )
+    observed = max(p["peak_rss_bytes"] for p in points)
     at = max(p["n_nodes"] for p in points)
     failures = []
     if observed > MAX_PEAK_RSS_BYTES:
@@ -490,7 +446,7 @@ def _regression_block(
             )
     if differential is not None and not differential["identical"]:
         failures.append(
-            "sharded output differs from the monolithic path at "
+            "the kernel's output differs from apply's at "
             f"{differential['n_nodes']} nodes"
         )
     return {
@@ -544,12 +500,10 @@ def scale_manifest(results: dict[str, Any]):
     diff = results.get("differential")
     if diff is not None:
         metrics["differential_identical"] = float(bool(diff["identical"]))
-        timings["differential_monolithic_seconds"] = float(
-            diff["monolithic_seconds"]
+        timings["differential_kernel_seconds"] = float(
+            diff["kernel_seconds"]
         )
-        timings["differential_sharded_seconds"] = float(
-            diff["sharded_seconds"]
-        )
+        timings["differential_span_seconds"] = float(diff["span_seconds"])
     return RunManifest(
         kind="bench",
         name="bench-scale",
@@ -570,7 +524,7 @@ def format_scale_summary(results: dict[str, Any]) -> str:
     """Human-readable table of the scale points and the verdict."""
     lines = [
         f"{'nodes':>9} {'edges':>10} {'gen_s':>8} {'sym_s':>9} "
-        f"{'sym_cal':>8} {'edges_out':>10} {'rss_self':>9} {'rss_kids':>9}"
+        f"{'sym_cal':>8} {'edges_out':>10} {'peak_rss':>9}"
     ]
     for p in results["points"]:
         lines.append(
@@ -579,8 +533,7 @@ def format_scale_summary(results: dict[str, Any]) -> str:
             f"{p['symmetrize_seconds']:>9.2f} "
             f"{p['symmetrize_seconds'] / p['calibration_seconds']:>8.1f} "
             f"{p['edges_out']:>10} "
-            f"{p['peak_rss_bytes'] / 1024**2:>8.0f}M "
-            f"{p['peak_rss_children_bytes'] / 1024**2:>8.0f}M"
+            f"{p['peak_rss_bytes'] / 1024**2:>8.0f}M"
         )
         m = p.get("metrics", {})
         cert = p["certificate"]
@@ -592,18 +545,13 @@ def format_scale_summary(results: dict[str, Any]) -> str:
             f"certificate: {cert['rows_checked']} rows, "
             f"{cert['misses']} missed, {cert['extras']} extra"
         )
-        if "shard_count" in m:
-            lines.append(
-                f"{'':>9}   shards={m['shard_count']:g} "
-                f"spilled={m.get('shard_bytes_spilled', 0) / 1024**2:.1f}M"
-            )
     diff = results.get("differential")
     if diff is not None:
         lines.append("")
         lines.append(
             f"differential @{diff['n_nodes']} nodes: "
-            f"monolithic {diff['monolithic_seconds']:.2f}s vs "
-            f"{diff['shard_jobs']}-shard {diff['sharded_seconds']:.2f}s "
+            f"kernel {diff['kernel_seconds']:.2f}s vs "
+            f"span route {diff['span_seconds']:.2f}s "
             f"(identical={'yes' if diff['identical'] else 'NO'})"
         )
     reg = results["regression"]

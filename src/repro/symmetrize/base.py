@@ -191,7 +191,7 @@ class Symmetrization(abc.ABC):
                 metric_inc(
                     "edges_pruned_total", nnz_raw - matrix.nnz
                 )
-            matrix = symmetric_average(matrix, drop_self_loops)
+            matrix = self._averaged(matrix, drop_self_loops)
             sp_.set(
                 n_nodes=graph.n_nodes,
                 nnz_in=graph.adjacency.nnz,
@@ -231,6 +231,24 @@ class Symmetrization(abc.ABC):
             )
         self._check_nonzero(nnz_raw, graph)
         return pruned, nnz_raw, n_spans, widest
+
+    def _averaged(
+        self, matrix: sp.csr_array, drop_self_loops: bool
+    ) -> sp.csr_array:
+        """:func:`symmetric_average` of the finite, pruned ``matrix``.
+        Its sum overflows only where an entry exceeds ``finfo.max /
+        2``; only then is the output checked like a span, so a strict
+        run raises ``invalid_output`` and a lenient one drops the inf
+        entries and warns."""
+        may_overflow = matrix.nnz and (
+            matrix.data.max() > np.finfo(np.float64).max / 2
+        )
+        matrix = symmetric_average(matrix, drop_self_loops)
+        if may_overflow:
+            matrix, n_bad = self._repaired_weights(matrix, announce=True)
+            if n_bad:
+                repaired_weights_report(n_bad).emit_warnings(stacklevel=4)
+        return matrix
 
     def _validated_input(self, graph: DirectedGraph) -> DirectedGraph:
         """Reject (strict) or repair (lenient) malformed input weights.

@@ -33,11 +33,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import SymmetrizationError
 from repro.graph.digraph import DirectedGraph
-from repro.linalg.sparse_utils import (
-    TIE_RTOL,
-    degree_power,
-    symmetric_average,
-)
+from repro.linalg.sparse_utils import TIE_RTOL, degree_power
 from repro.symmetrize.base import (
     Symmetrization,
     register_symmetrization,
@@ -240,7 +236,6 @@ class DegreeDiscountedSymmetrization(Symmetrization):
         threshold: float,
         backend: str = "vectorized",
         block_size: int | None = None,
-        n_jobs: int | None = None,
     ):
         """``apply(graph, threshold=threshold)``, byte for byte, through
         the §3.6 kernel, which never materializes the full similarity
@@ -258,16 +253,16 @@ class DegreeDiscountedSymmetrization(Symmetrization):
         (:func:`~repro.linalg.allpairs.pruned_pairs`) and finished by
         ``apply``'s last step (:func:`~repro.linalg.sparse_utils
         .symmetric_average`), after ``apply``'s input validation.
+        Where a sum of the factors' products may overflow (see
+        :func:`_may_overflow`), the call is ``apply``'s, which raises
+        or repairs the non-finite similarities.
 
         Requires numeric ``alpha``/``beta`` (the ``"log"`` discount
         has no symmetric square-root factorization) and a positive
-        threshold. ``backend``/``block_size``/``n_jobs`` are forwarded
-        to :func:`~repro.linalg.allpairs.thresholded_gram_matrix`'s
+        threshold. ``backend``/``block_size`` are forwarded to
+        :func:`~repro.linalg.allpairs.thresholded_gram_matrix`'s
         engines (``block_size=None`` means its default, and a
-        ``block_size`` below 1 raises :class:`SymmetrizationError`);
-        with ``n_jobs > 1`` the search runs in worker processes that
-        map ``W`` from spilled stores, and the re-score in this one,
-        so peak RSS grows with the graph either way.
+        ``block_size`` below 1 raises :class:`SymmetrizationError`).
         """
         from repro.graph.ugraph import UndirectedGraph
         from repro.linalg.allpairs import (
@@ -300,6 +295,8 @@ class DegreeDiscountedSymmetrization(Symmetrization):
             )
             with span("pruning_factors"):
                 terms, stacked = self._stacked_factor(graph)
+            if _may_overflow(terms, stacked):
+                return self.apply(graph, threshold)
             # The search sums each pair's products in another order
             # than apply()'s products; 2·TIE_RTOL below the threshold
             # it keeps every pair prune_matrix's rule could keep.
@@ -312,7 +309,6 @@ class DegreeDiscountedSymmetrization(Symmetrization):
                     search,
                     backend,
                     DEFAULT_BLOCK_SIZE if block_size is None else block_size,
-                    n_jobs,
                 )
                 sp_.set(rows=csr.shape[0], threshold=search)
             with span("verify_candidates") as verify:
@@ -326,7 +322,7 @@ class DegreeDiscountedSymmetrization(Symmetrization):
                     found.right,
                     threshold,
                 )
-            total = symmetric_average(kept)
+            total = self._averaged(kept, drop_self_loops=True)
             n_kept = total.nnz // 2
             verify.set(candidate_pairs=found.scored, kept_pairs=n_kept)
             count_funnel(found, n_kept)
@@ -376,6 +372,23 @@ def _term(
     left, right = (scaled, base) if scaled_left else (base, scaled)
     half = base * half_scale[csr.indices]
     return _Term(csr.indptr, csr.indices, left, right, half)
+
+
+def _may_overflow(terms: _Term, stacked: sp.csr_array) -> bool:
+    """Whether a sum of ``U``'s products may overflow: ``L`` or ``Rᵀ``
+    holds a non-finite value, or twice ``Σ_ik W_ik · max_j W_jk`` is
+    not finite. That total bounds every pair's score and every running
+    bound the search forms, and the factor of two covers the rounding
+    of any summation order."""
+    from repro.linalg.allpairs import _column_maxima
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = stacked.data @ _column_maxima(stacked)[stacked.indices]
+        return not (
+            np.isfinite(terms.left).all()
+            and np.isfinite(terms.right).all()
+            and np.isfinite(2.0 * total)
+        )
 
 
 def _nonzero(term: _Term) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,12 +1,14 @@
 """Cold-start guard: the package's entry points load no SciPy module
-beyond ``scipy.sparse``.
+beyond ``scipy.sparse``, and no process-pool machinery.
 
 Every fresh process pays for its imports: each CLI call, ``repro
 serve``, and the set-up the paper-path benchmark times. ``scipy.stats``
 alone costs more than NumPy and ``scipy.sparse`` together, and the
 paper path (edge-list ingest, symmetrize, MLR-MCL) never calls it, so
 heavy SciPy modules are imported where they are used: the §5.6 sign
-test, the sparse eigensolver.
+test, the sparse eigensolver. Nothing in the package runs a process
+pool, so ``multiprocessing`` and ``concurrent.futures.process`` stay
+unloaded too.
 """
 
 import json
@@ -19,13 +21,15 @@ import pytest
 
 import repro
 
-HEAVY_SCIPY = (
+HEAVY_MODULES = (
     "scipy.stats",
     "scipy.sparse.linalg",
     "scipy.linalg",
     "scipy.optimize",
     "scipy.spatial",
     "scipy.special",
+    "multiprocessing",
+    "concurrent.futures.process",
 )
 
 
@@ -42,7 +46,7 @@ HEAVY_SCIPY = (
 def test_entry_point_loads_no_heavy_scipy(module):
     script = (
         f"import json, sys\nimport {module}\n"
-        f"print(json.dumps([m for m in {HEAVY_SCIPY!r} "
+        f"print(json.dumps([m for m in {HEAVY_MODULES!r} "
         "if m in sys.modules]))"
     )
     env = dict(os.environ)

@@ -1,33 +1,29 @@
 """Tests for the fault-tolerant execution runtime.
 
 Covers the write-ahead run journal and resume, stage budgets and
-retry policies, worker crash isolation in the all-pairs fan-out,
-cache-corruption recovery, lenient sweep degradation and the
-``repro runs show --failures`` / ``repro sweep`` / ``repro resume``
-CLI — all driven through the chaos harness
+retry policies, cache-corruption recovery, lenient sweep degradation
+and the ``repro runs show --failures`` / ``repro sweep`` / ``repro
+resume`` CLI — all driven through the chaos harness
 (:mod:`repro.engine.chaos`), so every recovery path is exercised
 against the *injected* failure it exists for.
 
 The ``chaos_smoke`` marker tags the seconds-scale subset CI runs as a
 dedicated job (``pytest -m chaos_smoke``); the unmarked tests add the
-process-level scenarios (SIGKILL mid-sweep, killed pool workers).
+process-level scenarios (SIGKILL mid-sweep).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import signal
 import subprocess
 import sys
 import textwrap
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import repro
 from repro.cli import main
@@ -58,7 +54,6 @@ from repro.exceptions import (
 )
 from repro.graph.generators import power_law_digraph
 from repro.graph.io import write_edge_list
-from repro.linalg.allpairs import thresholded_gram_matrix
 from repro.obs import metrics_active, read_manifests
 from repro.pipeline.pipeline import SymmetrizeClusterPipeline
 from repro.pipeline.sweep import (
@@ -76,16 +71,6 @@ def _sym_plan(threshold: float = 0.0) -> Plan:
         ],
         initial=("graph",),
     )
-
-
-@functools.lru_cache(maxsize=1)
-def _pool_available() -> bool:
-    """Whether this environment can actually fork pool workers."""
-    try:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            return pool.submit(abs, -1).result(timeout=60) == 1
-    except Exception:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +114,9 @@ class TestChaosHarness:
         assert info.value.errno == errno.ENOSPC
 
     def test_flag_kinds_are_returned_not_raised(self):
-        plan = FaultPlan(
-            [
-                Fault(site="w", kind="kill_worker"),
-                Fault(site="c", kind="corrupt"),
-            ]
-        )
-        assert plan.hit("w").kind == "kill_worker"
+        plan = FaultPlan([Fault(site="c", kind="corrupt")])
         assert plan.hit("c").kind == "corrupt"
-        assert plan.triggered_count() == 2
+        assert plan.triggered_count() == 1
 
     def test_chaos_is_noop_without_plan(self):
         assert current_faults() is None
@@ -170,8 +149,8 @@ class TestTaxonomy:
         assert "symmetrize" in str(exc) and "wall_s" in str(exc)
 
     def test_execution_warning_carries_code(self):
-        warning = ExecutionWarning("x", code="worker_crash")
-        assert warning.code == "worker_crash"
+        warning = ExecutionWarning("x", code="stage_retried")
+        assert warning.code == "stage_retried"
         assert ExecutionWarning("y").code == "execution"
 
     def test_default_retry_policy_scope(self):
@@ -689,40 +668,6 @@ class TestLenientSweep:
         assert aggregate_average_f(points) == pytest.approx(50.0)
         assert aggregate_average_f([points[2]]) is None
         assert aggregate_average_f([]) is None
-
-
-# ---------------------------------------------------------------------------
-# Worker crash isolation (allpairs process fan-out)
-# ---------------------------------------------------------------------------
-
-
-class TestWorkerCrashIsolation:
-    @pytest.mark.skipif(
-        not _pool_available(),
-        reason="process pool unavailable in this environment",
-    )
-    def test_killed_worker_blocks_rerun_in_process(self, rng):
-        dense = rng.random((40, 30))
-        dense[dense < 0.5] = 0.0
-        rows = sp.csr_array(dense)
-        baseline = thresholded_gram_matrix(
-            rows, 0.2, backend="vectorized", n_jobs=2, block_size=4
-        )
-        fault = Fault(site="allpairs.worker", kind="kill_worker")
-        with metrics_active() as reg, inject_faults([fault]) as plan:
-            with pytest.warns(
-                ExecutionWarning, match="worker died"
-            ):
-                survived = thresholded_gram_matrix(
-                    rows,
-                    0.2,
-                    backend="vectorized",
-                    n_jobs=2,
-                    block_size=4,
-                )
-        assert plan.triggered_count("allpairs.worker") == 1
-        assert reg.counters["worker_crashes_total"] >= 1
-        assert (baseline != survived).nnz == 0
 
 
 # ---------------------------------------------------------------------------

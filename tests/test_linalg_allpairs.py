@@ -3,7 +3,7 @@
 
 The vectorized backend is held to the oracle standard: on every
 corpus matrix its sparsity pattern must be *bit-identical* to the
-pure-Python reference engine's, with or without the block fan-out.
+pure-Python reference engine's.
 """
 
 import numpy as np
@@ -18,11 +18,12 @@ from repro.linalg.allpairs import BACKENDS, thresholded_gram_matrix
 from repro.linalg.sparse_utils import prune_matrix
 from repro.symmetrize import DegreeDiscountedSymmetrization
 
-#: (backend, n_jobs) configurations every correctness test runs under.
+#: The backends every correctness test runs under, with the ids
+#: (``<backend>-None``) these tests are reported under, so their
+#: results stay comparable across runs of the suite.
 ENGINES = [
-    ("python", None),
-    ("vectorized", None),
-    ("vectorized", 2),
+    pytest.param("python", id="python-None"),
+    pytest.param("vectorized", id="vectorized-None"),
 ]
 
 
@@ -41,14 +42,12 @@ def _assert_same_pattern(a, b):
 
 
 class TestThresholdedGram:
-    @pytest.mark.parametrize("backend,n_jobs", ENGINES)
-    def test_matches_dense_product(self, rng, backend, n_jobs):
+    @pytest.mark.parametrize("backend", ENGINES)
+    def test_matches_dense_product(self, rng, backend):
         rows = sp.random_array(
             (30, 15), density=0.3, rng=rng, format="csr"
         )
-        result = thresholded_gram_matrix(
-            rows, 0.2, backend=backend, n_jobs=n_jobs
-        )
+        result = thresholded_gram_matrix(rows, 0.2, backend=backend)
         expected = _dense_reference(rows, 0.2)
         assert abs(result - expected).max() < 1e-12 if (
             (result - expected).nnz
@@ -138,7 +137,7 @@ class TestThresholdedGram:
                 sp.csr_array((2, 2)), 0.5, block_size=0
             )
 
-    @pytest.mark.parametrize("backend,n_jobs", ENGINES)
+    @pytest.mark.parametrize("backend", ENGINES)
     @pytest.mark.parametrize(
         "empty_rows",
         [
@@ -148,23 +147,23 @@ class TestThresholdedGram:
             (0, 3, 4, 9),  # mixed, including a full empty block
         ],
     )
-    def test_empty_row_edge_cases(self, rng, backend, n_jobs, empty_rows):
+    def test_empty_row_edge_cases(self, rng, backend, empty_rows):
         dense = rng.random((10, 6)) * (rng.random((10, 6)) < 0.5)
         dense[list(empty_rows), :] = 0.0
         rows = sp.csr_array(dense)
         result = thresholded_gram_matrix(
-            rows, 0.3, backend=backend, block_size=3, n_jobs=n_jobs
+            rows, 0.3, backend=backend, block_size=3
         )
         _assert_same_pattern(result, _dense_reference(rows, 0.3))
 
-    @pytest.mark.parametrize("backend,n_jobs", ENGINES)
-    def test_all_rows_prunable(self, backend, n_jobs):
+    @pytest.mark.parametrize("backend", ENGINES)
+    def test_all_rows_prunable(self, backend):
         # Every row's total possible contribution stays below the
         # threshold, so nothing is ever indexed and the result is
         # empty — the prefix filter's degenerate extreme.
         rows = sp.csr_array(np.full((8, 4), 0.01))
         result = thresholded_gram_matrix(
-            rows, 10.0, backend=backend, block_size=2, n_jobs=n_jobs
+            rows, 10.0, backend=backend, block_size=2
         )
         assert result.nnz == 0
 
@@ -187,18 +186,6 @@ class TestThresholdedGram:
         )
         _assert_same_pattern(result, reference)
 
-    def test_n_jobs_merges_exactly(self, rng):
-        rows = sp.random_array(
-            (60, 20), density=0.3, rng=rng, format="csr"
-        )
-        serial = thresholded_gram_matrix(
-            rows, 0.2, backend="vectorized", block_size=8
-        )
-        parallel = thresholded_gram_matrix(
-            rows, 0.2, backend="vectorized", block_size=8, n_jobs=3
-        )
-        _assert_same_pattern(serial, parallel)
-
     @given(st.integers(0, 1_000_000), st.floats(0.05, 2.0))
     @settings(max_examples=25, deadline=None)
     def test_property_matches_dense(self, seed, threshold):
@@ -215,16 +202,11 @@ class TestThresholdedGram:
         assert abs(diff).max() < 1e-9 if diff.nnz else True
         assert oracle.nnz == expected.nnz
         # The production engine must reproduce the oracle's sparsity
-        # pattern bit for bit, serial and fanned out.
-        for n_jobs in (None, 2):
-            vectorized = thresholded_gram_matrix(
-                rows,
-                threshold,
-                backend="vectorized",
-                block_size=4,
-                n_jobs=n_jobs,
-            )
-            _assert_same_pattern(vectorized, oracle)
+        # pattern bit for bit.
+        vectorized = thresholded_gram_matrix(
+            rows, threshold, backend="vectorized", block_size=4
+        )
+        _assert_same_pattern(vectorized, oracle)
 
 
 class TestCandidateBudget:
@@ -247,8 +229,7 @@ class TestCandidateBudget:
         rows.data = np.abs(rows.data) + 0.01
         return rows
 
-    @pytest.mark.parametrize("n_jobs", [None, 3])
-    def test_tiny_cap_is_byte_identical(self, rng, monkeypatch, n_jobs):
+    def test_tiny_cap_is_byte_identical(self, rng, monkeypatch):
         import repro.linalg.allpairs as allpairs
 
         rows = self._hub_matrix(rng)
@@ -259,7 +240,7 @@ class TestCandidateBudget:
         # About 25 pairs per verification batch: ~1,600 batch edges.
         monkeypatch.setattr(allpairs, "_GATHER_BUDGET", 256)
         capped = thresholded_gram_matrix(
-            rows, 0.2, backend="vectorized", block_size=64, n_jobs=n_jobs
+            rows, 0.2, backend="vectorized", block_size=64
         )
         assert capped.indptr.tobytes() == reference.indptr.tobytes()
         assert capped.indices.tobytes() == reference.indices.tobytes()
@@ -332,14 +313,12 @@ class TestApplyPruned:
                 sym.apply(g, threshold=threshold).adjacency,
             )
 
-    @pytest.mark.parametrize("backend,n_jobs", ENGINES)
-    def test_backends_agree(self, rng, backend, n_jobs):
+    @pytest.mark.parametrize("backend", ENGINES)
+    def test_backends_agree(self, rng, backend):
         g = power_law_digraph(100, rng)
         sym = DegreeDiscountedSymmetrization()
         reference = sym.apply_pruned(g, 0.1, backend="python")
-        other = sym.apply_pruned(
-            g, 0.1, backend=backend, n_jobs=n_jobs
-        )
+        other = sym.apply_pruned(g, 0.1, backend=backend)
         diff = abs(reference.adjacency - other.adjacency).tocsr()
         assert (diff.max() if diff.nnz else 0.0) < 1e-12
 
@@ -394,6 +373,41 @@ class TestApplyPruned:
         graph = DirectedGraph(adjacency, validate=False)
         with pytest.raises(SymmetrizationError, match="invalid input"):
             DegreeDiscountedSymmetrization().apply_pruned(graph, 0.1)
+
+    @staticmethod
+    def _overflow_graph(name):
+        """A graph whose product sums overflow with α = β = 0. On
+        ``three_edges`` ``U``'s (0, 1) pair is inf. On ``fan_in`` 100
+        sources link to nodes 100 and 101: ``U`` is finite (at most
+        1.0e308), but its factors' bound total is not."""
+        from repro.graph import DirectedGraph
+
+        if name == "three_edges":
+            return DirectedGraph.from_edges(
+                [(0, 2, 1e300), (1, 2, 1e300), (3, 2, 1.0)], n_nodes=4
+            )
+        return DirectedGraph.from_edges(
+            [(i, t, 1e153) for i in range(100) for t in (100, 101)],
+            n_nodes=102,
+        )
+
+    @pytest.mark.parametrize("name", ["three_edges", "fan_in"])
+    def test_overflow_raises_or_repairs_like_apply(self, name):
+        import warnings
+
+        from repro.validate import lenient
+
+        graph = self._overflow_graph(name)
+        sym = DegreeDiscountedSymmetrization(alpha=0, beta=0)
+        for route in (sym.apply, sym.apply_pruned):
+            with pytest.raises(SymmetrizationError, match="non-finite"):
+                route(graph, 0.1)
+        with lenient(), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = sym.apply(graph, 0.1).adjacency
+            got = sym.apply_pruned(graph, 0.1).adjacency
+        assert want.nnz and np.isfinite(want.data).all()
+        _assert_same_bytes(got, want)
 
     def test_preserves_node_names(self):
         from repro.graph import DirectedGraph
@@ -531,16 +545,6 @@ class TestApplyPruned:
         assert out.nnz == 17_094
         assert self._digests(out) == self.SERVE_JOBS_DIGESTS
 
-    def test_shard_path_bytes_pinned_on_serve_jobs_graph(
-        self, serve_jobs_graph
-    ):
-        """Shard workers run the same search and gate and hand back the
-        same pairs to re-score."""
-        out = DegreeDiscountedSymmetrization().apply_pruned(
-            serve_jobs_graph, 0.05, n_jobs=2
-        ).adjacency
-        assert self._digests(out) == self.SERVE_JOBS_DIGESTS
-
     def test_funnel_and_block_spans(self):
         """Candidates ≥ verified (after the bound) ≥ scored (after the
         prefix gate) ≥ kept, in the metrics and the per-block spans,
@@ -666,168 +670,19 @@ class TestApplyPruned:
             f"apply grew peak RSS by {growth_kb // 1024} MB"
         )
 
-class TestShardDescriptors:
-    """The process fan-out must hand workers shard *descriptors*
-    (store paths plus a chunk index), never pickled matrices."""
 
-    @pytest.fixture
-    def payload_bytes(self, monkeypatch):
-        """The pickled size of every payload the fan-out submits, with
-        the kernel's WorkerPool replaced by a duck-typed pool that
-        runs the worker function in-process."""
-        from repro.linalg import allpairs
-
-        sizes = []
-
-        class CapturingPool:
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-
-            def run(self, fn, payloads, fallback=None):
-                import pickle
-
-                results = []
-                for payload in payloads:
-                    sizes.append(len(pickle.dumps(payload)))
-                    results.append(fn(payload))
-                return results
-
-            def close(self):
-                pass
-
-        monkeypatch.setattr(allpairs, "WorkerPool", CapturingPool)
-        return sizes
-
-    def test_worker_payloads_under_1kb(self, rng, payload_bytes):
-        g = power_law_digraph(400, rng)
-        factor = DegreeDiscountedSymmetrization().pruning_factors(g)[0]
-        serial = thresholded_gram_matrix(
-            factor, 0.2, block_size=32, n_jobs=None
-        )
-        sharded = thresholded_gram_matrix(
-            factor, 0.2, block_size=32, n_jobs=4
-        )
-        assert payload_bytes, "fan-out never reached the pool"
-        assert max(payload_bytes) < 1024
-        _assert_same_pattern(serial, sharded)
-
-    def test_older_layout_shard_dir_is_not_read(
-        self, rng, tmp_path, payload_bytes
-    ):
-        """Shard dirs that older layouts wrote for the same rows under
-        a persistent cache must not be adopted: their keys, recomputed
-        here the way those layouts did, differ. One is untagged
-        (column-id prefixes, no bound arrays, no verified counts); one
-        carries the v2 tag (bounds row 2 held the whole row's norm);
-        one carries the v3 tag (triplets verified over whole rows at
-        the search threshold, no prefix gate, no scored counts); one
-        carries the v4 tag and keys its score segments and keep level
-        (triplets scored and kept in the workers)."""
-        import hashlib
-
-        from repro.engine.cache import ArtifactCache, artifact_cache
-        from repro.obs import metrics_active
-
-        g = power_law_digraph(300, rng)
-        rows = DegreeDiscountedSymmetrization().pruning_factors(g)[0]
-        threshold, block_size, n_jobs = 0.2, 32, 2
-        serial = thresholded_gram_matrix(
-            rows, threshold, block_size=block_size
-        )
-        cache_dir = tmp_path / "cache"
-        planted = {}
-        v4_score = (
-            np.array([0, rows.shape[1]], dtype=np.int64).tobytes()
-            + np.float64(threshold).tobytes()
-        )
-        for tag, counts, keyed in (
-            (b"", {}, b""),
-            (
-                b"allpairs-shards/v2: frequency-ordered prefix, bounds",
-                {"n_verified": np.int64(1)},
-                b"",
-            ),
-            (
-                b"allpairs-shards/v3: probe norm on prefix columns",
-                {"n_verified": np.int64(1)},
-                b"",
-            ),
-            (
-                b"allpairs-shards/v4: prefix gate, segmented scores",
-                {"n_verified": np.int64(1), "n_scored": np.int64(1)},
-                v4_score,
-            ),
-        ):
-            digest = hashlib.sha256(tag)
-            digest.update(
-                np.asarray(rows.shape, dtype=np.int64).tobytes()
-            )
-            digest.update(np.float64(threshold).tobytes())
-            digest.update(np.int64(block_size).tobytes())
-            digest.update(np.int64(n_jobs).tobytes())
-            digest.update(keyed)
-            for arr in (rows.indptr, rows.indices, rows.data):
-                digest.update(np.ascontiguousarray(arr).tobytes())
-            old = cache_dir / "shards" / digest.hexdigest()[:32]
-            old.mkdir(parents=True)
-            for index in range(n_jobs):
-                np.savez(
-                    old / f"shard-{index:04d}.npz",
-                    rows=np.array([1]),
-                    cols=np.array([0]),
-                    vals=np.array([99.0]),
-                    n_candidates=np.int64(1),
-                    **counts,
-                )
-            planted[old] = {p.name: p.read_bytes() for p in old.iterdir()}
-
-        cache = ArtifactCache(directory=cache_dir)
-        with artifact_cache(cache), metrics_active() as reg:
-            sharded = thresholded_gram_matrix(
-                rows, threshold, block_size=block_size, n_jobs=n_jobs
-            )
-        assert len(payload_bytes) == n_jobs  # every shard ran
-        for part in ("indptr", "indices", "data"):
-            assert (
-                getattr(sharded, part).tobytes()
-                == getattr(serial, part).tobytes()
-            )
-        assert "shard_results_reused_total" not in reg.counters
-        assert "shard_spills_reused_total" not in reg.counters
-        for old, files in planted.items():
-            assert {p.name: p.read_bytes() for p in old.iterdir()} == files
-        assert len(list((cache_dir / "shards").iterdir())) == 5
-
-
-def test_shards_equal_serial_at_paper_density(tmp_path):
-    """Two shard workers return serial's bytes and dtypes at the
+def test_apply_pruned_equals_apply_at_paper_density(tmp_path):
+    """The kernel returns ``apply``'s bytes and index dtypes at the
     paper's operating point: ``power_law_mmcsr(20k, seed 0,
     d_max=100)`` at ``t = 0.03`` with 4096-row blocks, about 1.06M
-    stored entries, and serial returns ``apply``'s. The
-    ``shard_count`` gauge proves the fan-out ran; the test skips only
-    where no process pool can start."""
-    from repro.engine.pool import WorkerPool
+    stored entries."""
     from repro.graph.generators import power_law_mmcsr
-    from repro.obs import metrics_active
 
     graph = power_law_mmcsr(
         20_000, tmp_path / "graph.mmcsr", np.random.default_rng(0),
         d_max=100,
     )
     sym = DegreeDiscountedSymmetrization()
-    serial = sym.apply_pruned(graph, 0.03, block_size=4096).adjacency
-    _assert_same_bytes(serial, sym.apply(graph, 0.03).adjacency)
-    with metrics_active() as reg:
-        sharded = sym.apply_pruned(
-            graph, 0.03, block_size=4096, n_jobs=2
-        ).adjacency
-    if "shard_count" not in reg.gauges:
-        with WorkerPool(1) as probe:
-            if probe.run(abs, [-1]) is None:
-                pytest.skip("process pools are unavailable")
-    assert reg.gauges["shard_count"] == 2
-    assert serial.nnz == 1_059_052
-    for part in ("indptr", "indices", "data"):
-        want, got = getattr(serial, part), getattr(sharded, part)
-        assert got.dtype == want.dtype, part
-        assert got.tobytes() == want.tobytes(), part
+    kernel = sym.apply_pruned(graph, 0.03, block_size=4096).adjacency
+    assert kernel.nnz == 1_059_052
+    _assert_same_bytes(kernel, sym.apply(graph, 0.03).adjacency)

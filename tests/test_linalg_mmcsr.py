@@ -1,12 +1,10 @@
 """Unit tests for :mod:`repro.linalg.mmcsr` — the out-of-core CSR
-store — and the shard-vs-monolithic identity of the kernels built on
-it.
+store.
 
-The store is held to three standards: round-trips must equal scipy's
-own canonical CSR bit-for-bit, a build that crashes at any point must
-leave no partial store at the target path (``meta.json`` is the
-commit record), and routing a kernel through ``n_jobs`` shard workers
-must change nothing about its output bytes.
+The store is held to two standards: round-trips must equal scipy's
+own canonical CSR bit-for-bit, and a build that crashes at any point
+must leave no partial store at the target path (``meta.json`` is the
+commit record).
 """
 
 import os
@@ -228,52 +226,3 @@ class TestAtomicity:
         with pytest.raises(StorageError, match="negative"):
             builder.add_chunk([-1], [0], [1.0])
         builder.abort()
-
-
-class TestShardDifferential:
-    """Sharding is an execution strategy, not an approximation: the
-    kernels must emit byte-identical CSR arrays for n_shards 1 and 4.
-    """
-
-    @staticmethod
-    def _factor(rng):
-        from repro.graph.generators import power_law_digraph
-
-        graph = power_law_digraph(600, rng)
-        from repro.symmetrize import DegreeDiscountedSymmetrization
-
-        return (
-            graph,
-            DegreeDiscountedSymmetrization().pruning_factors(graph)[0],
-        )
-
-    def test_thresholded_gram_shard_identity(self, rng):
-        from repro.linalg.allpairs import thresholded_gram_matrix
-
-        _, factor = self._factor(rng)
-        serial = thresholded_gram_matrix(
-            factor, 0.2, block_size=64, n_jobs=None
-        )
-        sharded = thresholded_gram_matrix(
-            factor, 0.2, block_size=64, n_jobs=4
-        )
-        assert serial.nnz > 0
-        assert serial.indptr.tobytes() == sharded.indptr.tobytes()
-        assert serial.indices.tobytes() == sharded.indices.tobytes()
-        assert serial.data.tobytes() == sharded.data.tobytes()
-
-    def test_degree_discounted_shard_identity(self, rng):
-        from repro.symmetrize import DegreeDiscountedSymmetrization
-
-        graph, _ = self._factor(rng)
-        sym = DegreeDiscountedSymmetrization()
-        serial = sym.apply_pruned(
-            graph, 0.2, block_size=64, n_jobs=None
-        ).adjacency.tocsr()
-        sharded = sym.apply_pruned(
-            graph, 0.2, block_size=64, n_jobs=4
-        ).adjacency.tocsr()
-        assert serial.nnz > 0
-        assert serial.indptr.tobytes() == sharded.indptr.tobytes()
-        assert serial.indices.tobytes() == sharded.indices.tobytes()
-        assert serial.data.tobytes() == sharded.data.tobytes()

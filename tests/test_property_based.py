@@ -208,16 +208,13 @@ def test_degree_discounted_pruned_keeps_exact_ties(inputs):
     st.integers(1, 64),
     st.integers(1, 256),
     st.integers(1, 128),
-    st.sampled_from([None, 2]),
 )
 @settings(max_examples=100, deadline=None)
-def test_allpairs_knobs_exact_at_ties(
-    inputs, block_size, cap, gather_budget, n_jobs
-):
-    """Block size, the per-span candidate cap, the per-batch gather
-    budget and sharding only change how the vectorized kernel runs: it
-    keeps exactly the oracle's pairs, ties at the threshold included,
-    and its bytes match a run at default settings."""
+def test_allpairs_knobs_exact_at_ties(inputs, block_size, cap, gather_budget):
+    """Block size, the per-span candidate cap and the per-batch gather
+    budget only change how the vectorized kernel runs: it keeps
+    exactly the oracle's pairs, ties at the threshold included, and
+    its bytes match a run at default settings."""
     rows, threshold, i, j = inputs
     oracle = thresholded_gram_matrix(rows, threshold, backend="python")
     default = thresholded_gram_matrix(rows, threshold)
@@ -225,7 +222,7 @@ def test_allpairs_knobs_exact_at_ties(
         allpairs, "_MAX_BLOCK_CANDIDATES", cap
     ), mock.patch.object(allpairs, "_GATHER_BUDGET", gather_budget):
         varied = thresholded_gram_matrix(
-            rows, threshold, block_size=block_size, n_jobs=n_jobs
+            rows, threshold, block_size=block_size
         )
     assert varied[i, j] == threshold
     assert varied.indptr.tolist() == oracle.indptr.tolist()
@@ -287,7 +284,6 @@ def test_gate_and_exact_score_equal_full_row_verification(inputs):
     level."""
     rows, threshold, budget, cells, block_size = inputs
     csr = allpairs._validated_csr(rows, threshold)
-    n = csr.shape[0]
     for search in (threshold, threshold * (1 - 2e-12)):
         index = allpairs._suffix_index(
             csr, allpairs._column_maxima(csr), search
@@ -305,9 +301,7 @@ def test_gate_and_exact_score_equal_full_row_verification(inputs):
         with mock.patch.object(
             allpairs, "_GATHER_BUDGET", budget
         ), mock.patch.object(allpairs, "_TABLE_CELLS", cells):
-            found = allpairs._process_blocks(
-                csr, index, search, list(range(0, n, block_size)), block_size
-            )
+            found = allpairs._process_blocks(csr, index, search, block_size)
             got = allpairs._score_and_keep(
                 csr, found.left, found.right, search
             )
@@ -417,8 +411,9 @@ def pruned_route_inputs(draw):
     """A weighted, unweighted (power-law) or hub-bearing digraph, a
     degree-discounted symmetrization (α, β from {0, 0.25, 0.5, 1},
     every ablation switch), a threshold (often one of ``U``'s own
-    values, so pairs tie it), the kernel's knobs and whether one
-    weight is NaN."""
+    finite values, so pairs tie it), the kernel's knobs, whether the
+    weights are huge (1e150 to 1e300, so sums of their products can
+    overflow) and whether one weight is NaN."""
     kind = draw(st.sampled_from(["weighted", "unweighted", "hub"]))
     graph = draw(
         {
@@ -427,6 +422,11 @@ def pruned_route_inputs(draw):
             "hub": hub_digraphs(),
         }[kind]
     )
+    if kind != "hub" and graph.n_edges and draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        adjacency = graph.adjacency.copy()
+        adjacency.data = 10.0 ** rng.uniform(150, 300, adjacency.nnz)
+        graph = DirectedGraph(adjacency)
     exponent = st.sampled_from([0.0, 0.25, 0.5, 1.0])
     coupling, cocitation = draw(
         st.sampled_from([(True, True), (True, False), (False, True)])
@@ -441,7 +441,7 @@ def pruned_route_inputs(draw):
     # Low thresholds keep most of a hub graph's 500k pairs.
     lowest = 0.05 if kind == "hub" else 0.01
     values = sym.compute_matrix(graph).data
-    values = values[values >= lowest]
+    values = values[np.isfinite(values) & (values >= lowest)]
     if values.size and draw(st.booleans()):
         threshold = float(draw(st.sampled_from(sorted(set(values.tolist())))))
     else:
@@ -451,7 +451,6 @@ def pruned_route_inputs(draw):
             st.sampled_from(["vectorized"] if kind == "hub" else BACKENDS)
         ),
         block_size=draw(st.integers(1, 64)),
-        n_jobs=draw(st.sampled_from([None, 2])),
     )
     nan_weight = kind != "hub" and graph.n_edges and draw(st.booleans())
     if nan_weight:
@@ -473,11 +472,11 @@ def pruned_route_inputs(draw):
 def test_apply_pruned_equals_apply_bytes(inputs):
     """``apply_pruned`` is ``apply(threshold)`` through the §3.6
     kernel: its indptr, indices and data bytes and index dtypes equal
-    ``apply``'s for every backend, block size, worker count and gather
-    budget (down to one pair per batch), on weighted and unweighted
-    graphs, hub rows of over 1,000 entries, thresholds that tie one of
-    ``U``'s values, and (in lenient mode, where both repair it) a NaN
-    weight."""
+    ``apply``'s for every backend, block size and gather budget (down
+    to one pair per batch), on weighted and unweighted graphs, hub
+    rows of over 1,000 entries, thresholds that tie one of ``U``'s
+    values, and (in lenient mode, where both repair them) huge weights
+    whose product sums overflow and a NaN weight."""
     graph, sym, threshold, knobs, budget = inputs
     with lenient(), warnings.catch_warnings():
         warnings.simplefilter("ignore")

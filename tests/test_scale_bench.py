@@ -2,8 +2,8 @@
 harness behind ``repro bench``.
 
 The unmarked tests run a miniature sweep (a few thousand nodes) so
-the schema, the regression block and the shard-vs-monolithic
-differential stay honest in tier-1 time. The ``scale_smoke``-marked
+the schema, the regression block and the route differential (kernel
+against ``apply``) stay honest in tier-1 time. The ``scale_smoke``-marked
 test runs the real ~50k smoke configuration under a wall/memory
 :class:`~repro.engine.policy.Budget` — the dedicated CI job
 (``make scale-smoke``).
@@ -46,13 +46,8 @@ class TestScaleBenchMini:
     @pytest.fixture(scope="class")
     def mini_results(self):
         # Two tiny sizes: enough to exercise the mmap generation, the
-        # sharded fan-out, the differential and the regression block.
-        return run_scale_bench(
-            sizes=[1500, 3000],
-            n_jobs=2,
-            block_size=256,
-            shard_jobs=2,
-        )
+        # kernel, the differential and the regression block.
+        return run_scale_bench(sizes=[1500, 3000], block_size=256)
 
     def test_schema(self, mini_results):
         assert mini_results["schema"] == SCALE_SCHEMA
@@ -77,11 +72,9 @@ class TestScaleBenchMini:
             assert point["generate_seconds"] >= 0
             assert point["symmetrize_seconds"] > 0
 
-    def test_points_carry_shard_metrics(self, mini_results):
+    def test_points_carry_peak_rss_metric(self, mini_results):
         for point in mini_results["points"]:
-            assert point["metrics"]["shard_count"] >= 1
             assert point["metrics"]["peak_rss_bytes"] > 0
-            assert "shard_bytes_spilled" in point["metrics"]
 
     def test_rss_recorded_and_under_floor(self, mini_results):
         reg = mini_results["regression"]
@@ -107,6 +100,8 @@ class TestScaleBenchMini:
     def test_differential_identical(self, mini_results):
         diff = mini_results["differential"]
         assert diff["n_nodes"] == 1500
+        assert diff["kernel_seconds"] > 0 and diff["span_seconds"] > 0
+        assert diff["edges_out"] == mini_results["points"][0]["edges_out"]
         assert diff["identical"] is True
         assert mini_results["regression"]["differential_identical"]
 
@@ -301,10 +296,10 @@ class TestScaleBenchCli:
 
 @pytest.mark.scale_smoke
 def test_scale_smoke_under_budget(tmp_path):
-    """The CI-grade smoke: one ~50k-node mmap-backed graph timed
-    serially, as ``repro bench`` times the committed
-    ``BENCH_scale.json``, then the 4-worker shard-vs-serial identity
-    check, metered against wall/memory ceilings, regression floor
+    """The CI-grade smoke: one ~50k-node mmap-backed graph timed as
+    ``repro bench`` times the committed ``BENCH_scale.json``, then
+    the route differential (the kernel's bytes against ``apply``'s),
+    metered against wall/memory ceilings, regression floor
     enforced."""
     from repro.engine.policy import Budget, BudgetMeter
 

@@ -1,6 +1,6 @@
 """Tests for the clustering service daemon and the concurrency
-fixes it exposed (cache locking, pool drain, ambient scoping,
-journal tailing)."""
+fixes it exposed (cache locking, ambient scoping, journal
+tailing)."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from repro.engine import (
     ArtifactCache,
     JournalTailer,
     RunJournal,
-    WorkerPool,
     ambient_scope,
     current_cache,
     current_journal,
@@ -110,36 +109,6 @@ class TestCacheThreadSafety:
         cache._memory_bytes = 0
         assert cache.get(key) is not None  # disk hit, promoted
         assert key in cache
-
-
-# ----------------------------------------------------------------------
-# Satellite: WorkerPool.close() drains without leaking processes
-# ----------------------------------------------------------------------
-def _sleep_then_square(payload: float) -> float:
-    time.sleep(payload)
-    return payload * payload
-
-
-class TestWorkerPoolClose:
-    def test_close_reaps_workers(self) -> None:
-        pool = WorkerPool(max_workers=2)
-        results = pool.run(_sleep_then_square, [0.0, 0.0])
-        if results is None:
-            pytest.skip("process pools unavailable in this sandbox")
-        assert results == [0.0, 0.0]
-        pool.close(timeout=10.0)
-        deadline = time.monotonic() + 10.0
-        while (
-            multiprocessing.active_children()
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.05)
-        assert not multiprocessing.active_children()
-
-    def test_close_idempotent(self) -> None:
-        pool = WorkerPool(max_workers=1)
-        pool.close()
-        pool.close()  # second close is a no-op, not an error
 
 
 # ----------------------------------------------------------------------

@@ -175,6 +175,47 @@ class TestApplyContract:
                 assert g.tobytes() == e.tobytes()
 
 
+    @staticmethod
+    def _overflowing_average(name):
+        """A graph and a method whose pruned ``U`` is finite but whose
+        average ``(U + Uᵀ)·0.5`` sums two orientations past
+        ``finfo.max``: one 1e308 edge under naive (``U = A + Aᵀ``),
+        and 100 sources linking to nodes 100 and 101 at 1e153 under
+        degree-discounted with α = β = 0 (that pair's ``U`` is
+        1.0e308 both ways)."""
+        if name == "naive":
+            graph = DirectedGraph.from_edges(
+                [(0, 1, 1e308), (1, 2, 1.0)], n_nodes=3
+            )
+            return graph, NaiveSymmetrization()
+        graph = DirectedGraph.from_edges(
+            [(i, t, 1e153) for i in range(100) for t in (100, 101)],
+            n_nodes=102,
+        )
+        return graph, DegreeDiscountedSymmetrization(alpha=0, beta=0)
+
+    @pytest.mark.parametrize("name", ["naive", "degree_discounted"])
+    @pytest.mark.parametrize("threshold", [0.0, 0.1])
+    def test_overflowing_average_is_invalid_output(self, name, threshold):
+        """The average's inf entries are bad output like a bad span's:
+        strict raises, lenient drops them and warns."""
+        from repro.validate import lenient
+
+        graph, sym = self._overflowing_average(name)
+        assert np.isfinite(sym.compute_matrix(graph).data).all()
+        with pytest.raises(SymmetrizationError, match="non-finite"):
+            sym.apply(graph, threshold=threshold)
+        with lenient(), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = sym.apply(graph, threshold=threshold).adjacency
+        assert [w.message.code for w in caught] == [
+            "invalid_output",
+            "repaired_weights",
+        ]
+        assert np.isfinite(got.data).all()
+        assert got.nnz == (2 if name == "naive" else 100 * 99)
+
+
 class TestRowSpanRoute:
     """``apply(threshold > 0)`` on methods with product terms prunes
     ``Σ L[a:b] @ R`` one row span at a time (the span budget is

@@ -97,16 +97,12 @@ def _scale_row(results: dict) -> tuple[str, str]:
             f"{scored / 1e3:.1f}k scored of "
             f"{verified / 1e3:.1f}k verified, {certificate})"
         )
-        peak = max(
-            peak,
-            point.get("peak_rss_bytes", 0),
-            point.get("peak_rss_children_bytes", 0),
-        )
+        peak = max(peak, point.get("peak_rss_bytes", 0))
     timings = ", ".join(parts) or "no points"
     if peak:
         timings += f", peak {peak / 1024**3:.2f} GiB"
     reg = results.get("regression", {})
-    diff = results.get("differential", {})
+    diff = results.get("differential") or {}
     passed = (
         bool(reg.get("passed"))
         and bool(diff.get("identical", True))
