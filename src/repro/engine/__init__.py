@@ -19,18 +19,18 @@ into composable parts:
 - :class:`~repro.engine.cache.ArtifactCache` — memory + on-disk
   content-addressed artifact store, keyed on the dataset's sha256
   fingerprint plus the canonical config hash of the stage lineage,
-  with an ambient installer (:func:`artifact_cache`) that sweeps and
-  experiment runners pick up automatically.
+  handed to the executor, the pipeline facade and the sweeps as a
+  ``cache=`` argument.
 
 The fault-tolerant runtime layers on top:
 
 - :class:`~repro.engine.policy.Budget` /
-  :class:`~repro.engine.policy.RetryPolicy` — per-stage and per-plan
-  resource ceilings and bounded retry of transient failures with
+  :class:`~repro.engine.policy.RetryPolicy` — whole-plan resource
+  ceilings and bounded retry of transient failures with
   deterministic-jitter backoff;
 - :class:`~repro.engine.journal.RunJournal` — a crash-safe
-  write-ahead journal of completed stages and sweep points, with an
-  ambient installer (:func:`run_journal`) mirroring the cache's;
+  write-ahead journal of completed stages and sweep points, handed
+  over as a ``journal=`` argument;
   :class:`~repro.engine.journal.JournalReplay` feeds
   ``Executor(resume_from=...)`` and ``sweep_*(..., resume=...)`` so an
   interrupted run recomputes only its unfinished tail;
@@ -44,11 +44,9 @@ and ``docs/robustness.md`` for the fault-tolerance contract.
 from repro.engine.cache import (
     ARTIFACT_KEY_VERSION,
     ArtifactCache,
-    artifact_cache,
     artifact_key,
     canonical_json,
     config_hash,
-    current_cache,
     default_cache_dir,
 )
 from repro.engine.executor import (
@@ -71,12 +69,9 @@ from repro.engine.journal import (
     JournalReplay,
     JournalTailer,
     RunJournal,
-    current_journal,
     point_key,
     read_journal,
-    run_journal,
 )
-from repro.engine.ambient import AmbientState, ambient_scope
 from repro.engine.plan import Plan
 from repro.engine.policy import Budget, BudgetMeter, RetryPolicy
 from repro.engine.stage import Stage, StageContext
@@ -93,15 +88,10 @@ __all__ = [
     # cache
     "ARTIFACT_KEY_VERSION",
     "ArtifactCache",
-    "artifact_cache",
-    "current_cache",
     "artifact_key",
     "config_hash",
     "canonical_json",
     "default_cache_dir",
-    # ambient scope
-    "AmbientState",
-    "ambient_scope",
     # stage graph
     "Stage",
     "StageContext",
@@ -129,8 +119,6 @@ __all__ = [
     "RunJournal",
     "JournalReplay",
     "JournalTailer",
-    "run_journal",
-    "current_journal",
     "read_journal",
     "point_key",
     # chaos harness

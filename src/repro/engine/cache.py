@@ -32,16 +32,14 @@ Cache traffic is metered through :mod:`repro.obs.metrics` as
 ``cache_bytes`` gauge whenever a registry is active, and the
 ``repro cache list/stats/clear`` CLI inspects the disk tier.
 
-An *ambient* cache can be installed for a block with
-:func:`artifact_cache`; sweeps and experiment runners pick it up
-automatically, so one ``with artifact_cache(cache):`` around a grid
-reuses every symmetrized/pruned artifact across its cells.
+The cache is always handed over as an argument (``Executor(cache=)``,
+``SymmetrizeClusterPipeline.run(cache=)``, ``sweep_*(cache=)``):
+passing one cache to every sweep of a grid reuses each
+symmetrized/pruned artifact across its cells.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import hashlib
 import json
 import os
@@ -51,7 +49,7 @@ import time
 import warnings
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,8 +62,6 @@ from repro.obs.metrics import metric_inc, metric_set
 __all__ = [
     "ARTIFACT_KEY_VERSION",
     "ArtifactCache",
-    "artifact_cache",
-    "current_cache",
     "config_hash",
     "artifact_key",
     "default_cache_dir",
@@ -184,12 +180,13 @@ class ArtifactCache:
 
     Examples
     --------
-    >>> from repro.engine import ArtifactCache, artifact_cache
+    >>> from repro.engine import ArtifactCache
     >>> from repro.pipeline import sweep_threshold
     >>> cache = ArtifactCache()
-    >>> with artifact_cache(cache):            # doctest: +SKIP
-    ...     cold = sweep_threshold(g, [0.1, 0.2], "metis", 8)
-    ...     warm = sweep_threshold(g, [0.1, 0.2], "metis", 8)
+    >>> cold = sweep_threshold(g, [0.1, 0.2], "metis", 8,
+    ...                        cache=cache)    # doctest: +SKIP
+    >>> warm = sweep_threshold(g, [0.1, 0.2], "metis", 8,
+    ...                        cache=cache)    # doctest: +SKIP
     >>> cache.hits > 0                         # doctest: +SKIP
     True
     """
@@ -205,7 +202,6 @@ class ArtifactCache:
         self._memory_bytes = 0
         self.hits = 0
         self.misses = 0
-        self.keys_seen: list[str] = []
         # One cache instance is shared by every worker thread of the
         # service daemon; all tier mutation (LRU order, byte
         # accounting, hit/miss counters) happens under this lock.
@@ -235,7 +231,6 @@ class ArtifactCache:
             if key in self._memory:
                 self._memory.move_to_end(key)
             self.hits += 1
-            self._note_key(key)
         metric_inc("cache_hits_total")
         return artifact
 
@@ -253,14 +248,8 @@ class ArtifactCache:
             )
         with self._lock:
             self._memory_put(key, artifact)
-            self._note_key(key)
             if self.directory is not None:
                 self._disk_put(key, artifact, meta or {})
-
-    def _note_key(self, key: str) -> None:
-        with self._lock:
-            if key not in self.keys_seen:
-                self.keys_seen.append(key)
 
     # ------------------------------------------------------------------
     # Memory tier
@@ -462,31 +451,3 @@ class ArtifactCache:
             f"ArtifactCache({tier}, entries={len(self._memory)}, "
             f"hits={self.hits}, misses={self.misses})"
         )
-
-
-_CACHE: contextvars.ContextVar[ArtifactCache | None] = (
-    contextvars.ContextVar("repro_artifact_cache", default=None)
-)
-
-
-def current_cache() -> ArtifactCache | None:
-    """The ambient artifact cache, or ``None`` when none is installed."""
-    return _CACHE.get()
-
-
-@contextlib.contextmanager
-def artifact_cache(
-    cache: ArtifactCache | None = None,
-) -> Iterator[ArtifactCache]:
-    """Install ``cache`` (or a fresh memory-only one) as ambient.
-
-    Sweeps, experiment runners and :class:`~repro.engine.Executor`
-    pick up the ambient cache automatically; nested blocks shadow the
-    outer cache.
-    """
-    installed = cache if cache is not None else ArtifactCache()
-    token = _CACHE.set(installed)
-    try:
-        yield installed
-    finally:
-        _CACHE.reset(token)

@@ -16,9 +16,9 @@ facade, sweeps, experiment runners):
   config hashes, metered as ``cache_hits_total`` /
   ``cache_misses_total``;
 - fault tolerance: bounded retries of transient stage failures
-  (:class:`~repro.engine.policy.RetryPolicy`), wall/memory budgets per
-  stage and per plan (:class:`~repro.engine.policy.Budget`),
-  write-ahead journaling of completed stages
+  (:class:`~repro.engine.policy.RetryPolicy`), a whole-plan wall/memory
+  budget (:class:`~repro.engine.policy.Budget`), write-ahead
+  journaling of completed stages and budget overruns
   (:class:`~repro.engine.journal.RunJournal`) and journal-directed
   resume (``resume_from=``) that serves previously completed stages
   from the artifact cache instead of re-running them.
@@ -32,13 +32,9 @@ import warnings as _warnings
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.engine.cache import ArtifactCache, current_cache
+from repro.engine.cache import ArtifactCache
 from repro.engine.chaos import chaos
-from repro.engine.journal import (
-    JournalReplay,
-    RunJournal,
-    current_journal,
-)
+from repro.engine.journal import JournalReplay, RunJournal
 from repro.engine.plan import Plan
 from repro.engine.policy import Budget, BudgetMeter, RetryPolicy
 from repro.engine.stage import StageContext
@@ -183,25 +179,22 @@ class Executor:
         ``"strict"`` (default) or ``"lenient"`` — scoped around the
         whole execution via :func:`repro.validate.strictness`.
     cache:
-        The artifact cache to consult for cacheable stages. ``None``
-        falls back to the ambient :func:`repro.engine.current_cache`;
-        if there is none either, caching is off for the run.
-    budgets:
-        Optional per-stage :class:`Budget` ceilings keyed by stage
-        name. An overrun raises :class:`BudgetExceeded` (never
-        retried — budgets are deterministic in the work attempted).
+        The artifact cache to consult for cacheable stages; ``None``
+        (default) turns caching off for the run.
     plan_budget:
         Optional whole-plan :class:`Budget`: cumulative wall clock
         across all stages, and a per-stage allocation-peak ceiling
-        for memory (no single stage may allocate beyond it).
+        for memory (no single stage may allocate beyond it). An
+        overrun raises :class:`BudgetExceeded` (never retried —
+        budgets are deterministic in the work attempted) and is
+        journaled as a fatal ``stage_attempt_failed`` record naming
+        the stage that ran out.
     retry:
         Optional :class:`RetryPolicy` for transient stage failures.
         ``None`` (default) disables retries.
     journal:
-        The write-ahead :class:`RunJournal` to record progress into.
-        ``None`` falls back to the ambient
-        :func:`repro.engine.current_journal`; if there is none either,
-        journaling is off.
+        The write-ahead :class:`RunJournal` to record progress into;
+        ``None`` (default) turns journaling off.
     resume_from:
         A :class:`JournalReplay` of a previous (interrupted) run:
         stages it records as complete are served from the artifact
@@ -213,7 +206,6 @@ class Executor:
         self,
         mode: str = "strict",
         cache: ArtifactCache | None = None,
-        budgets: dict[str, Budget] | None = None,
         plan_budget: Budget | None = None,
         retry: RetryPolicy | None = None,
         journal: RunJournal | None = None,
@@ -225,26 +217,11 @@ class Executor:
                 f"expected one of {EXECUTION_MODES}"
             )
         self.mode = mode
-        self._cache = cache
-        self.budgets = dict(budgets or {})
+        self.cache = cache
         self.plan_budget = plan_budget
         self.retry = retry
-        self._journal = journal
+        self.journal = journal
         self.resume_from = resume_from
-
-    @property
-    def cache(self) -> ArtifactCache | None:
-        """The effective cache (explicit, else ambient, else none)."""
-        return self._cache if self._cache is not None else (
-            current_cache()
-        )
-
-    @property
-    def journal(self) -> RunJournal | None:
-        """The effective journal (explicit, else ambient, else none)."""
-        return self._journal if self._journal is not None else (
-            current_journal()
-        )
 
     def execute(
         self,
@@ -263,7 +240,7 @@ class Executor:
         dataset_sha:
             Pre-computed content fingerprint of the plan's input
             graph. When omitted it is derived (lazily, only if a
-            cacheable stage actually runs with a cache installed) from
+            cacheable stage actually runs with a cache) from
             the first graph-like initial value.
         """
         missing = [k for k in plan.initial if k not in values]
@@ -274,18 +251,16 @@ class Executor:
         values = dict(values)
         records: list[PipelineWarning] = []
         executions: list[StageExecution] = []
-        cache = self.cache
-        journal = self.journal
         ctx = StageContext(mode=self.mode)
         plan_wall = 0.0
         with strictness(self.mode == "strict"):
             for index, stage in enumerate(plan.stages):
-                if dataset_sha is None and cache is not None and (
+                if dataset_sha is None and self.cache is not None and (
                     stage.cacheable
                 ):
                     dataset_sha = self._dataset_sha(plan, values)
-                if journal is not None:
-                    journal.ensure_started(
+                if self.journal is not None:
+                    self.journal.ensure_started(
                         kind="plan",
                         name=plan.name,
                         dataset_sha=dataset_sha or "",
@@ -296,12 +271,10 @@ class Executor:
                     )
                 execution = self._run_stage(
                     plan, index, stage, ctx, values, records,
-                    cache, dataset_sha, journal,
+                    dataset_sha, plan_wall,
                 )
                 executions.append(execution)
                 plan_wall += execution.seconds
-                if self.plan_budget is not None:
-                    self.plan_budget.check_wall("plan", plan_wall)
         return ExecutionResult(
             values=values,
             executions=executions,
@@ -321,20 +294,15 @@ class Executor:
             "fingerprint for the artifact cache"
         )
 
-    def _budget_state(self, stage_name: str) -> dict[str, Any]:
-        budget = self.budgets.get(stage_name)
-        state: dict[str, Any] = {}
-        if budget is not None:
-            state["stage"] = {
-                "wall_s": budget.wall_s,
-                "mem_bytes": budget.mem_bytes,
-            }
-        if self.plan_budget is not None:
-            state["plan"] = {
+    def _budget_state(self) -> dict[str, Any]:
+        if self.plan_budget is None:
+            return {}
+        return {
+            "plan": {
                 "wall_s": self.plan_budget.wall_s,
                 "mem_bytes": self.plan_budget.mem_bytes,
             }
-        return state
+        }
 
     def _run_stage(
         self,
@@ -344,12 +312,12 @@ class Executor:
         ctx: StageContext,
         values: dict[str, Any],
         records: list[PipelineWarning],
-        cache: ArtifactCache | None,
         dataset_sha: str | None,
-        journal: RunJournal | None,
+        plan_wall: float,
     ) -> StageExecution:
+        journal = self.journal
         use_cache = (
-            cache is not None
+            self.cache is not None
             and stage.cacheable
             and dataset_sha is not None
             and len(stage.outputs) == 1
@@ -365,14 +333,20 @@ class Executor:
             try:
                 execution = self._attempt_stage(
                     plan, index, stage, ctx, values, records,
-                    cache, key, dataset_sha, attempt,
+                    key, dataset_sha, attempt,
                 )
+                if self.plan_budget is not None:
+                    # Inside the try, so a wall overrun is journaled
+                    # against this stage like a memory overrun.
+                    self.plan_budget.check_wall(
+                        "plan", plan_wall + execution.seconds
+                    )
             except BudgetExceeded as exc:
                 # Deterministic in the work attempted: never retried.
                 if journal is not None:
                     journal.record_attempt_failure(
                         plan.name, stage.name, attempt, exc,
-                        budget=self._budget_state(stage.name),
+                        budget=self._budget_state(),
                         fatal=True,
                     )
                 raise
@@ -384,7 +358,7 @@ class Executor:
                     if journal is not None:
                         journal.record_attempt_failure(
                             plan.name, stage.name, attempt, exc,
-                            budget=self._budget_state(stage.name),
+                            budget=self._budget_state(),
                         )
                     records.append(
                         PipelineWarning(
@@ -409,7 +383,7 @@ class Executor:
                 if journal is not None:
                     journal.record_attempt_failure(
                         plan.name, stage.name, attempt, exc,
-                        budget=self._budget_state(stage.name),
+                        budget=self._budget_state(),
                         fatal=True,
                     )
                 raise
@@ -432,34 +406,16 @@ class Executor:
         ctx: StageContext,
         values: dict[str, Any],
         records: list[PipelineWarning],
-        cache: ArtifactCache | None,
         key: str | None,
         dataset_sha: str | None,
         attempt: int,
     ) -> StageExecution:
-        stage_budget = self.budgets.get(stage.name)
         plan_mem = (
             self.plan_budget.mem_bytes
             if self.plan_budget is not None
             else None
         )
-        mem_limits = [
-            limit
-            for limit in (
-                stage_budget.mem_bytes if stage_budget else None,
-                plan_mem,
-            )
-            if limit is not None
-        ]
-        meter = BudgetMeter(
-            Budget(
-                wall_s=(
-                    stage_budget.wall_s if stage_budget else None
-                ),
-                mem_bytes=min(mem_limits) if mem_limits else None,
-            ),
-            scope=stage.name,
-        )
+        meter = BudgetMeter(Budget(mem_bytes=plan_mem), scope=stage.name)
         cached: bool | None = None
         resumed = False
         t0 = time.perf_counter()
@@ -469,7 +425,7 @@ class Executor:
             chaos(f"stage:{stage.name}")
             outputs = None
             if key is not None:
-                artifact = cache.get(key)
+                artifact = self.cache.get(key)
                 if artifact is not None:
                     outputs = {stage.outputs[0]: artifact}
                     cached = True
@@ -484,20 +440,13 @@ class Executor:
             if outputs is None:
                 with meter:
                     outputs = stage.run(ctx, values)
-                if stage_budget is not None:
-                    stage_budget.check_wall(
-                        stage.name, meter.seconds
-                    )
-                    stage_budget.check_mem(
-                        stage.name, meter.peak_bytes
-                    )
                 if plan_mem is not None:
                     self.plan_budget.check_mem(
                         "plan", meter.peak_bytes
                     )
                 if key is not None:
                     cached = False
-                    cache.put(
+                    self.cache.put(
                         key,
                         outputs[stage.outputs[0]],
                         meta={

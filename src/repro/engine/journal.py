@@ -35,22 +35,21 @@ rest of the run and emits an
 :class:`~repro.exceptions.ExecutionWarning` (code
 ``journal_write_failed``).
 
-An *ambient* journal can be installed for a block with
-:func:`run_journal`; the executor, sweeps and experiment runners pick
-it up automatically, mirroring :func:`repro.engine.artifact_cache`.
+A journal is always handed over as an argument (``Executor(journal=)``,
+``SymmetrizeClusterPipeline.run(journal=)``, ``sweep_*(journal=)``);
+nothing journals unless it was given one.
 """
 
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import json
 import os
 import threading
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from repro.engine.cache import canonical_json, config_hash
 from repro.engine.chaos import chaos
@@ -63,8 +62,6 @@ __all__ = [
     "JournalReplay",
     "JournalTailer",
     "read_journal",
-    "run_journal",
-    "current_journal",
     "point_key",
 ]
 
@@ -535,34 +532,3 @@ class JournalReplay:
             f"points={len(self.completed_points)}, "
             f"finished={self.finished})"
         )
-
-
-_JOURNAL: contextvars.ContextVar[RunJournal | None] = (
-    contextvars.ContextVar("repro_run_journal", default=None)
-)
-
-
-def current_journal() -> RunJournal | None:
-    """The ambient run journal, or ``None`` when none is installed."""
-    return _JOURNAL.get()
-
-
-@contextlib.contextmanager
-def run_journal(
-    journal: RunJournal | str | Path,
-) -> Iterator[RunJournal]:
-    """Install ``journal`` (or open one at a path) as ambient.
-
-    The executor, sweeps and experiment runners journal their
-    progress automatically while the block is active.
-    """
-    installed = (
-        journal
-        if isinstance(journal, RunJournal)
-        else RunJournal(journal)
-    )
-    token = _JOURNAL.set(installed)
-    try:
-        yield installed
-    finally:
-        _JOURNAL.reset(token)

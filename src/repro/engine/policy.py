@@ -6,8 +6,8 @@ bibliometric product on a power-law graph can densify quadratically —
 must not stall or OOM an entire sweep. This module provides the two
 policy objects the :class:`~repro.engine.executor.Executor` enforces:
 
-- :class:`Budget` — per-stage or per-plan ceilings on wall-clock time
-  and allocated memory. Overruns raise a structured
+- :class:`Budget` — whole-plan ceilings on wall-clock time and
+  allocated memory. Overruns raise a structured
   :class:`~repro.exceptions.BudgetExceeded` (strict mode); lenient
   sweep drivers degrade the point instead (``SweepPoint.failed``).
   Python cannot preempt a running stage, so wall budgets are enforced
@@ -39,7 +39,7 @@ __all__ = ["Budget", "RetryPolicy", "BudgetMeter"]
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource ceilings for one scope (a stage name or a whole plan).
+    """Resource ceilings for one scope (a whole plan, a job, a client).
 
     Attributes
     ----------

@@ -24,7 +24,6 @@ from repro.directed.objectives import clustering_ncut
 from repro.directed.wcut import best_wcut
 from repro.directed.zhou import ZhouDirectedSpectral
 from repro.engine.executor import ExecutionResult, Executor
-from repro.engine.journal import RunJournal, run_journal
 from repro.engine.plan import Plan
 from repro.engine.policy import RetryPolicy
 from repro.engine.stage import Stage
@@ -900,7 +899,6 @@ def run_experiment(
     bundle: DatasetBundle | None = None,
     scale: float = 1.0,
     seed: int = 0,
-    journal: RunJournal | None = None,
 ) -> ExperimentResult:
     """Run one experiment by id.
 
@@ -914,11 +912,6 @@ def run_experiment(
         process-wide shared bundle at ``scale``/``seed``.
     scale, seed:
         Dataset scale multiplier and seed when no bundle is given.
-    journal:
-        Optional write-ahead :class:`~repro.engine.RunJournal`:
-        installed as the ambient journal for the experiment, so every
-        engine execution inside it (sweeps, cluster points) records
-        its progress for crash recovery.
     """
     try:
         runner = _RUNNERS[name.lower()]
@@ -929,16 +922,4 @@ def run_experiment(
         ) from None
     if bundle is None:
         bundle = shared_bundle(scale=scale, seed=seed)
-    if journal is None:
-        return runner(bundle)
-    journal.ensure_started(
-        kind="experiment",
-        name=name.lower(),
-        dataset_sha="",
-        mode="strict",
-        config={"scale": scale, "seed": seed},
-    )
-    with run_journal(journal):
-        result = runner(bundle)
-    journal.finish()
-    return result
+    return runner(bundle)

@@ -8,9 +8,8 @@ Symmetrization artifacts are shared across experiments through the
 engine's content-addressed :class:`~repro.engine.ArtifactCache` —
 keyed on the dataset fingerprint and the symmetrization config, not
 on Python object identity — so re-running an experiment on an equal
-graph (same bundle, a reloaded dataset, another process with a
-disk-backed cache) reuses the artifact where the old id()-keyed cache
-could not.
+graph (same bundle or a reloaded dataset) reuses the artifact where
+the old id()-keyed cache could not.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from repro.datasets import (
     make_livejournal_like,
     make_wikipedia_like,
 )
-from repro.engine.cache import ArtifactCache, current_cache
+from repro.engine.cache import ArtifactCache
 from repro.engine.executor import Executor
 from repro.engine.plan import Plan
 from repro.engine.stages import SymmetrizeStage
@@ -169,13 +168,10 @@ _ARTIFACTS = ArtifactCache()
 def experiment_cache() -> ArtifactCache:
     """The artifact cache experiment helpers run against.
 
-    An ambient :func:`repro.engine.artifact_cache` block (e.g. a
-    disk-backed cache installed by the CLI) takes precedence; without
-    one the runners share a process-wide in-memory cache, which is the
+    The runners share one process-wide in-memory cache, which is the
     cross-experiment reuse the old identity-keyed cache provided.
     """
-    ambient = current_cache()
-    return ambient if ambient is not None else _ARTIFACTS
+    return _ARTIFACTS
 
 
 def full_symmetrization(
@@ -185,8 +181,8 @@ def full_symmetrization(
 
     Runs a one-stage engine plan so the artifact is keyed on the
     dataset fingerprint plus the symmetrization config and lands in
-    :func:`experiment_cache` — shared across experiments, equal graph
-    objects, and (with a disk cache installed) across processes.
+    :func:`experiment_cache` — shared across experiments and equal
+    graph objects.
     """
     plan = Plan(
         [SymmetrizeStage(get_symmetrization(name))],

@@ -139,11 +139,13 @@ def calibration_seconds(repeats: int = 3) -> float:
 
     The workload is a seeded 20,000 × 20,000 sparse matrix with 10
     entries per row, multiplied by its transpose, and its product's
-    rows sorted, which is the kind of work the scale points do. Timed
-    next to a point, it turns that point's seconds into calibration
-    units, which compare across hosts and host states where seconds
-    do not (the same 1M point read 44.6 s and 112.6 s in two runs on
-    one 2-vCPU VM).
+    rows sorted. Timed next to a point, it turns that point's seconds
+    into calibration units. Those normalize the CPU speed of in-cache
+    sparse products only: the workload fits in the CPU caches, so it
+    does not see memory bandwidth, which a 1M point depends on. Two
+    runs of the 1M ``t = 0.5`` point took 66.5 s and 68.8 s while the
+    loop read 0.147 s and 0.117 s, so the point read 453 and 588 cal
+    against 238 in the schema-v3 file.
     """
     import scipy.sparse as sp
 

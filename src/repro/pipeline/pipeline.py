@@ -126,7 +126,7 @@ class PipelineResult:
     cache:
         Artifact-cache provenance of the run: ``{"enabled": bool,
         "hits": n, "misses": n, "artifact_keys": [...]}``. All-zero
-        with ``enabled=False`` when no cache was installed.
+        with ``enabled=False`` when the run was given no cache.
     fault_tolerance:
         Fault-tolerance provenance: the journal path and run id when
         the run was journaled, whether it resumed a prior journal,
@@ -182,12 +182,6 @@ class SymmetrizeClusterPipeline:
         degenerate inputs; ``"lenient"`` repairs what it can, warns
         about the rest, and records everything on
         :attr:`PipelineResult.warnings`.
-    cache:
-        Optional :class:`~repro.engine.ArtifactCache` consulted for
-        the symmetrize stage on every :meth:`run`. When omitted, an
-        ambient :func:`repro.engine.artifact_cache` block (if any)
-        applies; otherwise caching is off and behavior is identical
-        to the pre-engine pipeline.
 
     Examples
     --------
@@ -206,7 +200,6 @@ class SymmetrizeClusterPipeline:
         clusterer: str | GraphClusterer,
         threshold: float = 0.0,
         mode: str = "strict",
-        cache: ArtifactCache | None = None,
     ) -> None:
         if isinstance(symmetrization, str):
             symmetrization = get_symmetrization(symmetrization)
@@ -229,7 +222,6 @@ class SymmetrizeClusterPipeline:
         self.clusterer = clusterer
         self.threshold = float(threshold)
         self.mode = mode
-        self.cache = cache
 
     def symmetrize(self, graph: DirectedGraph) -> UndirectedGraph:
         """Run stage 1 only."""
@@ -271,7 +263,6 @@ class SymmetrizeClusterPipeline:
         journal: RunJournal | None = None,
         resume: JournalReplay | None = None,
         retry: RetryPolicy | None = None,
-        budgets: dict[str, Budget] | None = None,
         plan_budget: Budget | None = None,
     ) -> PipelineResult:
         """Run the full pipeline.
@@ -293,13 +284,12 @@ class SymmetrizeClusterPipeline:
             Append the run's :class:`~repro.obs.RunManifest` to this
             JSONL run log (implies ``trace``).
         cache:
-            Artifact cache for this run, overriding the
-            constructor-level and ambient caches.
+            :class:`~repro.engine.ArtifactCache` consulted for the
+            symmetrize stage; ``None`` (default) runs uncached.
         journal:
             Write-ahead :class:`~repro.engine.RunJournal` recording
-            per-stage progress for crash recovery; ``None`` falls
-            back to the ambient :func:`repro.engine.run_journal`
-            block, if any.
+            per-stage progress for crash recovery; ``None`` (default)
+            journals nothing.
         resume:
             :class:`~repro.engine.JournalReplay` of an interrupted
             run: recorded stages are served from the artifact cache
@@ -307,9 +297,6 @@ class SymmetrizeClusterPipeline:
         retry:
             :class:`~repro.engine.RetryPolicy` for transient stage
             failures (``None`` disables retries).
-        budgets:
-            Per-stage :class:`~repro.engine.Budget` ceilings, keyed
-            by stage name.
         plan_budget:
             Whole-run :class:`~repro.engine.Budget` ceiling.
         """
@@ -330,8 +317,7 @@ class SymmetrizeClusterPipeline:
             values["ground_truth"] = ground_truth
         executor = Executor(
             mode=self.mode,
-            cache=cache if cache is not None else self.cache,
-            budgets=budgets,
+            cache=cache,
             plan_budget=plan_budget,
             retry=retry,
             journal=journal,
@@ -352,26 +338,16 @@ class SymmetrizeClusterPipeline:
                 n_edges=graph.n_edges,
             )
             metric_inc("pipeline_runs_total")
-            cache_enabled = executor.cache is not None
             execution = executor.execute(plan, values)
         t_sym = execution.seconds("symmetrize")
         t_cluster = execution.seconds("cluster")
         cache_section = {
-            "enabled": cache_enabled,
+            "enabled": cache is not None,
             **execution.cache_summary(),
         }
-        active_journal = executor.journal
         fault_section = {
-            "journal": (
-                str(active_journal.path)
-                if active_journal is not None
-                else None
-            ),
-            "run_id": (
-                active_journal.run_id
-                if active_journal is not None
-                else None
-            ),
+            "journal": str(journal.path) if journal is not None else None,
+            "run_id": journal.run_id if journal is not None else None,
             "resumed": resume is not None,
             **execution.fault_summary(),
         }

@@ -9,12 +9,10 @@ Every sweep builds one :class:`~repro.engine.Plan` per grid point and
 runs it through the :class:`~repro.engine.Executor` with an artifact
 cache: the first point computes and stores the stage-1 symmetrization
 artifact, every later point that shares its lineage is served from the
-cache. This replaces the old hand-rolled symmetrize-once shortcut —
-with no cache installed a sweep still symmetrizes exactly once
-(a fresh in-memory :class:`~repro.engine.ArtifactCache` scopes the
-reuse to the sweep), while an ambient :func:`repro.engine.artifact_cache`
-block (or an explicit ``cache=`` argument, possibly disk-backed)
-extends the reuse across sweeps, grids and processes.
+cache. Without a ``cache=`` argument a sweep still symmetrizes exactly
+once (a fresh in-memory :class:`~repro.engine.ArtifactCache` scopes
+the reuse to the sweep); passing one cache, possibly disk-backed, to
+several sweeps extends the reuse across sweeps, grids and processes.
 
 Each :class:`SweepPoint` records its cache provenance: whether any
 stage was served from the cache and the content address of the
@@ -30,10 +28,10 @@ the full runtime:
   exception summary, and the machine-readable warning code
   ``point_failed``; :func:`aggregate_average_f` excludes such points.
   In strict mode (default) the first failure propagates.
-- ``retry=``/``budgets=``/``plan_budget=`` forward the corresponding
+- ``retry=``/``plan_budget=`` forward the corresponding
   :class:`~repro.engine.RetryPolicy` / :class:`~repro.engine.Budget`
   policies to each point's executor.
-- An ambient or explicit write-ahead journal
+- A ``journal=`` write-ahead journal
   (:class:`~repro.engine.RunJournal`) records one ``point_done``
   record per completed grid point; ``resume=`` replays those records
   (a :class:`~repro.engine.JournalReplay`) so an interrupted sweep
@@ -49,15 +47,10 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.cluster.common import GraphClusterer, get_clusterer
-from repro.engine.cache import ArtifactCache, current_cache
+from repro.engine.cache import ArtifactCache
 from repro.engine.chaos import chaos
 from repro.engine.executor import ExecutionResult, Executor
-from repro.engine.journal import (
-    JournalReplay,
-    RunJournal,
-    current_journal,
-    point_key,
-)
+from repro.engine.journal import JournalReplay, RunJournal, point_key
 from repro.engine.plan import Plan
 from repro.engine.policy import Budget, RetryPolicy
 from repro.engine.stage import Stage
@@ -157,21 +150,6 @@ def aggregate_average_f(points: list[SweepPoint]) -> float | None:
     return float(sum(scores) / len(scores))
 
 
-def _sweep_cache(cache: ArtifactCache | None) -> ArtifactCache:
-    """The cache a sweep runs against.
-
-    Explicit argument first, then the ambient cache; with neither, a
-    fresh in-memory cache scoped to this sweep — which is exactly the
-    old symmetrize-once behavior, engine-managed.
-    """
-    if cache is not None:
-        return cache
-    ambient = current_cache()
-    if ambient is not None:
-        return ambient
-    return ArtifactCache()
-
-
 def _run_point(
     plan: Plan,
     graph: DirectedGraph,
@@ -180,7 +158,6 @@ def _run_point(
     dataset_sha: str,
     mode: str,
     retry: RetryPolicy | None,
-    budgets: dict[str, Budget] | None,
     plan_budget: Budget | None,
     journal: RunJournal | None,
     resume: JournalReplay | None,
@@ -192,7 +169,6 @@ def _run_point(
     executor = Executor(
         mode=mode,
         cache=cache,
-        budgets=budgets,
         plan_budget=plan_budget,
         retry=retry,
         journal=journal,
@@ -290,16 +266,13 @@ def _sweep(
     name: str,
     mode: str = "strict",
     retry: RetryPolicy | None = None,
-    budgets: dict[str, Budget] | None = None,
     plan_budget: Budget | None = None,
     journal: RunJournal | None = None,
     resume: JournalReplay | None = None,
 ) -> list[SweepPoint]:
     """Shared sweep driver: one engine plan per grid point."""
-    active = _sweep_cache(cache)
+    active = cache if cache is not None else ArtifactCache()
     dataset_sha = fingerprint_graph(graph)["sha256"]
-    if journal is None:
-        journal = current_journal()
     if journal is not None:
         journal.ensure_started(
             kind="sweep",
@@ -337,7 +310,7 @@ def _sweep(
         try:
             execution = _run_point(
                 plan, graph, ground_truth, active, dataset_sha,
-                mode, retry, budgets, plan_budget, journal, resume,
+                mode, retry, plan_budget, journal, resume,
             )
         except ReproError as exc:
             if mode != "lenient":
@@ -377,7 +350,6 @@ def sweep_n_clusters(
     cache: ArtifactCache | None = None,
     mode: str = "strict",
     retry: RetryPolicy | None = None,
-    budgets: dict[str, Budget] | None = None,
     plan_budget: Budget | None = None,
     journal: RunJournal | None = None,
     resume: JournalReplay | None = None,
@@ -408,7 +380,6 @@ def sweep_n_clusters(
         "sweep_n_clusters",
         mode=mode,
         retry=retry,
-        budgets=budgets,
         plan_budget=plan_budget,
         journal=journal,
         resume=resume,
@@ -425,7 +396,6 @@ def sweep_threshold(
     cache: ArtifactCache | None = None,
     mode: str = "strict",
     retry: RetryPolicy | None = None,
-    budgets: dict[str, Budget] | None = None,
     plan_budget: Budget | None = None,
     journal: RunJournal | None = None,
     resume: JournalReplay | None = None,
@@ -459,7 +429,6 @@ def sweep_threshold(
         "sweep_threshold",
         mode=mode,
         retry=retry,
-        budgets=budgets,
         plan_budget=plan_budget,
         journal=journal,
         resume=resume,
@@ -477,7 +446,6 @@ def sweep_alpha_beta(
     cache: ArtifactCache | None = None,
     mode: str = "strict",
     retry: RetryPolicy | None = None,
-    budgets: dict[str, Budget] | None = None,
     plan_budget: Budget | None = None,
     journal: RunJournal | None = None,
     resume: JournalReplay | None = None,
@@ -495,8 +463,9 @@ def sweep_alpha_beta(
 
     Each configuration symmetrizes its own artifact (the (α, β) pair
     is part of the cache lineage), so within one grid nothing is
-    shared — but a disk-backed or ambient cache serves repeated grids
-    (re-runs, figure regeneration) entirely from the cache.
+    shared — but a ``cache=`` passed to every run (disk-backed across
+    processes) serves repeated grids (re-runs, figure regeneration)
+    entirely from the cache.
     """
     if isinstance(clusterer, str):
         clusterer = get_clusterer(clusterer)
@@ -522,7 +491,6 @@ def sweep_alpha_beta(
         "sweep_alpha_beta",
         mode=mode,
         retry=retry,
-        budgets=budgets,
         plan_budget=plan_budget,
         journal=journal,
         resume=resume,

@@ -12,9 +12,9 @@ from many concurrent clients:
   journal uses — N clients posting the same job share one execution;
 - per-client wall-clock budgets reuse the PR 5
   :class:`~repro.engine.Budget` machinery (429 on exhaustion);
-- every job runs in an isolated :func:`~repro.engine.ambient_scope`
-  on a bounded worker pool, journaling progress to its own
-  write-ahead :class:`~repro.engine.RunJournal`, which
+- every job runs on a bounded worker pool under its own tracer and
+  metrics registry, handed the shared cache and its own write-ahead
+  :class:`~repro.engine.RunJournal` as arguments; the journal is what
   ``GET /jobs/<id>/events`` streams live as NDJSON;
 - with ``--state-dir``, a :class:`~repro.service.store.ServiceStore`
   persists graphs (MmapCSR), results (content-addressed JSON) and

@@ -28,12 +28,12 @@ many concurrent clients cheap:
   content-addressed JSON, and submissions as write-ahead tombstones.
   A manager constructed over the same state dir after a SIGKILL
   recovers all of it and re-runs exactly the incomplete jobs.
-- **Per-job isolation and provenance.** Every job executes inside an
-  isolated :func:`~repro.engine.ambient_scope` carrying the shared
-  cache, a fresh tracer + metrics registry, and the job's own
-  write-ahead journal (``<data_dir>/jobs/<job_id>/journal.jsonl``) —
-  the journal the ``/jobs/<id>/events`` endpoint tails — and appends
-  a :class:`~repro.obs.RunManifest` to ``<data_dir>/manifests.jsonl``.
+- **Per-job isolation and provenance.** Every job is handed the
+  shared cache and its own write-ahead journal
+  (``<data_dir>/jobs/<job_id>/journal.jsonl``, the journal the
+  ``/jobs/<id>/events`` endpoint tails) as arguments, runs under its
+  own tracer and metrics registry, and appends a
+  :class:`~repro.obs.RunManifest` to ``<data_dir>/manifests.jsonl``.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from repro.engine import (
     RunJournal,
     SymmetrizeStage,
     ValidateInputStage,
-    ambient_scope,
     point_key,
 )
 from repro.exceptions import (
@@ -80,8 +79,8 @@ from repro.obs.manifest import (
     collect_environment,
     fingerprint_graph,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.metrics import MetricsRegistry, metrics_active
+from repro.obs.trace import Tracer, tracing
 from repro.pipeline.pipeline import SymmetrizeClusterPipeline
 from repro.pipeline.sweep import aggregate_average_f, sweep_n_clusters
 from repro.service.store import ServiceStore
@@ -353,6 +352,7 @@ def execute_spec(
     *,
     dataset_sha: str,
     cache: ArtifactCache | None = None,
+    journal: RunJournal | None = None,
     budget: Budget | None = None,
     retry: RetryPolicy | None = None,
     tracer: Tracer | None = None,
@@ -361,28 +361,33 @@ def execute_spec(
     """Run one job spec against ``graph``.
 
     Returns ``(result_payload, warnings, manifest)``. The caller is
-    responsible for installing the ambient scope (cache / tracer /
-    metrics / journal) around this call.
+    responsible for installing ``tracer`` and ``job_metrics`` as the
+    ambient tracer and metrics registry around this call.
     """
     tracer = tracer if tracer is not None else Tracer()
     job_metrics = (
         job_metrics if job_metrics is not None else MetricsRegistry()
     )
     if spec.kind == "cluster":
-        return _execute_cluster(spec, graph, budget, retry)
+        return _execute_cluster(
+            spec, graph, cache, journal, budget, retry
+        )
     if spec.kind == "symmetrize":
         return _execute_symmetrize(
-            spec, graph, dataset_sha, cache, budget, retry,
+            spec, graph, dataset_sha, cache, journal, budget, retry,
             tracer, job_metrics,
         )
     return _execute_sweep(
-        spec, graph, cache, budget, retry, tracer, job_metrics
+        spec, graph, cache, journal, budget, retry, tracer,
+        job_metrics,
     )
 
 
 def _execute_cluster(
     spec: JobSpec,
     graph: DirectedGraph,
+    cache: ArtifactCache | None,
+    journal: RunJournal | None,
     budget: Budget | None,
     retry: RetryPolicy | None,
 ) -> tuple[dict[str, Any], list[dict[str, str]], RunManifest | None]:
@@ -395,6 +400,8 @@ def _execute_cluster(
     result = pipe.run(
         graph,
         n_clusters=spec.n_clusters,
+        cache=cache,
+        journal=journal,
         plan_budget=budget,
         retry=retry,
     )
@@ -421,6 +428,7 @@ def _execute_symmetrize(
     graph: DirectedGraph,
     dataset_sha: str,
     cache: ArtifactCache | None,
+    journal: RunJournal | None,
     budget: Budget | None,
     retry: RetryPolicy | None,
     tracer: Tracer,
@@ -443,6 +451,7 @@ def _execute_symmetrize(
         cache=cache,
         plan_budget=budget,
         retry=retry,
+        journal=journal,
     )
     execution = executor.execute(
         plan, {"graph": graph}, dataset_sha=dataset_sha
@@ -474,6 +483,7 @@ def _execute_sweep(
     spec: JobSpec,
     graph: DirectedGraph,
     cache: ArtifactCache | None,
+    journal: RunJournal | None,
     budget: Budget | None,
     retry: RetryPolicy | None,
     tracer: Tracer,
@@ -489,6 +499,7 @@ def _execute_sweep(
         mode=spec.mode,
         retry=retry,
         plan_budget=budget,
+        journal=journal,
     )
     payload = {
         "kind": "sweep",
@@ -1032,21 +1043,13 @@ class JobManager:
         try:
             registered = self.graph(job.spec.graph)
             self.metrics.inc("service_job_executions_total")
-            # Isolated scope: the job sees the shared cache, its own
-            # tracer/metrics/journal, and nothing from whatever ran
-            # on this pooled thread before it.
-            with ambient_scope(
-                cache=self.cache,
-                tracer=tracer,
-                metrics=job_metrics,
-                journal=journal,
-                isolate=True,
-            ):
+            with tracing(tracer), metrics_active(job_metrics):
                 result, recorded, manifest = execute_spec(
                     job.spec,
                     registered.graph,
                     dataset_sha=registered.sha,
                     cache=self.cache,
+                    journal=journal,
                     budget=self.job_budget,
                     retry=self.retry,
                     tracer=tracer,

@@ -26,7 +26,6 @@ from repro.engine import (
     PruneStage,
     SymmetrizeStage,
     ValidateInputStage,
-    artifact_cache,
     artifact_key,
     config_hash,
 )
@@ -260,11 +259,9 @@ def _adjacency_equal(a, b) -> bool:
 class TestDifferentialIdentity:
     def test_pipeline_cached_run_identical(self, graph):
         cache = ArtifactCache()
-        pipe = SymmetrizeClusterPipeline(
-            "degree_discounted", "mlrmcl", cache=cache
-        )
-        cold = pipe.run(graph, n_clusters=8)
-        warm = pipe.run(graph, n_clusters=8)
+        pipe = SymmetrizeClusterPipeline("degree_discounted", "mlrmcl")
+        cold = pipe.run(graph, n_clusters=8, cache=cache)
+        warm = pipe.run(graph, n_clusters=8, cache=cache)
         assert cold.cache["misses"] >= 1
         assert warm.cache["hits"] >= 1
         assert _adjacency_equal(cold.symmetrized, warm.symmetrized)
@@ -276,9 +273,9 @@ class TestDifferentialIdentity:
         plain = SymmetrizeClusterPipeline("naive", "mlrmcl").run(
             graph, n_clusters=8
         )
-        cached = SymmetrizeClusterPipeline(
-            "naive", "mlrmcl", cache=ArtifactCache()
-        ).run(graph, n_clusters=8)
+        cached = SymmetrizeClusterPipeline("naive", "mlrmcl").run(
+            graph, n_clusters=8, cache=ArtifactCache()
+        )
         assert plain.cache["enabled"] is False
         assert cached.cache["enabled"] is True
         assert _adjacency_equal(
@@ -331,18 +328,18 @@ class TestSweepProvenance:
         second = sweep_n_clusters(
             graph, "naive", "mlrmcl", cluster_counts=[4, 6]
         )
-        # No ambient cache: each sweep symmetrizes once itself.
+        # No cache given: each sweep symmetrizes once itself.
         assert first[0].cache_hit is False
         assert second[0].cache_hit is False
 
-    def test_ambient_cache_spans_sweeps(self, graph):
-        with artifact_cache():
-            first = sweep_n_clusters(
-                graph, "naive", "mlrmcl", cluster_counts=[4]
-            )
-            second = sweep_n_clusters(
-                graph, "naive", "mlrmcl", cluster_counts=[4]
-            )
+    def test_shared_cache_spans_sweeps(self, graph):
+        cache = ArtifactCache()
+        first = sweep_n_clusters(
+            graph, "naive", "mlrmcl", cluster_counts=[4], cache=cache
+        )
+        second = sweep_n_clusters(
+            graph, "naive", "mlrmcl", cluster_counts=[4], cache=cache
+        )
         assert first[0].cache_hit is False
         assert second[0].cache_hit is True
 
@@ -387,8 +384,14 @@ class TestDiskTier:
 
     def test_corrupt_entry_is_a_miss(self, graph, tmp_path):
         cache = ArtifactCache(directory=tmp_path / "arts")
-        Executor(cache=cache).execute(_sym_plan(), {"graph": graph})
-        [key] = cache.keys_seen
+        stored = Executor(cache=cache).execute(
+            _sym_plan(), {"graph": graph}
+        )
+        [key] = [
+            e.artifact_key
+            for e in stored.executions
+            if e.artifact_key is not None
+        ]
         entry = tmp_path / "arts" / key[:2] / key / "artifact.npz"
         entry.write_bytes(b"not an npz file")
 

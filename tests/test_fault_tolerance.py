@@ -1,6 +1,6 @@
 """Tests for the fault-tolerant execution runtime.
 
-Covers the write-ahead run journal and resume, stage budgets and
+Covers the write-ahead run journal and resume, plan budgets and
 retry policies, cache-corruption recovery, lenient sweep degradation
 and the ``repro runs show --failures`` / ``repro sweep`` / ``repro
 resume`` CLI — all driven through the chaos harness
@@ -41,7 +41,6 @@ from repro.engine import (
     ValidateInputStage,
     inject_faults,
     read_journal,
-    run_journal,
 )
 from repro.engine.chaos import chaos, current_faults
 from repro.eval.groundtruth import GroundTruth
@@ -255,40 +254,77 @@ class TestStageRetry:
 
 @pytest.mark.chaos_smoke
 class TestBudgets:
-    def test_stage_wall_overrun(self, rng):
+    def test_stage_wall_overrun(self, tmp_path, rng, capsys):
+        # The plan's wall clock runs out on its first stage, and the
+        # journal says so: a fatal failure record naming that stage,
+        # in place of its stage_done.
         graph = power_law_digraph(60, rng)
+        jpath = tmp_path / "j.jsonl"
         with pytest.raises(BudgetExceeded) as info:
             Executor(
-                budgets={"symmetrize": Budget(wall_s=0.0)}
+                plan_budget=Budget(wall_s=0.0),
+                journal=RunJournal(jpath),
             ).execute(_sym_plan(), {"graph": graph})
-        assert info.value.scope == "symmetrize"
+        assert info.value.scope == "plan"
         assert info.value.resource == "wall_s"
         assert info.value.spent > info.value.limit == 0.0
+        records = read_journal(jpath)
+        assert [r["type"] for r in records] == [
+            "run_start", "stage_attempt_failed",
+        ]
+        failure = records[1]
+        assert failure["stage"] == "validate"
+        assert failure["error"] == "BudgetExceeded"
+        assert failure["fatal"] is True
+        assert failure["budget"] == {
+            "plan": {"wall_s": 0.0, "mem_bytes": None}
+        }
+        assert (
+            main(["runs", "show", str(jpath), "--failures"]) == 0
+        )
+        out = capsys.readouterr().out
+        assert "stage=validate" in out
+        assert "[fatal] BudgetExceeded" in out
 
     def test_stage_mem_overrun(self, rng):
         graph = power_law_digraph(60, rng)
         with pytest.raises(BudgetExceeded) as info:
-            Executor(
-                budgets={"symmetrize": Budget(mem_bytes=1)}
-            ).execute(_sym_plan(), {"graph": graph})
-        assert info.value.resource == "mem_bytes"
-        assert info.value.spent > 1
-
-    def test_plan_wall_is_cumulative(self, rng):
-        graph = power_law_digraph(60, rng)
-        with pytest.raises(BudgetExceeded) as info:
-            Executor(plan_budget=Budget(wall_s=0.0)).execute(
+            Executor(plan_budget=Budget(mem_bytes=1)).execute(
                 _sym_plan(), {"graph": graph}
             )
         assert info.value.scope == "plan"
+        assert info.value.resource == "mem_bytes"
+        assert info.value.spent > 1
+
+    def test_plan_wall_is_cumulative(self, tmp_path, rng):
+        # Each stage fits the budget alone; the two together do not,
+        # so the plan runs out on the second stage.
+        graph = power_law_digraph(60, rng)
+        jpath = tmp_path / "j.jsonl"
+        slow = [
+            Fault(site=f"stage:{name}", kind="sleep", sleep_s=0.4)
+            for name in ("validate", "symmetrize")
+        ]
+        with inject_faults(slow), pytest.raises(BudgetExceeded) as info:
+            Executor(
+                plan_budget=Budget(wall_s=0.7),
+                journal=RunJournal(jpath),
+            ).execute(_sym_plan(), {"graph": graph})
+        assert info.value.scope == "plan"
+        assert info.value.spent >= 0.8
+        records = read_journal(jpath)
+        assert [r["type"] for r in records] == [
+            "run_start", "stage_done", "stage_attempt_failed",
+        ]
+        assert records[1]["stage"] == "validate"
+        assert records[2]["stage"] == "symmetrize"
 
     def test_unlimited_budget_is_free(self, rng):
         graph = power_law_digraph(60, rng)
         assert Budget().unlimited
-        result = Executor(
-            budgets={"symmetrize": Budget()},
-            plan_budget=Budget(),
-        ).execute(_sym_plan(), {"graph": graph})
+        result = Executor(plan_budget=Budget()).execute(
+            _sym_plan(), {"graph": graph}
+        )
         assert result.values["symmetrized"].n_edges > 0
 
     def test_overrun_never_retried_and_journaled_fatal(
@@ -304,7 +340,7 @@ class TestBudgets:
         )
         with pytest.raises(BudgetExceeded):
             Executor(
-                budgets={"symmetrize": Budget(wall_s=0.0)},
+                plan_budget=Budget(wall_s=0.0),
                 retry=policy,
                 journal=RunJournal(jpath),
             ).execute(_sym_plan(), {"graph": graph})
@@ -313,7 +349,7 @@ class TestBudgets:
         record = replay.failures[0]
         assert record["error"] == "BudgetExceeded"
         assert record["fatal"] is True
-        assert record["budget"]["stage"]["wall_s"] == 0.0
+        assert record["budget"]["plan"]["wall_s"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +474,6 @@ class TestJournal:
         other = JournalReplay.from_path(jpath, run_id="run-b")
         assert other.point("pk-b") == {"n_clusters": 4}
         assert not other.finished
-
-    def test_ambient_journal_is_picked_up(self, tmp_path, rng):
-        graph = power_law_digraph(40, rng)
-        jpath = tmp_path / "j.jsonl"
-        with run_journal(jpath) as journal:
-            Executor().execute(_sym_plan(), {"graph": graph})
-        journal.close()
-        types = [r["type"] for r in read_journal(jpath)]
-        assert types[0] == "run_start"
-        assert types.count("stage_done") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -718,12 +744,12 @@ class TestCacheHardening:
         cache = ArtifactCache(directory=tmp_path / "cache")
         fault = Fault(site="cache.disk_put", kind="corrupt")
         with inject_faults([fault]) as plan:
-            Executor(cache=cache).execute(
+            stored = Executor(cache=cache).execute(
                 _sym_plan(), {"graph": graph}
             )
         assert plan.triggered_count("cache.disk_put") == 1
         fresh = ArtifactCache(directory=tmp_path / "cache")
-        key = cache.keys_seen[-1]
+        key = stored.executions[-1].artifact_key
         assert fresh.get(key) is None  # corrupt entry is a miss
         result = Executor(cache=fresh).execute(
             _sym_plan(), {"graph": graph}

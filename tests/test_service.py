@@ -1,6 +1,6 @@
 """Tests for the clustering service daemon and the concurrency
-fixes it exposed (cache locking, ambient scoping, journal
-tailing)."""
+fixes it exposed (cache locking, per-job tracer and metrics scoping,
+journal tailing)."""
 
 from __future__ import annotations
 
@@ -18,17 +18,20 @@ import pytest
 from repro.datasets import make_cora_like, make_wikipedia_like
 from repro.engine import (
     ArtifactCache,
+    Budget,
     JournalTailer,
     RunJournal,
-    ambient_scope,
-    current_cache,
-    current_journal,
+    read_journal,
 )
 from repro.exceptions import BudgetExceeded, ReproError
 from repro.graph import DirectedGraph
 from repro.obs.manifest import fingerprint_graph
-from repro.obs.metrics import MetricsRegistry, current_metrics
-from repro.obs.trace import Tracer, current_tracer
+from repro.obs.metrics import (
+    MetricsRegistry,
+    current_metrics,
+    metrics_active,
+)
+from repro.obs.trace import Tracer, current_tracer, tracing
 from repro.pipeline.pipeline import SymmetrizeClusterPipeline
 from repro.service import (
     JobManager,
@@ -112,40 +115,19 @@ class TestCacheThreadSafety:
 
 
 # ----------------------------------------------------------------------
-# Satellite: ambient_scope isolates interleaved tasks
+# Satellite: a job's tracer and metrics never reach another job
 # ----------------------------------------------------------------------
 class TestAmbientScope:
-    def test_installs_and_resets_everything(self) -> None:
-        cache = ArtifactCache()
-        tracer = Tracer()
-        metrics = MetricsRegistry()
-        assert current_cache() is None
-        with ambient_scope(
-            cache=cache, tracer=tracer, metrics=metrics
-        ) as state:
-            assert state.cache is cache
-            assert current_cache() is cache
-            assert current_tracer() is tracer
-            assert current_metrics() is metrics
-        assert current_cache() is None
-        assert current_tracer() is None
-        assert current_metrics() is None
+    """Each job installs its tracer with ``tracing()`` and its
+    registry with ``metrics_active()``; job isolation rests on
+    those two installers."""
 
     def test_reset_on_exception(self) -> None:
-        with pytest.raises(RuntimeError), ambient_scope(
-            cache=ArtifactCache(), tracer=Tracer()
-        ):
-            raise RuntimeError("boom")
-        assert current_cache() is None
+        with pytest.raises(RuntimeError):
+            with tracing(Tracer()), metrics_active(MetricsRegistry()):
+                raise RuntimeError("boom")
         assert current_tracer() is None
-
-    def test_isolate_severs_inheritance(self) -> None:
-        outer = ArtifactCache()
-        with ambient_scope(cache=outer):
-            with ambient_scope(isolate=True):
-                assert current_cache() is None
-                assert current_journal() is None
-            assert current_cache() is outer
+        assert current_metrics() is None
 
     def test_interleaved_tasks_never_cross(self) -> None:
         """Two asyncio tasks interleaving inside their own scopes
@@ -153,14 +135,12 @@ class TestAmbientScope:
         observed: dict[str, list[bool]] = {"a": [], "b": []}
 
         async def worker(name: str, barrier: asyncio.Barrier) -> None:
-            mine_cache, mine_metrics = ArtifactCache(), MetricsRegistry()
-            with ambient_scope(
-                cache=mine_cache, metrics=mine_metrics, isolate=True
-            ):
+            mine_tracer, mine_metrics = Tracer(), MetricsRegistry()
+            with tracing(mine_tracer), metrics_active(mine_metrics):
                 for _ in range(5):
                     await barrier.wait()  # force interleaving
                     observed[name].append(
-                        current_cache() is mine_cache
+                        current_tracer() is mine_tracer
                         and current_metrics() is mine_metrics
                     )
 
@@ -181,11 +161,14 @@ class TestAmbientScope:
         start = threading.Barrier(2)
 
         def worker(name: str) -> None:
-            mine = ArtifactCache()
+            mine_tracer, mine_metrics = Tracer(), MetricsRegistry()
             start.wait()
-            with ambient_scope(cache=mine, isolate=True):
+            with tracing(mine_tracer), metrics_active(mine_metrics):
                 for _ in range(200):
-                    if current_cache() is not mine:
+                    if (
+                        current_tracer() is not mine_tracer
+                        or current_metrics() is not mine_metrics
+                    ):
                         failures.append(name)
 
         threads = [
@@ -424,6 +407,82 @@ class TestJobManager:
         assert manifest["job"]["job_id"] == job.job_id
         assert manifest["job"]["clients"] == ["alice"]
         manager.close()
+
+    def test_job_kinds_share_the_artifact_cache(
+        self, tmp_path, small_graph
+    ) -> None:
+        """The cluster job stores the symmetrized artifact; a
+        recluster with another k, a symmetrize job and a sweep job at
+        the same threshold are served that artifact, and each job's
+        journal holds its own progress."""
+        manager = JobManager(tmp_path, max_workers=1)
+        manager.register_graph("g", small_graph)
+        requests = [
+            {"kind": "cluster", "n_clusters": 4},
+            {"kind": "cluster", "n_clusters": 6},
+            {"kind": "symmetrize"},
+            {"kind": "sweep", "counts": [3]},
+        ]
+        jobs = []
+        try:
+            for fields in requests:
+                spec = JobSpec.from_dict(
+                    {"graph": "g", "threshold": 0.05, **fields}
+                )
+                job, deduped = manager.submit(spec, "alice")
+                assert not deduped
+                assert job.done.wait(60)
+                assert job.state == "done", job.error
+                jobs.append(job)
+        finally:
+            manager.close()
+        cluster, recluster, symmetrize, sweep = jobs
+        assert cluster.result["cache"]["hits"] == 0
+        [key] = cluster.result["cache"]["artifact_keys"]
+        for job in (recluster, symmetrize):
+            assert job.result["cache"]["hits"] == 1
+            assert job.result["cache"]["artifact_keys"] == [key]
+        assert sweep.result["points"][0]["cache_hit"] is True
+        for job in jobs:
+            records = read_journal(job.journal_path)
+            assert {r["run_id"] for r in records} == {job.job_id}
+            stored = [
+                r["artifact_key"]
+                for r in records
+                if r["type"] == "stage_done" and r["artifact_key"]
+            ]
+            assert stored == [key]
+        [point] = [
+            r for r in read_journal(sweep.journal_path)
+            if r["type"] == "point_done"
+        ]
+        assert point["payload"]["artifact_key"] == key
+
+    def test_job_wall_overrun_is_journaled(
+        self, tmp_path, small_graph
+    ) -> None:
+        manager = JobManager(
+            tmp_path, max_workers=1, job_budget=Budget(wall_s=0.0)
+        )
+        manager.register_graph("g", small_graph)
+        job, _ = manager.submit(
+            JobSpec.from_dict(
+                {"kind": "cluster", "graph": "g", "n_clusters": 4}
+            ),
+            "alice",
+        )
+        try:
+            assert job.done.wait(60)
+        finally:
+            manager.close()
+        assert job.state == "failed"
+        assert job.error_code == "budget_exceeded"
+        records = read_journal(job.journal_path)
+        assert [r["type"] for r in records] == [
+            "run_start", "stage_attempt_failed", "run_end",
+        ]
+        assert records[1]["fatal"] is True
+        assert records[1]["budget"]["plan"]["wall_s"] == 0.0
 
     @pytest.mark.parametrize(
         "kwargs,flags",

@@ -63,7 +63,12 @@ def _scale_row(results: dict) -> tuple[str, str]:
     also shows its time in calibration units (its seconds over its
     ``calibration_seconds``, when recorded), its all-pairs candidate,
     scored and verified pair counts and its exactness certificate, and
-    a missed or extra pair fails the verdict."""
+    a missed or extra pair fails the verdict.
+
+    Calibration units normalize only the CPU speed of in-cache sparse
+    products, not the memory bandwidth a 1M point also depends on, so
+    a 1M point's cal can move with the host state (453 and 588 cal in
+    two runs against 238 in the schema-v3 file)."""
     parts = []
     peak = 0.0
     certified = True

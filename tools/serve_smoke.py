@@ -6,10 +6,14 @@ jobs plus one distinct job, and asserts the daemon's acceptance
 criteria end to end:
 
 1. the two identical submissions share one job id (exactly one dedup
-   hit, exactly two executions server-side);
+   hit);
 2. both deduplicated submissions return the same labels hash, and the
    distinct job a different job id;
-3. ``POST /shutdown`` drains the daemon to a clean exit (code 0)
+3. once both jobs are done, a cluster job with a third cluster count
+   (a recluster) is served the shared symmetrized artifact from the
+   daemon's cache (``cache.hits >= 1`` in its result), for three
+   executions server-side in all;
+4. ``POST /shutdown`` drains the daemon to a clean exit (code 0)
    within the deadline, leaving no child processes behind.
 
 ``--chaos`` runs the durability smoke instead: boot with
@@ -132,11 +136,21 @@ def run_plain(args: argparse.Namespace, started: float) -> int:
             if shared["labels_sha256"] == other["labels_sha256"]:
                 return fail("distinct jobs returned identical labels")
 
+            recluster = client.submit(
+                kind="cluster", graph="cora", n_clusters=12
+            )
+            reclustered = client.result(recluster["job_id"], timeout=60)
+            if reclustered["cache"]["hits"] < 1:
+                return fail(
+                    "recluster missed the artifact cache: "
+                    f"{reclustered['cache']}"
+                )
+
             counters = client.stats()["metrics"]["counters"]
             if counters.get("service_dedup_hits_total") != 1:
                 return fail(f"expected 1 dedup hit, got {counters}")
-            if counters.get("service_job_executions_total") != 2:
-                return fail(f"expected 2 executions, got {counters}")
+            if counters.get("service_job_executions_total") != 3:
+                return fail(f"expected 3 executions, got {counters}")
 
             remaining = args.deadline - (time.monotonic() - started)
             code = drain(daemon, client, remaining)
@@ -153,8 +167,8 @@ def run_plain(args: argparse.Namespace, started: float) -> int:
 
     elapsed = time.monotonic() - started
     print(
-        f"serve-smoke OK: 3 submissions, 1 dedup hit, clean drain "
-        f"in {elapsed:.1f}s"
+        f"serve-smoke OK: 4 submissions, 1 dedup hit, 1 recluster "
+        f"cache hit, clean drain in {elapsed:.1f}s"
     )
     return 0
 
